@@ -102,7 +102,6 @@ func main() {
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
 		obs.RegisterProcessMetrics(reg, time.Now())
-		obs.RegisterSweepCounters(reg, &r.Sweep)
 		srv, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -127,6 +126,6 @@ func main() {
 		os.Exit(1)
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "experiments: done in %s (workers=%d)\n", time.Since(start).Round(time.Millisecond), r.Sweep.NumWorkers())
+		fmt.Fprintf(os.Stderr, "experiments: done in %s\n", time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -8,8 +8,11 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"neuroselect/internal/cnf"
 	"neuroselect/internal/server"
 )
 
@@ -433,13 +437,17 @@ func TestCoordinatorClientCancelKeepsBackendsUp(t *testing.T) {
 	}
 }
 
-// TestRouteKeyGzipBounded: routeKey's decompression is capped, so a
-// gzip bomb routes by its raw digest instead of expanding in
-// coordinator memory, while a legitimately gzipped formula still hashes
-// to the same key as its plain upload.
-func TestRouteKeyGzipBounded(t *testing.T) {
+// TestRouteKeyAgreesWithReplicaHash pins the coordinator's routing key
+// to the replica's cache key: every upload a replica accepts — raw,
+// gzipped, or with its clauses reordered — routes by CanonicalHash of the
+// formula the replica parses, decoded through the same server.DecodeBody.
+// Uploads the replica refuses (a gzip bomb past the cap, an unsupported
+// encoding, malformed DIMACS) route by the raw-bytes digest, the same
+// key on every call.
+func TestRouteKeyAgreesWithReplicaHash(t *testing.T) {
+	const max = 4096
 	gzipped := func(s string) []byte {
-		var buf strings.Builder
+		var buf bytes.Buffer
 		gw := gzip.NewWriter(&buf)
 		if _, err := io.WriteString(gw, s); err != nil {
 			t.Fatal(err)
@@ -447,17 +455,64 @@ func TestRouteKeyGzipBounded(t *testing.T) {
 		if err := gw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return []byte(buf.String())
+		return buf.Bytes()
 	}
-
-	plainKey := routeKey([]byte(testCNFSat), "", 1<<20)
-	if gzKey := routeKey(gzipped(testCNFSat), "gzip", 1<<20); gzKey != plainKey {
-		t.Fatalf("gzip key %q != plain key %q", gzKey, plainKey)
+	// replicaKey is what a replica hashes: readBody's decode, then parse.
+	replicaKey := func(body []byte, enc string) string {
+		src, err := server.DecodeBody(bytes.NewReader(body), enc, max)
+		if err != nil {
+			t.Fatalf("replica refuses the upload: %v", err)
+		}
+		plain, err := io.ReadAll(src)
+		if err != nil {
+			t.Fatalf("replica refuses the upload: %v", err)
+		}
+		f, err := cnf.ParseDIMACS(bytes.NewReader(plain))
+		if err != nil {
+			t.Fatalf("replica refuses the upload: %v", err)
+		}
+		return server.CanonicalHash(f)
 	}
+	reordered := "p cnf 3 2\n3 -1 2 0\n-3 1 0\n"                   // testCNFSat, clauses and literals permuted
+	bomb := "p cnf 2 1000000\n" + strings.Repeat("1 2 0\n", 2*max) // valid DIMACS, expands past max
 
-	bomb := gzipped(strings.Repeat("a", 1<<20)) // ~1 KiB compressed, 1 MiB expanded
-	if key := routeKey(bomb, "gzip", 4096); !strings.HasPrefix(key, "raw:") {
-		t.Fatalf("over-limit gzip body routed by %q, want a raw: digest", key)
+	want := replicaKey([]byte(testCNFSat), "")
+	for _, tc := range []struct {
+		name string
+		body []byte
+		enc  string
+		raw  bool
+	}{
+		{name: "raw", body: []byte(testCNFSat)},
+		{name: "identity", body: []byte(testCNFSat), enc: "identity"},
+		{name: "gzip", body: gzipped(testCNFSat), enc: "gzip"},
+		{name: "gzip upper-case", body: gzipped(testCNFSat), enc: "GZIP"},
+		{name: "reordered", body: []byte(reordered)},
+		{name: "reordered gzip", body: gzipped(reordered), enc: "gzip"},
+		{name: "gzip bomb", body: gzipped(bomb), enc: "gzip", raw: true},
+		{name: "unsupported encoding", body: []byte(testCNFSat), enc: "zstd", raw: true},
+		{name: "malformed DIMACS", body: []byte("p cnf 2 1\n1 x 0\n"), raw: true},
+		{name: "corrupt gzip", body: []byte(testCNFSat), enc: "gzip", raw: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := routeKey(tc.body, tc.enc, max)
+			if again := routeKey(tc.body, tc.enc, max); again != key {
+				t.Fatalf("routeKey not deterministic: %q then %q", key, again)
+			}
+			if tc.raw {
+				sum := sha256.Sum256(tc.body)
+				if rawKey := "raw:" + hex.EncodeToString(sum[:]); key != rawKey {
+					t.Fatalf("routed by %q, want the raw digest %q", key, rawKey)
+				}
+				return
+			}
+			if got := replicaKey(tc.body, tc.enc); got != want {
+				t.Fatalf("replica hash %q differs from the plain upload's %q", got, want)
+			}
+			if key != want {
+				t.Fatalf("route key %q != replica hash %q", key, want)
+			}
+		})
 	}
 }
 

@@ -20,7 +20,6 @@ package cluster
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -56,27 +55,17 @@ func (c *Coordinator) refuseIfDraining(w http.ResponseWriter) bool {
 }
 
 // routeKey derives the consistent-hash key for an upload: the canonical
-// formula hash when the body parses as DIMACS (possibly gzip-wrapped —
-// decompressed for hashing only, forwarded as the original bytes), else
-// a digest of the raw bytes so even malformed uploads route
-// deterministically (their 400s come from one replica, not all of them).
-// Decompression is capped at maxBytes, the same expansion guard the
-// replicas apply: a gzip bomb falls through to the raw-bytes digest
-// instead of expanding in coordinator memory.
+// formula hash when the body decodes through server.DecodeBody (the
+// replicas' own decoder and expansion cap) and parses as DIMACS, else a
+// digest of the raw bytes, so malformed uploads, unsupported encodings
+// and gzip bombs still route deterministically (their 4xx answers come
+// from one replica, not all of them). The body is forwarded as the
+// original bytes either way.
 func routeKey(body []byte, contentEncoding string, maxBytes int64) string {
-	plain := body
-	if strings.EqualFold(contentEncoding, "gzip") {
-		gz, err := gzip.NewReader(bytes.NewReader(body))
-		if err == nil {
-			p, rerr := io.ReadAll(io.LimitReader(gz, maxBytes+1))
-			gz.Close()
-			if rerr == nil && int64(len(p)) <= maxBytes {
-				plain = p
-			}
+	if src, err := server.DecodeBody(bytes.NewReader(body), contentEncoding, maxBytes); err == nil {
+		if f, err := cnf.ParseDIMACS(src); err == nil {
+			return server.CanonicalHash(f)
 		}
-	}
-	if f, err := cnf.ParseDIMACS(bytes.NewReader(plain)); err == nil {
-		return server.CanonicalHash(f)
 	}
 	sum := sha256.Sum256(body)
 	return "raw:" + hex.EncodeToString(sum[:])

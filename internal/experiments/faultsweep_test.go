@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"neuroselect/internal/faultpoint"
+	"neuroselect/internal/obs"
 )
 
 // waitGoroutines fails the test if the goroutine count has not returned to
@@ -21,6 +22,12 @@ func waitGoroutines(t *testing.T, before int) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutine leak after fault sweep: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// sweepGauge reads one of the most recent sweep's gauges off the runner's
+// registry.
+func sweepGauge(r *Runner, name string) int64 {
+	return int64(r.Obs.Gauge("neuroselect_sweep_"+name, "", nil).Value())
 }
 
 // TestFaultSweepSerialIdentifiesInjectedCells pins down exactly which cells
@@ -71,6 +78,7 @@ func TestFaultSweepParallelContainsInjectedCells(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	r := quickRunner()
 	r.Workers = 4
+	r.Obs = obs.NewRegistry()
 	c, err := r.Corpus()
 	if err != nil {
 		t.Fatal(err)
@@ -87,16 +95,16 @@ func TestFaultSweepParallelContainsInjectedCells(t *testing.T) {
 		t.Fatalf("injected cell faults must not abort the sweep: %v", err)
 	}
 	totalCells := len(c.Test.Items) * 2
-	if got := r.Sweep.Failed(); got != injected {
+	if got := sweepGauge(r, "failed"); got != injected {
 		t.Fatalf("counters: failed=%d, want %d", got, injected)
 	}
-	if got := r.Sweep.Finished(); got != int64(totalCells-injected) {
+	if got := sweepGauge(r, "finished"); got != int64(totalCells-injected) {
 		t.Fatalf("counters: finished=%d, want %d", got, totalCells-injected)
 	}
-	if got := r.Sweep.Started(); got != int64(totalCells) {
+	if got := sweepGauge(r, "started"); got != int64(totalCells) {
 		t.Fatalf("counters: started=%d, want %d", got, totalCells)
 	}
-	if got := r.Sweep.QueueDepth(); got != 0 {
+	if got := sweepGauge(r, "queue_depth"); got != 0 {
 		t.Fatalf("counters: queue=%d after drain", got)
 	}
 	// Two injected cells can share an instance, so rows ∈ [ceil(3/2), 3].
@@ -122,6 +130,7 @@ func TestFaultSweepReduceEscalation(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	r := quickRunner()
 	r.Workers = 4
+	r.Obs = obs.NewRegistry()
 	if _, err := r.Corpus(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +149,7 @@ func TestFaultSweepReduceEscalation(t *testing.T) {
 	if len(res.Failures) != 1 {
 		t.Fatalf("want exactly 1 failure row from the reduce fault, got %v", res.Failures)
 	}
-	if got := r.Sweep.Failed(); got != 1 {
+	if got := sweepGauge(r, "failed"); got != 1 {
 		t.Fatalf("counters: failed=%d, want 1", got)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"neuroselect/internal/core"
 	"neuroselect/internal/dataset"
 	"neuroselect/internal/faultpoint"
-	"neuroselect/internal/metrics"
 	"neuroselect/internal/obs"
 	"neuroselect/internal/portfolio"
 	"neuroselect/internal/satgraph"
@@ -121,12 +120,9 @@ type Runner struct {
 	// across runs and worker counts. Used by the determinism regression
 	// tests and for reproducible archival artifacts.
 	Deterministic bool
-	// Sweep holds the per-worker counters of the most recent sweep.
-	Sweep metrics.SweepCounters
-	// Obs, when non-nil, receives sweep telemetry (the per-cell latency
-	// histogram and running cell counters); pair it with
-	// obs.RegisterSweepCounters(Obs, &r.Sweep) for live queue/worker
-	// gauges, as cmd/experiments -metrics-addr does.
+	// Obs, when non-nil, receives sweep telemetry: live queue and progress
+	// gauges of the running sweep, the per-cell latency histogram, and the
+	// running cell counters, as cmd/experiments -metrics-addr serves them.
 	Obs *obs.Registry
 
 	logMu     sync.Mutex

@@ -8,18 +8,25 @@ import (
 )
 
 // sweepCells shards n cells of the named experiment across the runner's
-// worker pool (see internal/sweep for the engine's guarantees) and logs a
-// per-worker counter summary. Results and errors come back in cell order,
-// so aggregation downstream is independent of scheduling.
+// worker pool (see internal/sweep for the engine's guarantees; its live
+// telemetry lands on Runner.Obs) and logs a one-line summary. Results and
+// errors come back in cell order, so aggregation downstream is independent
+// of scheduling.
 func sweepCells[T any](r *Runner, name string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []error) {
-	opts := sweep.Options{
+	start := time.Now()
+	out, errs := sweep.Map(r.baseContext(), sweep.Options{
 		Workers:     r.Workers,
 		CellTimeout: r.CellTimeout,
-		Counters:    &r.Sweep,
 		Registry:    r.Obs,
+	}, n, fn)
+	failed := 0
+	for _, err := range errs {
+		if err != nil {
+			failed++
+		}
 	}
-	out, errs := sweep.Map(r.baseContext(), opts, n, fn)
-	r.logf("sweep %s: %s", name, r.Sweep.String())
+	r.logf("sweep %s: cells=%d finished=%d failed=%d wall=%v",
+		name, n, n-failed, failed, time.Since(start).Round(time.Millisecond))
 	return out, errs
 }
 

@@ -49,9 +49,6 @@ const (
 	// Options.InterruptEvery propagations). A Delay fault simulates a slow
 	// propagation chain for deadline tests.
 	SolverPropagate Site = "solver.propagate"
-	// RaceWorker fires at the start of each portfolio.Race worker
-	// goroutine.
-	RaceWorker Site = "portfolio.race.worker"
 	// PortfolioWorker fires at the start of each parallel-portfolio worker
 	// (free-running mode: once per worker goroutine; deterministic mode:
 	// once per live worker per exchange round). An injected error or panic
@@ -95,10 +92,6 @@ const (
 	// injected errors and panics are transient failures eligible for the
 	// server's retry policy.
 	ServerWorkerSolve Site = "server.worker.solve"
-	// ServerInference fires before the selector inference call; an
-	// injected error counts as an inference failure toward the circuit
-	// breaker.
-	ServerInference Site = "server.inference"
 	// ServerDrain fires at the start of graceful drain; a Delay fault
 	// simulates a slow drain (errors are ignored — drain must proceed).
 	ServerDrain Site = "server.drain"

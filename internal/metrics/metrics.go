@@ -1,15 +1,12 @@
 // Package metrics provides the classification and runtime statistics the
 // paper reports — precision/recall/F1/accuracy (Table 2) and solved/median/
-// average summaries (Table 3) — plus the per-worker counters that
-// instrument the parallel experiment sweep engine.
+// average summaries (Table 3).
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
-	"time"
 )
 
 // Confusion is a binary confusion matrix for label 1 = positive.
@@ -167,112 +164,4 @@ func RelativeImprovement(base, new float64) float64 {
 		return 0
 	}
 	return (base - new) / base
-}
-
-// WorkerCounters instruments one worker goroutine of a parallel sweep. All
-// fields are atomics so the worker updates them lock-free while monitors
-// read them concurrently.
-type WorkerCounters struct {
-	// Started counts cells the worker pulled off the queue.
-	Started atomic.Int64
-	// Finished counts cells that completed without error.
-	Finished atomic.Int64
-	// Failed counts cells that returned an error (including contained
-	// panics and per-cell deadline expiries).
-	Failed atomic.Int64
-	// BusyNS accumulates wall-clock nanoseconds spent executing cells —
-	// the per-worker CPU-time proxy (cells are CPU-bound solves).
-	BusyNS atomic.Int64
-}
-
-// SweepCounters instruments one parallel sweep: per-worker cell counters, a
-// queue-depth gauge, and the sweep's total wall time. All methods —
-// including Reset — are safe for concurrent use: the worker slice is
-// swapped atomically, so a telemetry scrape (see obs.RegisterSweepCounters)
-// can read the counters while the next sweep is starting.
-type SweepCounters struct {
-	workers atomic.Pointer[[]*WorkerCounters]
-	// queueDepth is the number of cells not yet pulled by any worker.
-	queueDepth atomic.Int64
-	wallNS     atomic.Int64
-	cells      atomic.Int64
-}
-
-// Reset prepares the counters for a sweep of cells cells across workers
-// workers, discarding all previous values.
-func (c *SweepCounters) Reset(workers, cells int) {
-	ws := make([]*WorkerCounters, workers)
-	for i := range ws {
-		ws[i] = &WorkerCounters{}
-	}
-	c.workers.Store(&ws)
-	c.queueDepth.Store(int64(cells))
-	c.cells.Store(int64(cells))
-	c.wallNS.Store(0)
-}
-
-// load returns the current worker slice (nil before the first Reset).
-func (c *SweepCounters) load() []*WorkerCounters {
-	if p := c.workers.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// NumWorkers returns the worker count of the last Reset.
-func (c *SweepCounters) NumWorkers() int { return len(c.load()) }
-
-// Cells returns the cell count of the last Reset.
-func (c *SweepCounters) Cells() int64 { return c.cells.Load() }
-
-// Worker returns worker i's counters (i < NumWorkers).
-func (c *SweepCounters) Worker(i int) *WorkerCounters { return c.load()[i] }
-
-// CellPulled records that a worker dequeued a cell, decrementing the
-// queue-depth gauge.
-func (c *SweepCounters) CellPulled() { c.queueDepth.Add(-1) }
-
-// QueueDepth returns the number of cells not yet pulled by any worker.
-func (c *SweepCounters) QueueDepth() int64 { return c.queueDepth.Load() }
-
-// SetWall records the sweep's total wall-clock time.
-func (c *SweepCounters) SetWall(d time.Duration) { c.wallNS.Store(int64(d)) }
-
-// Wall returns the sweep's total wall-clock time.
-func (c *SweepCounters) Wall() time.Duration { return time.Duration(c.wallNS.Load()) }
-
-// Started returns the total cells started across workers.
-func (c *SweepCounters) Started() int64 {
-	return c.sum(func(w *WorkerCounters) int64 { return w.Started.Load() })
-}
-
-// Finished returns the total cells finished without error.
-func (c *SweepCounters) Finished() int64 {
-	return c.sum(func(w *WorkerCounters) int64 { return w.Finished.Load() })
-}
-
-// Failed returns the total cells that returned an error.
-func (c *SweepCounters) Failed() int64 {
-	return c.sum(func(w *WorkerCounters) int64 { return w.Failed.Load() })
-}
-
-// Busy returns the summed per-worker execution time — the sweep's CPU-time
-// proxy, to compare against Wall for parallel efficiency.
-func (c *SweepCounters) Busy() time.Duration {
-	return time.Duration(c.sum(func(w *WorkerCounters) int64 { return w.BusyNS.Load() }))
-}
-
-func (c *SweepCounters) sum(get func(*WorkerCounters) int64) int64 {
-	var total int64
-	for _, w := range c.load() {
-		total += get(w)
-	}
-	return total
-}
-
-// String renders a one-line sweep summary.
-func (c *SweepCounters) String() string {
-	return fmt.Sprintf("cells=%d started=%d finished=%d failed=%d queue=%d workers=%d wall=%v busy=%v",
-		c.Cells(), c.Started(), c.Finished(), c.Failed(), c.QueueDepth(),
-		c.NumWorkers(), c.Wall().Round(time.Millisecond), c.Busy().Round(time.Millisecond))
 }

@@ -2,10 +2,8 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestConfusionCounts(t *testing.T) {
@@ -159,72 +157,5 @@ func TestRelativeImprovement(t *testing.T) {
 	}
 	if RelativeImprovement(100, 110) >= 0 {
 		t.Fatal("regression must be negative")
-	}
-}
-
-func TestSweepCounters(t *testing.T) {
-	var c SweepCounters
-	c.Reset(2, 5)
-	if c.NumWorkers() != 2 || c.Cells() != 5 {
-		t.Fatalf("Reset: workers=%d cells=%d", c.NumWorkers(), c.Cells())
-	}
-	if c.QueueDepth() != 5 {
-		t.Fatalf("QueueDepth after Reset = %d, want 5", c.QueueDepth())
-	}
-	for i := 0; i < 5; i++ {
-		c.CellPulled()
-		w := c.Worker(i % 2)
-		w.Started.Add(1)
-		w.BusyNS.Add(1e6)
-		if i == 4 {
-			w.Failed.Add(1)
-		} else {
-			w.Finished.Add(1)
-		}
-	}
-	c.SetWall(3 * time.Millisecond)
-	if c.Started() != 5 || c.Finished() != 4 || c.Failed() != 1 {
-		t.Fatalf("started=%d finished=%d failed=%d", c.Started(), c.Finished(), c.Failed())
-	}
-	if c.QueueDepth() != 0 {
-		t.Fatalf("QueueDepth after drain = %d", c.QueueDepth())
-	}
-	if c.Busy() != 5*time.Millisecond {
-		t.Fatalf("Busy = %v, want 5ms", c.Busy())
-	}
-	if c.Wall() != 3*time.Millisecond {
-		t.Fatalf("Wall = %v, want 3ms", c.Wall())
-	}
-	want := "cells=5 started=5 finished=4 failed=1 queue=0 workers=2 wall=3ms busy=5ms"
-	if got := c.String(); got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-	// Reset discards everything.
-	c.Reset(1, 2)
-	if c.Started() != 0 || c.Wall() != 0 || c.QueueDepth() != 2 {
-		t.Fatal("Reset did not clear counters")
-	}
-}
-
-func TestSweepCountersConcurrent(t *testing.T) {
-	var c SweepCounters
-	const n = 400
-	c.Reset(4, n)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wc := c.Worker(w)
-			for i := 0; i < n/4; i++ {
-				c.CellPulled()
-				wc.Started.Add(1)
-				wc.Finished.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if c.Started() != n || c.Finished() != n || c.QueueDepth() != 0 {
-		t.Fatalf("concurrent totals: %s", c.String())
 	}
 }

@@ -1,9 +1,5 @@
 package obs
 
-import (
-	"neuroselect/internal/metrics"
-)
-
 // MetricsTracer bridges the solver's trace stream into a Registry: the
 // cumulative counters carried by window/restart/reduce/solve_end events are
 // differenced into monotonic registry counters, and the window-local
@@ -89,29 +85,4 @@ func (t *MetricsTracer) Trace(ev *Event) {
 	case EventSolveEnd:
 		t.solves(ev.Status).Inc()
 	}
-}
-
-// RegisterSweepCounters exposes a sweep's live worker counters as gauge
-// functions under the neuroselect_sweep_* namespace. The counters object is
-// read at scrape time, so a dashboard polling /metrics during a sweep sees
-// queue depth and per-worker progress move; SweepCounters reads are safe
-// against a concurrent Reset (the next sweep) by design.
-func RegisterSweepCounters(r *Registry, c *metrics.SweepCounters) {
-	g := func(name, help string, fn func() float64) { r.GaugeFunc(name, help, nil, fn) }
-	g("neuroselect_sweep_cells", "Cells in the current/last sweep.",
-		func() float64 { return float64(c.Cells()) })
-	g("neuroselect_sweep_queue_depth", "Cells not yet pulled by any worker.",
-		func() float64 { return float64(c.QueueDepth()) })
-	g("neuroselect_sweep_started", "Cells pulled off the queue.",
-		func() float64 { return float64(c.Started()) })
-	g("neuroselect_sweep_finished", "Cells finished without error.",
-		func() float64 { return float64(c.Finished()) })
-	g("neuroselect_sweep_failed", "Cells that returned an error.",
-		func() float64 { return float64(c.Failed()) })
-	g("neuroselect_sweep_workers", "Worker goroutines of the current/last sweep.",
-		func() float64 { return float64(c.NumWorkers()) })
-	g("neuroselect_sweep_busy_seconds", "Summed per-worker cell execution time.",
-		func() float64 { return c.Busy().Seconds() })
-	g("neuroselect_sweep_wall_seconds", "Wall time of the last completed sweep.",
-		func() float64 { return c.Wall().Seconds() })
 }

@@ -1,8 +1,8 @@
 // Race test (package obs_test so it can import sweep, which itself imports
 // obs): Prometheus and JSON scrapes must be safe while a sweep hammers the
-// registry — worker counters updating, new labeled series registering
-// mid-scrape, and SweepCounters.Reset swapping the worker slice between
-// runs. Run with -race; see scripts/check.sh.
+// registry — sweep gauges moving per cell and resetting at the start of
+// each run, new labeled series registering mid-scrape. Run with -race;
+// see scripts/check.sh.
 package obs_test
 
 import (
@@ -13,15 +13,12 @@ import (
 	"testing"
 	"time"
 
-	"neuroselect/internal/metrics"
 	"neuroselect/internal/obs"
 	"neuroselect/internal/sweep"
 )
 
 func TestScrapeDuringSweep(t *testing.T) {
 	reg := obs.NewRegistry()
-	var counters metrics.SweepCounters
-	obs.RegisterSweepCounters(reg, &counters)
 	obs.RegisterProcessMetrics(reg, time.Now())
 
 	stop := make(chan struct{})
@@ -48,9 +45,9 @@ func TestScrapeDuringSweep(t *testing.T) {
 		}()
 	}
 
-	// Several sweep runs so Reset races with live scrapes; each cell also
+	// Several sweep runs so gauge resets race with live scrapes; each cell also
 	// registers a labeled series, racing family creation against exposition.
-	opts := sweep.Options{Workers: 4, Counters: &counters, Registry: reg}
+	opts := sweep.Options{Workers: 4, Registry: reg}
 	for run := 0; run < 4; run++ {
 		_, errs := sweep.Map(context.Background(), opts, 64, func(ctx context.Context, i int) (int, error) {
 			reg.Counter("race_cells_total", "Cells by shard.",
@@ -78,7 +75,7 @@ func TestScrapeDuringSweep(t *testing.T) {
 	if want := int64(4 * 64); cells != want {
 		t.Errorf("race_cells_total sums to %d, want %d", cells, want)
 	}
-	if counters.Started() != 64 {
-		t.Errorf("Started() = %d after final sweep, want 64", counters.Started())
+	if got := reg.Gauge("neuroselect_sweep_started", "", nil).Value(); got != 64 {
+		t.Errorf("neuroselect_sweep_started = %v after final sweep, want 64", got)
 	}
 }

@@ -132,8 +132,8 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at exposition
-// time — the bridge for live counters owned elsewhere (e.g. a sweep's
-// worker counters). Re-registering the same (name, labels) replaces fn.
+// time — the bridge for live state owned elsewhere (e.g. a server's queue
+// length). Re-registering the same (name, labels) replaces fn.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
 	r.child(name, help, typeGauge, labels, nil).gaugeFn.Store(&fn)
 }

@@ -98,10 +98,10 @@ type Config struct {
 	SizeLimit int
 	QueueCap  int
 	// NoExchange disables clause sharing: workers race independently.
-	// RaceDeterministic uses this to preserve virtual-best semantics.
+	// The two-policy race uses this to preserve virtual-best semantics.
 	NoExchange bool
 	// NoDiversify keeps every worker on the experiment-standard options
-	// (policies still alternate). Used by the deterministic race baseline.
+	// (policies still alternate). Used by the two-policy race.
 	NoDiversify bool
 	// Selector, when non-nil, chooses worker 0's deletion policy via
 	// model inference (the remaining workers stay pinned). Inference is a
@@ -336,8 +336,7 @@ func exchangeEvent(round int, st *ExchangeStats) *obs.Event {
 
 // solveFree is the free-running mode: one goroutine per worker, buffered
 // inbox channels, non-blocking export fan-out, first decisive finisher
-// interrupts the rest. The Race pattern generalized to N workers with
-// clause exchange.
+// interrupts the rest. Race is its 2-worker, no-exchange special case.
 func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport, error) {
 	n := cfg.Workers
 	configs := makeConfigs(f, &cfg, n)

@@ -12,6 +12,28 @@ import (
 	"neuroselect/internal/solver"
 )
 
+// waitForGoroutines polls until the goroutine count drops back to the
+// baseline (or a small tolerance above it, for runtime bookkeeping
+// goroutines), failing after a timeout. Worker goroutines send their
+// outcome before exiting, so a short settle window is expected.
+func waitForGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		if n <= baseline {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutine leak: %d running, baseline %d\n%s",
+				n, baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestParallelNoGoroutineLeak drives the free-running portfolio through
 // every exit path — decisive answer, exhausted budgets, all workers
 // failed, cancellation — and checks the goroutine count returns to

@@ -2,24 +2,20 @@ package portfolio
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync/atomic"
 	"time"
 
 	"neuroselect/internal/cnf"
-	"neuroselect/internal/dataset"
-	"neuroselect/internal/deletion"
-	"neuroselect/internal/faultpoint"
 	"neuroselect/internal/solver"
 )
 
 // RaceReport is the outcome of a parallel two-policy race.
 type RaceReport struct {
 	Result solver.Result
-	// Winner names the policy whose solver finished first.
+	// Winner names the policy whose solver decided first ("" when neither
+	// decided).
 	Winner string
-	// WallTime is the race's wall-clock duration.
+	// WallTime is the race's wall-clock duration (pseudo-time for
+	// RaceDeterministic).
 	WallTime time.Duration
 	// Failures lists workers whose solve failed (panicked or errored);
 	// a race with at least one surviving worker still reports a result.
@@ -35,81 +31,31 @@ func Race(f *cnf.Formula, maxConflicts int64) (RaceReport, error) {
 	return RaceContext(context.Background(), f, maxConflicts)
 }
 
-// RaceContext is Race under a context. Cancellation stops both workers
-// within a bounded number of propagations. Each worker runs with panic
-// recovery: a crashing worker is recorded in RaceReport.Failures and the
-// race continues on the survivor; only when every worker fails does
-// RaceContext return an error. The race never leaks goroutines — it
-// returns only after both workers have delivered their outcome.
+// RaceContext is Race under a context: a free-running 2-worker portfolio
+// with clause exchange and diversification disabled, so worker 0 runs the
+// default policy and worker 1 the frequency policy on the
+// experiment-standard options. It inherits the portfolio's guarantees:
+// cancellation stops both workers within a bounded number of
+// propagations, a crashing worker is recorded in RaceReport.Failures while
+// the survivor's answer stands, only an all-failed race returns an error,
+// and no goroutine outlives the call.
 func RaceContext(ctx context.Context, f *cnf.Formula, maxConflicts int64) (RaceReport, error) {
-	type outcome struct {
-		res    solver.Result
-		err    error
-		policy string
-	}
-	var stop atomic.Bool
-	results := make(chan outcome, 2)
-	start := time.Now()
-	for _, p := range []deletion.Policy{deletion.DefaultPolicy{}, deletion.FrequencyPolicy{}} {
-		go func(p deletion.Policy) {
-			o := outcome{policy: p.Name()}
-			defer func() {
-				if r := recover(); r != nil {
-					o.err = fmt.Errorf("portfolio: race worker %s: panic: %v", o.policy, r)
-				}
-				results <- o
-			}()
-			if err := faultpoint.Hit(faultpoint.RaceWorker); err != nil {
-				o.err = fmt.Errorf("portfolio: race worker %s: %w", o.policy, err)
-				return
-			}
-			opts := dataset.SolveOptions(p, maxConflicts)
-			opts.Interrupt = stop.Load
-			o.res, o.err = solver.SolveContext(ctx, f, opts)
-		}(p)
-	}
-	// Drain both workers unconditionally: this is the no-leak guarantee,
-	// and stride polling inside BCP bounds how long the loser can lag.
-	outs := make([]outcome, 0, 2)
-	for i := 0; i < 2; i++ {
-		o := <-results
-		if o.err == nil && o.res.Status != solver.Unknown {
-			stop.Store(true) // decisive answer: interrupt the other worker
-		}
-		outs = append(outs, o)
-	}
-	rep := RaceReport{WallTime: time.Since(start)}
-	var chosen *outcome
-	var failed []error
-	for i := range outs {
-		o := &outs[i]
-		if o.err != nil {
-			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: %v", o.policy, o.err))
-			failed = append(failed, o.err)
-			continue
-		}
-		// Prefer the first decisive finisher; an Unknown first finisher is
-		// displaced by a decisive second.
-		if chosen == nil || (chosen.res.Status == solver.Unknown && o.res.Status != solver.Unknown) {
-			chosen = o
-		}
-	}
-	if chosen == nil {
-		return rep, fmt.Errorf("portfolio: race: all workers failed: %w", errors.Join(failed...))
-	}
-	rep.Result = chosen.res
-	rep.Winner = chosen.policy
-	return rep, nil
+	par, err := SolveParallelContext(ctx, f, Config{
+		Workers:      2,
+		NoExchange:   true,
+		NoDiversify:  true,
+		MaxConflicts: maxConflicts,
+	})
+	return raceReport(par, par.WallTime), err
 }
 
 // RaceDeterministic is the reproducible analogue of RaceContext: the same
-// default-vs-frequency race, run as a 2-worker deterministic portfolio
-// with clause exchange disabled (preserving the independent virtual-best
-// semantics) and undiversified experiment-standard options. osWorkers sets
-// only the OS parallelism; the outcome — winner, result, stats — is a pure
-// function of the formula and budget, byte-identical for any worker count.
-// WallTime is pseudo-time: the winner's propagation count at 1 propagation
-// ≡ 1µs, matching the experiment harness's deterministic clock.
+// default-vs-frequency race, run as a 2-worker deterministic portfolio.
+// osWorkers sets only the OS parallelism; the outcome — winner, result,
+// stats — is a pure function of the formula and budget, byte-identical for
+// any worker count. WallTime is pseudo-time: the winner's propagation
+// count at 1 propagation ≡ 1µs, matching the experiment harness's
+// deterministic clock.
 func RaceDeterministic(ctx context.Context, f *cnf.Formula, maxConflicts int64, osWorkers int) (RaceReport, error) {
 	par, err := SolveParallelContext(ctx, f, Config{
 		Deterministic: true,
@@ -119,12 +65,15 @@ func RaceDeterministic(ctx context.Context, f *cnf.Formula, maxConflicts int64, 
 		NoDiversify:   true,
 		MaxConflicts:  maxConflicts,
 	})
-	rep := RaceReport{Result: par.Result, WallTime: par.PseudoTime, Failures: par.Failures}
-	if err != nil {
-		return rep, err
-	}
+	return raceReport(par, par.PseudoTime), err
+}
+
+// raceReport maps a 2-worker portfolio report onto the race's vocabulary:
+// worker 0 is the default policy, worker 1 the frequency policy.
+func raceReport(par ParallelReport, wall time.Duration) RaceReport {
+	rep := RaceReport{Result: par.Result, WallTime: wall, Failures: par.Failures}
 	if par.WinnerIndex >= 0 {
 		rep.Winner = [2]string{"default", "frequency"}[par.WinnerIndex]
 	}
-	return rep, nil
+	return rep
 }

@@ -96,7 +96,7 @@ func TestBreakerTripsOnInferenceFaults(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Hour, // never half-opens within the test
 	})
-	faultpoint.Arm(faultpoint.ServerInference, faultpoint.Fault{Err: errors.New("model wedged")})
+	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
 
 	// Two failing inferences trip the breaker; both requests still answer
 	// (degraded to the default policy).
@@ -116,13 +116,13 @@ func TestBreakerTripsOnInferenceFaults(t *testing.T) {
 
 	// The next request never reaches the (still armed) faultpoint: the
 	// open breaker skips inference outright.
-	before := faultpoint.Hits(faultpoint.ServerInference)
+	before := faultpoint.Hits(faultpoint.ModelInference)
 	resp := post(t, ts.URL+"/v1/solve", satCNF)
 	sr, _ := decodeSolve(t, resp)
 	if sr.Policy.Fallback != FallbackBreakerOpen || sr.Policy.Name != "default" {
 		t.Fatalf("open-breaker policy = %+v, want default via %q", sr.Policy, FallbackBreakerOpen)
 	}
-	if got := faultpoint.Hits(faultpoint.ServerInference); got != before {
+	if got := faultpoint.Hits(faultpoint.ModelInference); got != before {
 		t.Fatalf("open breaker still performed inference (hits %d -> %d)", before, got)
 	}
 

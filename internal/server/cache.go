@@ -104,7 +104,9 @@ func (c *resultCache) Put(key string, body []byte, policy string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).body = body
+		// A fresh entry rather than a field update: the policy label must
+		// follow the body, and a reader may still hold the old entry.
+		el.Value = &cacheEntry{key: key, body: body, policy: policy}
 		c.ll.MoveToFront(el)
 		return 0
 	}

@@ -68,6 +68,20 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestResultCachePutReplacesPolicy: re-filling a key (a re-solve after a
+// cache-get fault, possibly under another policy once the breaker moved)
+// must replace the policy label along with the body, or cached hits are
+// counted under the wrong solves_total{policy}.
+func TestResultCachePutReplacesPolicy(t *testing.T) {
+	c := newResultCache(2)
+	c.Put("k", []byte("A"), "frequency")
+	c.Put("k", []byte("B"), "default")
+	e, ok := c.Get("k")
+	if !ok || string(e.body) != "B" || e.policy != "default" {
+		t.Fatalf("entry after re-put = %+v (ok=%v), want body B under policy default", e, ok)
+	}
+}
+
 func TestResultCacheDisabled(t *testing.T) {
 	c := newResultCache(0)
 	c.Put("a", []byte("A"), "default")

@@ -39,7 +39,9 @@ import (
 // and re-running that one subtest reproduces the same arming.
 const chaosSchedules = 200
 
-// chaosSites lists every server faultpoint with the fault kinds a
+// chaosSites lists every server faultpoint — plus the model-inference
+// site, the selector's failure domain behind the breaker — with the fault
+// kinds a
 // schedule may arm there. Panics are only injected at the worker-solve
 // site, where containment is part of the contract; handler-side panics
 // would tear HTTP responses mid-write and prove nothing about the server.
@@ -54,7 +56,7 @@ var chaosSites = []struct {
 	{faultpoint.ServerCachePut, false, false},
 	{faultpoint.ServerEnqueue, false, false},
 	{faultpoint.ServerWorkerSolve, true, true},
-	{faultpoint.ServerInference, false, false},
+	{faultpoint.ModelInference, false, false},
 	{faultpoint.ServerDrain, false, true},
 }
 

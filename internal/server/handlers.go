@@ -112,18 +112,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// parseJob builds a job from one upload: body decode (raw or gzip, size-
-// capped), DIMACS parse, and query parameters (?timeout=, ?policy=,
-// ?trace=). It does not admit the job — admission is the caller's move so
-// the cache can short-circuit first.
+// parseJob builds a job from one upload (readFormula) and its query
+// parameters (?timeout=, ?policy=, ?trace=). It does not admit the job —
+// admission is the caller's move so the cache can short-circuit first.
 func (s *Server) parseJob(w http.ResponseWriter, r *http.Request) (*job, *httpError) {
-	body, herr := s.readBody(w, r)
+	f, herr := s.readFormula(w, r)
 	if herr != nil {
 		return nil, herr
-	}
-	f, err := cnf.ParseDIMACS(bytes.NewReader(body))
-	if err != nil {
-		return nil, badRequest("parse DIMACS: %v", err)
 	}
 	if len(f.Clauses) == 0 && f.NumVars == 0 {
 		return nil, badRequest("empty formula: body contained no DIMACS clauses")
@@ -205,39 +200,97 @@ func (s *Server) parseJob(w http.ResponseWriter, r *http.Request) (*job, *httpEr
 // worker goroutines than a small multiple of the machine's cores.
 const maxPortfolioWorkers = 16
 
-// readBody returns the decompressed upload, enforcing Config.MaxBodyBytes
-// on both the wire bytes and the decompressed size (a gzip bomb cannot
-// expand past the cap).
+// readFormula reads and parses one DIMACS upload. One-shot jobs and
+// session creation share it; only parseJob refuses an empty formula,
+// because an empty session base is a valid start for incremental adds.
+func (s *Server) readFormula(w http.ResponseWriter, r *http.Request) (*cnf.Formula, *httpError) {
+	body, herr := s.readBody(w, r)
+	if herr != nil {
+		return nil, herr
+	}
+	f, err := cnf.ParseDIMACS(bytes.NewReader(body))
+	if err != nil {
+		return nil, badRequest("parse DIMACS: %v", err)
+	}
+	return f, nil
+}
+
+// readBody returns the decoded upload (DecodeBody), enforcing
+// Config.MaxBodyBytes on both the wire bytes and the decompressed size,
+// and maps failures to 413 (too large), 415 (unsupported encoding) or 400.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *httpError) {
 	max := s.cfg.MaxBodyBytes
-	var src io.Reader = http.MaxBytesReader(w, r.Body, max)
-	switch enc := strings.ToLower(r.Header.Get("Content-Encoding")); enc {
+	src, err := DecodeBody(http.MaxBytesReader(w, r.Body, max), r.Header.Get("Content-Encoding"), max)
+	if errors.Is(err, ErrUnsupportedEncoding) {
+		return nil, &httpError{code: http.StatusUnsupportedMediaType, msg: err.Error()}
+	}
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	body, err := io.ReadAll(src)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return body, nil
+	case errors.As(err, &tooBig):
+		return nil, &httpError{code: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("body exceeds %d bytes", max)}
+	case errors.Is(err, ErrBodyTooLarge):
+		return nil, &httpError{code: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("decompressed body exceeds %d bytes", max)}
+	default:
+		return nil, badRequest("read body: %v", err)
+	}
+}
+
+// Upload decoding failures.
+var (
+	// ErrUnsupportedEncoding rejects a Content-Encoding other than gzip or
+	// identity.
+	ErrUnsupportedEncoding = errors.New("unsupported Content-Encoding")
+	// ErrBodyTooLarge fails a gzip upload that expands past its size cap.
+	ErrBodyTooLarge = errors.New("decompressed body exceeds the size cap")
+)
+
+// DecodeBody wraps an upload's wire bytes in the decoder its
+// Content-Encoding names: identity ("" or "identity") returns src itself,
+// gzip a decompressing reader that fails with ErrBodyTooLarge once the
+// decoded stream passes max bytes, so a gzip bomb cannot expand past the
+// cap. Any other encoding fails with ErrUnsupportedEncoding. Replicas
+// and the cluster coordinator both decode through it, so the routing key
+// and the replica's cache key come from the same bytes.
+func DecodeBody(src io.Reader, contentEncoding string, max int64) (io.Reader, error) {
+	switch enc := strings.ToLower(contentEncoding); enc {
 	case "", "identity":
+		return src, nil
 	case "gzip":
 		gz, err := gzip.NewReader(src)
 		if err != nil {
-			return nil, badRequest("bad gzip body: %v", err)
+			return nil, fmt.Errorf("bad gzip body: %w", err)
 		}
-		defer gz.Close()
-		src = io.LimitReader(gz, max+1)
+		return &capReader{r: gz, left: max}, nil
 	default:
-		return nil, &httpError{code: http.StatusUnsupportedMediaType,
-			msg: fmt.Sprintf("unsupported Content-Encoding %q: want gzip or identity", enc)}
+		return nil, fmt.Errorf("%w %q: want gzip or identity", ErrUnsupportedEncoding, enc)
 	}
-	body, err := io.ReadAll(src)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, &httpError{code: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("body exceeds %d bytes", max)}
-		}
-		return nil, badRequest("read body: %v", err)
+}
+
+// capReader passes at most left+1 bytes of r, failing with ErrBodyTooLarge
+// once more than left have passed.
+type capReader struct {
+	r    io.Reader
+	left int64
+}
+
+func (c *capReader) Read(p []byte) (int, error) {
+	if int64(len(p)) > c.left+1 {
+		p = p[:c.left+1]
 	}
-	if int64(len(body)) > max {
-		return nil, &httpError{code: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("decompressed body exceeds %d bytes", max)}
+	n, err := c.r.Read(p)
+	c.left -= int64(n)
+	if c.left < 0 {
+		return n, ErrBodyTooLarge
 	}
-	return body, nil
+	return n, err
 }
 
 // refuseIfDraining sheds new work during graceful shutdown. Retry-After

@@ -710,7 +710,7 @@ func (s *Server) executeJob(j *job) (transient bool) {
 		},
 	}
 	if res.Status == solver.Sat {
-		resp.Model = modelLits(j.f, res.Model)
+		resp.Model = modelLits(res.Model, j.f.NumVars)
 	}
 	if res.Stop != nil {
 		resp.Stop = stopReason(res.Stop)
@@ -790,7 +790,7 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 		resp.Portfolio.PropFreqHash = fmt.Sprintf("%016x", rep.PropFreqHash)
 	}
 	if rep.Result.Status == solver.Sat {
-		resp.Model = modelLits(j.f, rep.Result.Model)
+		resp.Model = modelLits(rep.Result.Model, j.f.NumVars)
 	}
 	if rep.Result.Stop != nil {
 		resp.Stop = stopReason(rep.Result.Stop)
@@ -847,20 +847,15 @@ func (s *Server) selectPolicy(j *job, mem *memTracer) (deletion.Policy, policyIn
 }
 
 // inferPolicy runs the selector behind the circuit breaker. Inference
-// failures (the portfolio fallback vocabulary, injected faults, or
-// latency above BreakerMaxLatency) feed the breaker; an open breaker
+// failures (the portfolio fallback vocabulary, which covers faults injected
+// at the model-inference site, or latency above BreakerMaxLatency) feed
+// the breaker; an open breaker
 // skips the model call entirely and degrades to the default policy.
 func (s *Server) inferPolicy(j *job) (deletion.Policy, policyInfo) {
 	if !s.brk.Allow() {
 		s.m.inference(FallbackBreakerOpen).Inc()
 		pol := deletion.DefaultPolicy{}
 		return pol, policyInfo{Name: pol.Name(), Prob: -1, Fallback: FallbackBreakerOpen}
-	}
-	if err := faultpoint.Hit(faultpoint.ServerInference); err != nil {
-		s.brk.Record(false)
-		s.m.inference("failure").Inc()
-		pol := deletion.DefaultPolicy{}
-		return pol, policyInfo{Name: pol.Name(), Prob: -1, Fallback: portfolio.FallbackError}
 	}
 	ch := s.cfg.Selector.Choose(j.f)
 	failed := ch.Fallback == portfolio.FallbackPanic ||
@@ -1058,11 +1053,12 @@ func (t *memTracer) Trace(ev *obs.Event) {
 	t.mu.Unlock()
 }
 
-// modelLits renders a satisfying assignment as DIMACS-style literals,
-// mirroring satsolve's v-line.
-func modelLits(f *cnf.Formula, m cnf.Assignment) []int {
-	lits := make([]int, 0, f.NumVars)
-	for v := 1; v <= f.NumVars; v++ {
+// modelLits renders a satisfying assignment over variables 1..n as
+// DIMACS-style signed literals, mirroring satsolve's v-line. One-shot
+// solves pass the formula's NumVars, sessions their solver's UserVars.
+func modelLits(m cnf.Assignment, n int) []int {
+	lits := make([]int, 0, n)
+	for v := 1; v <= n; v++ {
 		if m[v] {
 			lits = append(lits, v)
 		} else {

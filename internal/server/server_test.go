@@ -193,6 +193,22 @@ func TestBodyTooLarge(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("status = %d, want 413", resp.StatusCode)
 	}
+
+	// A gzip body small on the wire but past the cap once expanded.
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	gz.Write([]byte(satCNF + strings.Repeat("c padding\n", 100)))
+	gz.Close()
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/solve", &buf)
+	req.Header.Set("Content-Encoding", "gzip")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("gzip bomb status = %d, want 413", resp.StatusCode)
+	}
 }
 
 func TestGzipUpload(t *testing.T) {

@@ -32,7 +32,6 @@ package server
 // operations and waits for in-flight session solves like any other work.
 
 import (
-	"bytes"
 	"container/list"
 	"encoding/json"
 	"errors"
@@ -394,16 +393,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.pending.Add(1)
 	defer s.pending.Done()
-	body, herr := s.readBody(w, r)
+	f, herr := s.readFormula(w, r)
 	if herr != nil {
 		writeError(w, herr.code, herr.msg)
 		return
 	}
-	f, err := cnf.ParseDIMACS(bytes.NewReader(body))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse DIMACS: "+err.Error())
-		return
-	}
+	var err error
 	pol := deletion.Policy(deletion.DefaultPolicy{})
 	switch v := r.URL.Query().Get("policy"); v {
 	case "", "auto", "default":
@@ -578,7 +573,7 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	switch st {
 	case solver.Sat:
-		resp.Model = assignmentLits(sess.slv.Model(), sess.slv.UserVars())
+		resp.Model = modelLits(sess.slv.Model(), sess.slv.UserVars())
 	case solver.Unsat:
 		resp.Core = make([]int, len(core))
 		for i, l := range core {
@@ -648,18 +643,4 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.closeSession(sess, true)
 	sess.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// assignmentLits renders a model over the first n variables as
-// DIMACS-style signed literals.
-func assignmentLits(m cnf.Assignment, n int) []int {
-	lits := make([]int, 0, n)
-	for v := 1; v <= n; v++ {
-		if m[v] {
-			lits = append(lits, v)
-		} else {
-			lits = append(lits, -v)
-		}
-	}
-	return lits
 }

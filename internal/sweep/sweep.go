@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"neuroselect/internal/metrics"
 	"neuroselect/internal/obs"
 )
 
@@ -35,14 +34,14 @@ type Options struct {
 	// CellTimeout, when positive, gives each cell its own deadline via a
 	// derived context.
 	CellTimeout time.Duration
-	// Counters, when non-nil, is Reset and filled with per-worker
-	// instrumentation for the run.
-	Counters *metrics.SweepCounters
-	// Registry, when non-nil, receives the per-cell latency histogram
-	// neuroselect_sweep_cell_seconds and the running cell counters
-	// neuroselect_sweep_cells_total{status}, accumulated across Map runs.
-	// Live queue/worker gauges come from obs.RegisterSweepCounters over
-	// the same Counters object.
+	// Registry, when non-nil, receives the sweep's telemetry: the gauges
+	// neuroselect_sweep_{cells,workers,queue_depth,started,finished,
+	// failed,busy_seconds,wall_seconds}, reset at the start of each Map,
+	// plus the per-cell latency histogram neuroselect_sweep_cell_seconds
+	// and the cell counters neuroselect_sweep_cells_total{status},
+	// accumulated across runs. Nil means no instrumentation, which keeps
+	// a nested Map (the deterministic portfolio's rounds) off the
+	// enclosing sweep's gauges.
 	Registry *obs.Registry
 }
 
@@ -64,21 +63,10 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 	if workers > n {
 		workers = n
 	}
-	c := opts.Counters
-	if c != nil {
-		c.Reset(workers, n)
-	}
-	var cellHist *obs.Histogram
-	var cellsOK, cellsErr *obs.Counter
+	var tel *telemetry
 	if opts.Registry != nil {
-		cellHist = opts.Registry.Histogram("neuroselect_sweep_cell_seconds",
-			"Latency of one sweep cell (one solve of one instance under one policy).", nil, nil)
-		cellsOK = opts.Registry.Counter("neuroselect_sweep_cells_total",
-			"Sweep cells completed, by outcome.", obs.Labels{"status": "ok"})
-		cellsErr = opts.Registry.Counter("neuroselect_sweep_cells_total",
-			"Sweep cells completed, by outcome.", obs.Labels{"status": "error"})
+		tel = startTelemetry(opts.Registry, workers, n)
 	}
-	start := time.Now()
 
 	type cellResult struct {
 		i   int
@@ -112,41 +100,16 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			var wc *metrics.WorkerCounters
-			if c != nil {
-				wc = c.Worker(w)
-			}
 			for i := range jobs {
-				if c != nil {
-					c.CellPulled()
-				}
-				if wc != nil {
-					wc.Started.Add(1)
-				}
+				tel.pulled()
 				cellStart := time.Now()
 				v, err := runCell(ctx, opts.CellTimeout, i, fn)
-				elapsed := time.Since(cellStart)
-				if wc != nil {
-					wc.BusyNS.Add(int64(elapsed))
-					if err != nil {
-						wc.Failed.Add(1)
-					} else {
-						wc.Finished.Add(1)
-					}
-				}
-				if cellHist != nil {
-					cellHist.Observe(elapsed.Seconds())
-					if err != nil {
-						cellsErr.Inc()
-					} else {
-						cellsOK.Inc()
-					}
-				}
+				tel.done(time.Since(cellStart), err)
 				results <- cellResult{i: i, v: v, err: err}
 			}
-		}(w)
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -164,10 +127,80 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 		}
 	}()
 	<-done
-	if c != nil {
-		c.SetWall(time.Since(start))
-	}
+	tel.finish()
 	return out, errs
+}
+
+// telemetry is one Map run's instruments on Options.Registry. Its methods
+// are no-ops on a nil receiver, so an uninstrumented Map skips them all.
+type telemetry struct {
+	start                                 time.Time
+	queueDepth, started, finished, failed *obs.Gauge
+	busy, wall                            *obs.Gauge
+	cellSeconds                           *obs.Histogram
+	cellsOK, cellsErr                     *obs.Counter
+}
+
+// startTelemetry resolves the sweep instruments on r and resets the
+// per-run gauges for cells cells across workers workers.
+func startTelemetry(r *obs.Registry, workers, cells int) *telemetry {
+	g := func(name, help string) *obs.Gauge { return r.Gauge(name, help, nil) }
+	cellsTotal := func(status string) *obs.Counter {
+		return r.Counter("neuroselect_sweep_cells_total", "Sweep cells completed, by outcome.",
+			obs.Labels{"status": status})
+	}
+	t := &telemetry{
+		start:      time.Now(),
+		queueDepth: g("neuroselect_sweep_queue_depth", "Cells not yet pulled by any worker."),
+		started:    g("neuroselect_sweep_started", "Cells pulled off the queue."),
+		finished:   g("neuroselect_sweep_finished", "Cells finished without error."),
+		failed:     g("neuroselect_sweep_failed", "Cells that returned an error."),
+		busy:       g("neuroselect_sweep_busy_seconds", "Summed per-worker cell execution time."),
+		wall:       g("neuroselect_sweep_wall_seconds", "Wall time of the last completed sweep."),
+		cellSeconds: r.Histogram("neuroselect_sweep_cell_seconds",
+			"Latency of one sweep cell (one solve of one instance under one policy).", nil, nil),
+		cellsOK:  cellsTotal("ok"),
+		cellsErr: cellsTotal("error"),
+	}
+	g("neuroselect_sweep_cells", "Cells in the current/last sweep.").Set(float64(cells))
+	g("neuroselect_sweep_workers", "Worker goroutines of the current/last sweep.").Set(float64(workers))
+	t.queueDepth.Set(float64(cells))
+	for _, z := range []*obs.Gauge{t.started, t.finished, t.failed, t.busy, t.wall} {
+		z.Set(0)
+	}
+	return t
+}
+
+// pulled records a worker dequeuing a cell.
+func (t *telemetry) pulled() {
+	if t == nil {
+		return
+	}
+	t.queueDepth.Add(-1)
+	t.started.Add(1)
+}
+
+// done records one finished cell.
+func (t *telemetry) done(elapsed time.Duration, err error) {
+	if t == nil {
+		return
+	}
+	t.busy.Add(elapsed.Seconds())
+	t.cellSeconds.Observe(elapsed.Seconds())
+	if err != nil {
+		t.failed.Add(1)
+		t.cellsErr.Inc()
+	} else {
+		t.finished.Add(1)
+		t.cellsOK.Inc()
+	}
+}
+
+// finish records the run's wall time.
+func (t *telemetry) finish() {
+	if t != nil {
+		t.wall.Set(time.Since(t.start).Seconds())
+	}
 }
 
 // runCell executes one cell under its own context with panic containment.

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"neuroselect/internal/metrics"
+	"neuroselect/internal/obs"
 )
 
 // checkGoroutines fails the test if the goroutine count has not returned to
@@ -144,44 +144,52 @@ func TestMapCellTimeout(t *testing.T) {
 }
 
 func TestMapCounters(t *testing.T) {
-	var c metrics.SweepCounters
+	reg := obs.NewRegistry()
+	gauge := func(name string) float64 { return reg.Gauge("neuroselect_sweep_"+name, "", nil).Value() }
+	cells := func(status string) int64 {
+		return reg.Counter("neuroselect_sweep_cells_total", "", obs.Labels{"status": status}).Value()
+	}
 	const n = 20
-	_, errs := Map(context.Background(), Options{Workers: 3, Counters: &c}, n,
+	_, errs := Map(context.Background(), Options{Workers: 3, Registry: reg}, n,
 		func(ctx context.Context, i int) (int, error) {
 			if i%5 == 0 {
 				return 0, errors.New("injected")
 			}
 			return i, nil
 		})
-	if c.NumWorkers() != 3 {
-		t.Fatalf("NumWorkers = %d, want 3", c.NumWorkers())
-	}
-	if c.Cells() != n {
-		t.Fatalf("Cells = %d, want %d", c.Cells(), n)
-	}
-	if got := c.Started(); got != n {
-		t.Fatalf("Started = %d, want %d", got, n)
-	}
-	wantFailed := int64(0)
+	wantFailed := 0.0
 	for i := range errs {
 		if errs[i] != nil {
 			wantFailed++
 		}
 	}
-	if got := c.Failed(); got != wantFailed {
-		t.Fatalf("Failed = %d, want %d", got, wantFailed)
+	for name, want := range map[string]float64{
+		"workers": 3, "cells": n, "started": n, "queue_depth": 0,
+		"failed": wantFailed, "finished": n - wantFailed,
+	} {
+		if got := gauge(name); got != want {
+			t.Errorf("neuroselect_sweep_%s = %v, want %v", name, got, want)
+		}
 	}
-	if got := c.Finished(); got != n-wantFailed {
-		t.Fatalf("Finished = %d, want %d", got, n-wantFailed)
+	if gauge("wall_seconds") <= 0 {
+		t.Error("wall time not recorded")
 	}
-	if c.QueueDepth() != 0 {
-		t.Fatalf("QueueDepth = %d after drain, want 0", c.QueueDepth())
+	if got := cells("error"); got != int64(wantFailed) {
+		t.Errorf("cells_total{error} = %d, want %v", got, wantFailed)
 	}
-	if c.Wall() <= 0 {
-		t.Fatal("Wall not recorded")
+	if got := cells("ok"); got != n-int64(wantFailed) {
+		t.Errorf("cells_total{ok} = %d, want %v", got, n-wantFailed)
 	}
-	if !strings.Contains(c.String(), "workers=3") {
-		t.Fatalf("String() = %q, want workers=3", c.String())
+
+	// The next run resets the gauges; the counters keep accumulating.
+	Map(context.Background(), Options{Workers: 1, Registry: reg}, 2,
+		func(ctx context.Context, i int) (int, error) { return i, nil })
+	if gauge("workers") != 1 || gauge("started") != 2 || gauge("failed") != 0 {
+		t.Errorf("gauges not reset: workers=%v started=%v failed=%v",
+			gauge("workers"), gauge("started"), gauge("failed"))
+	}
+	if got := cells("ok"); got != n-int64(wantFailed)+2 {
+		t.Errorf("cells_total{ok} = %d after second run, want %v", got, n-wantFailed+2)
 	}
 }
 

@@ -71,7 +71,7 @@ go test ./...
 
 echo "== go test -race (concurrency-bearing packages)"
 go test -race ./internal/experiments ./internal/portfolio \
-	./internal/sweep ./internal/metrics ./internal/dataset \
+	./internal/sweep ./internal/dataset \
 	./internal/solver ./internal/faultpoint ./internal/obs \
 	./internal/server ./internal/aiger ./internal/cluster
 
@@ -196,12 +196,11 @@ fi
 echo "docs gate: every cmd flag documented"
 
 echo "== docs-freshness gate (every registered metric name appears in API.md)"
-# Every metric-name string literal in the serving/telemetry packages must
-# be documented (backticked) in API.md's metric tables — a new series
+# Every metric-name string literal in the program's Go sources must be
+# documented (backticked) in API.md's metric tables — a new series
 # without documentation, or a renamed one leaving a stale row, fails here.
 fail=0
-metric_files="$(find internal/obs internal/server internal/cluster \
-	-name '*.go' ! -name '*_test.go')"
+metric_files="$(find internal cmd -name '*.go' ! -name '*_test.go')"
 metrics="$(grep -hoE '"(neuroselect|process|go)_[a-z_]+"' $metric_files |
 	tr -d '"' | sort -u)"
 for mname in $metrics; do
