@@ -306,6 +306,22 @@ func (s *Server) refuseIfDraining(w http.ResponseWriter) bool {
 	return true
 }
 
+// admitSession takes a pending slot for a session request, so Drain waits
+// for it, or answers 503 once the server is draining. The check and the
+// slot share the admission lock with Drain's switch to draining.
+func (s *Server) admitSession(w http.ResponseWriter) bool {
+	s.admitMu.RLock()
+	ok := !s.draining.Load()
+	if ok {
+		s.pending.Add(1)
+	}
+	s.admitMu.RUnlock()
+	if !ok {
+		s.refuseIfDraining(w)
+	}
+	return ok
+}
+
 // handleSolve is POST /v1/solve: parse, consult the cache, join or lead
 // the singleflight for the instance, admit onto the worker pool, block
 // for the result. The X-Cache header says whether the body came from the

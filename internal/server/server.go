@@ -392,8 +392,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.sessionReaper()
+	// Every replayed job joins the flight table before any is admitted: a
+	// worker that finished a leader's flight before an identical job had
+	// joined it would leave that job to be solved a second time.
+	var leaders []*job
 	for _, rec := range pending {
-		s.replayJob(rec)
+		if j := s.replayJob(rec); j != nil {
+			leaders = append(leaders, j)
+		}
+	}
+	for _, j := range leaders {
+		s.admitReplayed(j)
 	}
 	return s, nil
 }
@@ -416,11 +425,11 @@ func (s *Server) initJobStream(j *job) {
 	})
 }
 
-// replayJob re-creates one journaled job and re-admits it through the
-// normal paths: singleflight first (a pending duplicate shares the
-// flight), then the admission queue with a blocking retry loop — replayed
-// jobs were already promised to a client, so they are never shed.
-func (s *Server) replayJob(rec *journalRecord) {
+// replayJob re-creates one journaled job and registers it in the
+// singleflight table, where a pending duplicate shares the flight. It
+// returns the job when it still needs admission (a flight leader, or a
+// job without a key), or nil when it failed or follows a leader.
+func (s *Server) replayJob(rec *journalRecord) *job {
 	j := newJob(nil)
 	j.id = rec.ID
 	j.key = rec.Key
@@ -434,23 +443,17 @@ func (s *Server) replayJob(rec *journalRecord) {
 	s.initJobStream(j)
 	s.jobs.AddReplayed(j, rec.ID)
 
-	fail := func(msg string) {
-		j.fail(500, msg)
-		j.finish()
-		s.jobs.NoteDone(j)
-		s.journalDone(j, "error")
-	}
 	f, err := cnf.ParseDIMACS(strings.NewReader(rec.CNF))
 	if err != nil {
-		fail("journal replay: parse DIMACS: " + err.Error())
-		return
+		s.failReplayed(j, "journal replay: parse DIMACS: "+err.Error())
+		return nil
 	}
 	j.f = f
 	if rec.Policy != "" {
 		pol, err := deletion.ByName(rec.Policy)
 		if err != nil {
-			fail("journal replay: " + err.Error())
-			return
+			s.failReplayed(j, "journal replay: "+err.Error())
+			return nil
 		}
 		j.policy = pol
 	}
@@ -458,28 +461,44 @@ func (s *Server) replayJob(rec *journalRecord) {
 	if j.key != "" {
 		if leader := s.joinFlight(j); leader != nil {
 			s.m.dedup("replay").Inc()
-			return // completed by the leader's fan-out
+			return nil // completed by the leader's fan-out
 		}
 	}
+	return j
+}
+
+// admitReplayed places a replayed job on the admission queue with a
+// blocking retry loop: replayed jobs were already promised to a client,
+// so they are never shed.
+func (s *Server) admitReplayed(j *job) {
 	for !s.enqueue(j) {
 		if s.closed.Load() || s.draining.Load() {
 			s.abortFlight(j, 503, "server stopped during journal replay")
-			fail("server stopped during journal replay")
+			s.failReplayed(j, "server stopped during journal replay")
 			return
 		}
 		time.Sleep(2 * time.Millisecond) // queue full: workers are draining it
 	}
 }
 
+// failReplayed completes a replayed job with a 500 and journals it done.
+func (s *Server) failReplayed(j *job, msg string) {
+	j.fail(500, msg)
+	j.finish()
+	s.jobs.NoteDone(j)
+	s.journalDone(j, "error")
+}
+
 // enqueue admits a job or sheds it. It never blocks: admission control is
 // the point — a queue that would block means the service is saturated and
-// the client should retry later. The read lock excludes the send from the
-// queue close in stopWorkers; a request racing a shutdown is shed, never
+// the client should retry later. The read lock orders the admission
+// against Drain's switch to draining and excludes the send from the queue
+// close in stopWorkers; a request racing a shutdown is shed, never
 // panicked on.
 func (s *Server) enqueue(j *job) bool {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
-	if s.closed.Load() {
+	if s.closed.Load() || s.draining.Load() {
 		return false
 	}
 	if err := faultpoint.Hit(faultpoint.ServerEnqueue); err != nil {
@@ -992,7 +1011,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	// A Delay fault here simulates a slow drain for the chaos harness;
 	// errors are deliberately ignored — drain must always proceed.
 	_ = faultpoint.Hit(faultpoint.ServerDrain)
+	// Admissions check draining and take their pending slot under the
+	// read lock, so none takes one once Wait may be running: a WaitGroup
+	// Add from zero must happen before Wait.
+	s.admitMu.Lock()
 	s.draining.Store(true)
+	s.admitMu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.pending.Wait()

@@ -388,10 +388,9 @@ type sessionView struct {
 // session. ?policy= pins the deletion policy (sessions do not run model
 // inference — the policy is fixed for the session's lifetime).
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	if s.refuseIfDraining(w) {
+	if !s.admitSession(w) {
 		return
 	}
-	s.pending.Add(1)
 	defer s.pending.Done()
 	f, herr := s.readFormula(w, r)
 	if herr != nil {
@@ -457,10 +456,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // handleSessionSolve is POST /v1/sessions/{id}/solve: one incremental
 // step — pop, push, add, solve under assumptions — on the pinned solver.
 func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
-	if s.refuseIfDraining(w) {
+	if !s.admitSession(w) {
 		return
 	}
-	s.pending.Add(1)
 	defer s.pending.Done()
 	start := time.Now()
 	sess, ok := s.sessions.Get(r.PathValue("id"), start)

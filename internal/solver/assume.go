@@ -16,133 +16,23 @@ import (
 // clauses reports an empty core. The returned core aliases solver-owned
 // scratch and is valid until the next solve or AddClause call.
 func (s *Solver) SolveUnderAssumptions(assumptions []cnf.Lit) (Status, []cnf.Lit) {
-	if !s.ok {
-		return Unsat, nil
-	}
-	s.cancelUntil(0)
-	if conflict := s.propagate(); conflict != crefUndef {
-		s.ok = false
-		return Unsat, nil
-	}
-	internal := s.assumeBuf[:0]
-	for _, t := range s.frames {
-		internal = append(internal, mkLit(t, false))
-	}
-	for _, a := range assumptions {
-		// Assumptions over unknown variables are trivially free.
-		internal = append(internal, s.assumeLit(a))
-	}
-	s.assumeBuf = internal
-	restarts := int64(0)
-	for {
-		limit := luby(2, restarts) * s.opts.RestartBase
-		st, core := s.searchAssuming(internal, limit)
-		if st != Unknown {
-			s.cancelUntil(0)
-			return st, core
-		}
-		if s.budget != nil {
-			s.cancelUntil(0)
-			return Unknown, nil
-		}
-		restarts++
-		s.stats.Restarts++
-	}
+	return s.solve(s.assumptionPrefix(assumptions), true)
 }
 
-// searchAssuming is the assumption-aware search loop: before each free
-// decision it first enqueues the next unassigned assumption at a fresh
-// level; a conflict that backtracks into the assumption prefix triggers
-// final-conflict analysis, producing the failed-assumption core.
-func (s *Solver) searchAssuming(assumptions []lit, conflictLimit int64) (Status, []cnf.Lit) {
-	conflictsHere := int64(0)
-	for {
-		conflict := s.propagate()
-		if s.budget != nil {
-			// A stride poll inside BCP raised a stop cause.
-			return Unknown, nil
-		}
-		if conflict != crefUndef {
-			s.stats.Conflicts++
-			conflictsHere++
-			if s.decisionLevel() == 0 {
-				s.ok = false
-				return Unsat, nil
-			}
-			if s.decisionLevel() <= len(assumptions) {
-				// The conflict depends only on assumptions: extract the
-				// failed subset.
-				return Unsat, s.analyzeFinal(conflict, assumptions)
-			}
-			learnt, backLvl, glue := s.analyze(conflict)
-			// Never backtrack into the middle of the assumption prefix
-			// with a clause asserting there; clamp to the prefix boundary
-			// is handled naturally because analyze computes the correct
-			// assertion level.
-			s.cancelUntil(backLvl)
-			s.install(learnt, glue)
-			s.decayVar()
-			s.decayClause()
-			if s.opts.MaxConflicts > 0 && s.stats.Conflicts >= s.opts.MaxConflicts {
-				s.budget = ErrConflictBudget
-				return Unknown, nil
-			}
-			if err := s.checkStop(); err != nil {
-				s.budget = err
-				return Unknown, nil
-			}
-			if s.stats.Conflicts >= s.reduceLimit {
-				s.reduce()
-			}
-			continue
-		}
-		if s.opts.MaxPropagations > 0 && s.stats.Propagations >= s.opts.MaxPropagations {
-			s.budget = ErrPropagationBudget
-			return Unknown, nil
-		}
-		if conflictsHere >= conflictLimit {
-			// Restart. Keep the assumption prefix: its enqueues and the
-			// propagation they trigger are identical every time, so
-			// cancelling to the prefix boundary instead of level zero
-			// saves re-propagating the prefix on every restart. (The
-			// historical cancelUntil(0) behavior remains available under
-			// the test-only disableAssumptionPrefixKeep option so the
-			// saving stays measurable.)
-			if s.opts.disableAssumptionPrefixKeep {
-				s.cancelUntil(0)
-			} else {
-				s.cancelUntil(len(assumptions))
-			}
-			return Unknown, nil
-		}
-		// Enqueue pending assumptions before free decisions.
-		if lvl := s.decisionLevel(); lvl < len(assumptions) {
-			a := assumptions[lvl]
-			switch {
-			case a == litUndef || s.value(a) == lTrue:
-				// Already satisfied (or a free variable): open an empty
-				// level so level indexing stays aligned with the prefix.
-				s.trailLim = append(s.trailLim, len(s.trail))
-			case s.value(a) == lFalse:
-				// Directly contradicted by propagation from earlier
-				// assumptions: the core is the reason chain of ¬a.
-				return Unsat, s.coreOfFalsified(a, assumptions)
-			default:
-				s.stats.Decisions++
-				s.trailLim = append(s.trailLim, len(s.trail))
-				s.enqueue(a, crefUndef)
-			}
-			continue
-		}
-		v := s.pickBranchVar()
-		if v < 0 {
-			s.extractModel()
-			return Sat, nil
-		}
-		s.stats.Decisions++
-		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(mkLit(v, !s.phase[v]), crefUndef)
+// assumptionPrefix builds the search prefix in solver-owned scratch: the
+// open frames' activation literals, then the caller's assumptions.
+// Assumptions over variables the solver has never seen are trivially free
+// and map to litUndef.
+func (s *Solver) assumptionPrefix(assumptions []cnf.Lit) []lit {
+	prefix := s.assumeBuf[:0]
+	for _, t := range s.frames {
+		prefix = append(prefix, mkLit(t, false))
 	}
+	for _, a := range assumptions {
+		prefix = append(prefix, s.assumeLit(a))
+	}
+	s.assumeBuf = prefix
+	return prefix
 }
 
 // reasonRest returns the non-implied literals of reason clause c, which
@@ -163,123 +53,76 @@ func (s *Solver) reasonRest(c cref, p lit) []lit {
 	return cls[1:]
 }
 
-// markAssumptions sets the per-literal assumption marks for the prefix
-// (solver-owned scratch; unmarkAssumptions must run before returning).
-func (s *Solver) markAssumptions(assumptions []lit) {
+// analyzeFinal collects the failed-assumption core of a refutation inside
+// the prefix. It walks the implication graph backwards over FALSE
+// literals: for a false literal q, the true literal q.not() is either an
+// assumption (it joins the core) or was propagated by a reason clause
+// (whose other literals are walked in turn); level-zero literals end the
+// walk. The walk starts from one of two seeds:
+//   - the conflict clause, for a conflict within the prefix
+//     (falsified == litUndef);
+//   - falsified, a prefix literal already false when its level came up.
+//     It heads the core and is explained even when false at level zero;
+//     if its complement is an assumption too, that pair is the core.
+//
+// Activation literals (frame guards) are assumptions but have no user
+// form; userLitOf filters them from the core. All bookkeeping lives in
+// solver-owned scratch (assumpMark, seen + seenClear, finalStack,
+// coreBuf), so steady-state core extraction is allocation-free; the
+// returned slice aliases coreBuf.
+func (s *Solver) analyzeFinal(conflict cref, falsified lit, prefix []lit) []cnf.Lit {
 	if len(s.assumpMark) < 2*s.numVars {
 		s.assumpMark = make([]bool, 2*s.numVars)
 	}
-	for _, a := range assumptions {
+	for _, a := range prefix {
 		if a != litUndef {
 			s.assumpMark[a] = true
 		}
 	}
-}
-
-func (s *Solver) unmarkAssumptions(assumptions []lit) {
-	for _, a := range assumptions {
-		if a != litUndef {
-			s.assumpMark[a] = false
-		}
-	}
-}
-
-// analyzeFinal walks the implication graph from a conflict that occurred
-// within the assumption prefix and collects the assumptions it depends
-// on. All bookkeeping lives in solver-owned scratch (assumpMark, seen +
-// seenClear, finalStack, coreBuf), so steady-state core extraction is
-// allocation-free; the returned slice aliases coreBuf.
-func (s *Solver) analyzeFinal(conflict cref, assumptions []lit) []cnf.Lit {
-	s.markAssumptions(assumptions)
 	core := s.coreBuf[:0]
 	stack := s.finalStack[:0]
 	cleared := s.seenClear[:0]
-	for _, l := range s.clauseLits(conflict) {
-		if s.level[l.v()] > 0 {
-			stack = append(stack, l)
+	if falsified != litUndef {
+		if ul, ok := s.userLitOf(falsified); ok {
+			core = append(core, ul)
+		}
+		stack = append(stack, falsified)
+	} else {
+		for _, l := range s.clauseLits(conflict) {
+			if s.level[l.v()] > 0 {
+				stack = append(stack, l)
+			}
 		}
 	}
 	for len(stack) > 0 {
 		l := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		v := l.v()
-		if s.seen[v] || s.level[v] == 0 {
+		if s.seen[v] || (s.level[v] == 0 && l != falsified) {
 			continue
 		}
 		s.seen[v] = true
 		cleared = append(cleared, v)
 		if s.assumpMark[l.not()] {
-			// Activation literals (frame guards) are assumptions too but
-			// have no user form; userLitOf filters them from the core.
 			if ul, ok := s.userLitOf(l.not()); ok {
 				core = append(core, ul)
 			}
 			continue
 		}
-		r := s.reason[v]
-		if r == crefUndef {
-			// A decision that is not an assumption cannot appear below the
-			// assumption prefix; if it does, include it conservatively by
-			// skipping (the conflict was within the prefix, so reasons
-			// bottom out at assumptions or level 0).
-			continue
-		}
-		stack = append(stack, s.reasonRest(r, l.not())...)
-	}
-	for _, v := range cleared {
-		s.seen[v] = false
-	}
-	s.unmarkAssumptions(assumptions)
-	s.finalStack, s.seenClear, s.coreBuf = stack[:0], cleared[:0], core
-	return core
-}
-
-// coreOfFalsified derives the failed-assumption set when assumption a is
-// already false by propagation from earlier assumptions. The stack holds
-// FALSE literals (as in analyzeFinal): for a false literal q, the true
-// assignment is q.not(), whose provenance is either an assumption or a
-// reason clause. Bookkeeping shares analyzeFinal's scratch buffers.
-func (s *Solver) coreOfFalsified(a lit, assumptions []lit) []cnf.Lit {
-	s.markAssumptions(assumptions)
-	core := s.coreBuf[:0]
-	if ul, ok := s.userLitOf(a); ok {
-		core = append(core, ul)
-	}
-	cleared := s.seenClear[:0]
-	s.seen[a.v()] = true
-	cleared = append(cleared, a.v())
-	stack := s.finalStack[:0]
-	if s.assumpMark[a.not()] {
-		// Directly contradictory assumption pair {a, ¬a}.
-		if ul, ok := s.userLitOf(a.not()); ok {
-			core = append(core, ul)
-		}
-	} else if r := s.reason[a.v()]; r != crefUndef {
-		stack = append(stack, s.reasonRest(r, a.not())...)
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		v := q.v()
-		if s.seen[v] || s.level[v] == 0 {
-			continue
-		}
-		s.seen[v] = true
-		cleared = append(cleared, v)
-		if s.assumpMark[q.not()] {
-			if ul, ok := s.userLitOf(q.not()); ok {
-				core = append(core, ul)
-			}
-			continue
-		}
+		// Every decision inside the prefix is an assumption, so only a
+		// root unit (the falsified seed at level zero) lacks a reason.
 		if r := s.reason[v]; r != crefUndef {
-			stack = append(stack, s.reasonRest(r, q.not())...)
+			stack = append(stack, s.reasonRest(r, l.not())...)
 		}
 	}
 	for _, v := range cleared {
 		s.seen[v] = false
 	}
-	s.unmarkAssumptions(assumptions)
+	for _, a := range prefix {
+		if a != litUndef {
+			s.assumpMark[a] = false
+		}
+	}
 	s.finalStack, s.seenClear, s.coreBuf = stack[:0], cleared[:0], core
 	return core
 }

@@ -19,7 +19,7 @@ func reportSolverMetrics(b *testing.B, props, conflicts int64) {
 	}
 	// Zero counters are omitted rather than reported: Stats.Propagations
 	// only counts reason-bearing enqueues, so a workload that collapses at
-	// level 0 (e.g. the addClause chain below) has none by definition.
+	// level 0 (e.g. the installRoot chain below) has none by definition.
 	if props > 0 {
 		b.ReportMetric(float64(props)/secs, "props/sec")
 	}
@@ -100,7 +100,7 @@ func BenchmarkSolveTseitin(b *testing.B) {
 }
 
 // BenchmarkPropagationThroughput measures the root-level implication
-// chain: the unit clause collapses the whole chain during addClause's
+// chain: the unit clause collapses the whole chain during installRoot's
 // level-0 simplification, so this benchmark times clause ingestion and
 // construction-time unit propagation (no watch lists, no search).
 func BenchmarkPropagationThroughput(b *testing.B) {

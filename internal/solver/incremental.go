@@ -170,59 +170,15 @@ func (s *Solver) AddClause(c cnf.Clause) error {
 		// Guard: C becomes C ∨ ¬t for the innermost open frame t.
 		buf = append(buf, mkLit(s.frames[len(s.frames)-1], true))
 	}
-	s.addBuf = buf
-	sortLits(buf)
-	norm := buf[:0]
-	prev := litUndef
-	for _, il := range buf {
-		if il == prev {
-			continue
-		}
-		if il == prev.not() {
-			return nil // tautology
-		}
-		prev = il
-		norm = append(norm, il)
-	}
-	// At level zero every assignment is permanent: a true literal satisfies
-	// the clause forever, a false literal is dead.
-	lits := norm[:0]
-	for _, il := range norm {
-		switch s.value(il) {
-		case lTrue:
-			return nil
-		case lFalse:
-			continue
-		default:
-			lits = append(lits, il)
-		}
-	}
-	s.stats.AddedClauses++
-	switch len(lits) {
-	case 0:
-		s.ok = false
-		return nil
-	case 1:
-		if !s.enqueue(lits[0], crefUndef) {
-			s.ok = false
-			return nil
-		}
-		if conflict := s.propagate(); conflict != crefUndef {
-			s.ok = false
-		}
-		return nil
-	}
-	if len(lits) > maxClauseSize {
-		return fmt.Errorf("solver: clause of %d literals exceeds the arena limit of %d", len(lits), maxClauseSize)
-	}
 	// Glue 1 ≤ Tier1Glue: permanent under every reduction policy, and the
 	// learned header layout keeps the arena GC's parse of the learned
 	// region valid (problem-layout clauses must not appear above
-	// problemEnd).
-	cr := s.allocClause(lits, true, 1, s.clsInc)
-	s.learned = append(s.learned, cr)
-	s.attach(cr)
-	return nil
+	// problemEnd). Every clause that survives root simplification counts.
+	n, err := s.installRoot(buf, 1)
+	if n >= 0 {
+		s.stats.AddedClauses++
+	}
+	return err
 }
 
 // AddFormula adds every clause of f through AddClause.

@@ -4,9 +4,9 @@ package solver
 // exchange (internal/portfolio). The solver stays single-threaded — both
 // hooks run on the solving goroutine. Export fires synchronously from the
 // learn path for every learned clause; Import is drained only at restart
-// boundaries, when the trail is at decision level zero, so an imported
-// clause can be installed with a plain attach (no backtracking, no
-// asserting literal). Any cross-goroutine queueing, filtering, and
+// boundaries, after the trail is back at decision level zero, so an
+// imported clause can be installed with a plain attach (no asserting
+// literal). Any cross-goroutine queueing, filtering, and
 // synchronization is the hook implementor's problem.
 
 import "neuroselect/internal/cnf"
@@ -44,81 +44,24 @@ func (s *Solver) importShared() bool {
 	return true
 }
 
-// importClause installs one foreign learned clause at decision level zero,
-// mirroring addClause's normalization (sort, dedupe, tautology and
-// satisfied-at-top skip, strip false-at-top literals) but allocating the
-// survivor as a learned clause under its carried glue. Degenerate cases:
-// an empty import proves UNSAT; a unit import is enqueued and propagated
-// immediately. Returns false once the solver is in the unsatisfiable state.
+// importClause installs one foreign learned clause at decision level zero
+// through installRoot, as a learned clause under its carried glue (at
+// least 1). A clause over a variable this solver does not have is not
+// about our formula and is dropped, as is an oversized one; an empty
+// import proves UNSAT. Stats.Imported counts installed units and clauses.
+// Returns false once the solver is in the unsatisfiable state.
 func (s *Solver) importClause(sc SharedClause) bool {
-	if !s.ok {
-		return false
-	}
 	buf := s.addBuf[:0]
 	for _, l := range sc.Lits {
 		if v := l.Var(); v < 1 || v > s.numVars {
-			return true // foreign variable: not our formula, drop it
+			return s.ok // foreign variable: drop it
 		}
 		buf = append(buf, fromCNF(l))
 	}
-	s.addBuf = buf
-	sortLits(buf)
-	norm := buf[:0]
-	prev := litUndef
-	for _, il := range buf {
-		if il == prev {
-			continue
-		}
-		if il == prev.not() {
-			return true // tautology
-		}
-		prev = il
-		norm = append(norm, il)
-	}
-	// At level zero every assigned variable has level zero, so a true
-	// literal satisfies the clause permanently and a false one is dead.
-	lits := norm[:0]
-	for _, il := range norm {
-		switch s.value(il) {
-		case lTrue:
-			return true
-		case lFalse:
-			continue
-		default:
-			lits = append(lits, il)
-		}
-	}
-	switch len(lits) {
-	case 0:
-		s.ok = false
-		return false
-	case 1:
+	if n, err := s.installRoot(buf, max(sc.Glue, 1)); n > 0 && err == nil {
 		s.stats.Imported++
-		if !s.enqueue(lits[0], crefUndef) {
-			s.ok = false
-			return false
-		}
-		if conflict := s.propagate(); conflict != crefUndef {
-			s.ok = false
-			return false
-		}
-		return true
 	}
-	if len(lits) > maxClauseSize {
-		return true
-	}
-	glue := sc.Glue
-	if glue < 1 {
-		glue = 1
-	}
-	if glue > len(lits) {
-		glue = len(lits)
-	}
-	c := s.allocClause(lits, true, glue, s.clsInc)
-	s.learned = append(s.learned, c)
-	s.attach(c)
-	s.stats.Imported++
-	return true
+	return s.ok
 }
 
 // exportLearnt hands a just-learned clause to the Export hook through the

@@ -184,6 +184,83 @@ func TestImportHookRunsAtRestartBoundaries(t *testing.T) {
 	}
 }
 
+// TestImportDrainsUnderAssumptions checks that assumption solves drain
+// the Import hook like plain solves do, at level zero ahead of the
+// assumption prefix: an imported clause constrains the answer, an
+// imported unit can falsify an assumption, and an imported refutation
+// ends the solve Unsat for good.
+func TestImportDrainsUnderAssumptions(t *testing.T) {
+	f := cnf.New(3)
+	f.MustAddClause(-1, 2, 3)
+	f.MustAddClause(1, 2)
+	batches := [][]SharedClause{
+		{{Lits: []cnf.Lit{-1, -2}, Glue: 2}},
+		{{Lits: []cnf.Lit{-1}, Glue: 1}},
+		{{Lits: []cnf.Lit{-2}, Glue: 1}},
+	}
+	s, err := New(f, Options{Import: func() []SharedClause {
+		if len(batches) == 0 {
+			return nil
+		}
+		b := batches[0]
+		batches = batches[1:]
+		return b
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without the import the first free decision, ¬3, would force 2.
+	if st, _ := s.SolveUnderAssumptions([]cnf.Lit{1}); st != Sat || s.Model().Value(2) || !s.Model().Value(3) {
+		t.Fatalf("after importing (¬1 ∨ ¬2) under assumption 1: %v, model %v; want SAT with ¬2, 3", st, s.Model())
+	}
+	if st, core := s.SolveUnderAssumptions([]cnf.Lit{1}); st != Unsat || len(core) != 1 || core[0] != 1 {
+		t.Fatalf("after importing unit ¬1 under assumption 1: %v, core %v; want UNSAT, core [1]", st, core)
+	}
+	// ¬1 forced 2 at the root, so ¬2 arrives empty: it proves UNSAT and,
+	// like every empty import, is not counted.
+	if st, _ := s.SolveUnderAssumptions(nil); st != Unsat {
+		t.Fatalf("after importing unit ¬2 beside ¬1: %v, want UNSAT", st)
+	}
+	if got := s.Stats().Imported; got != 2 {
+		t.Errorf("Stats.Imported = %d, want 2", got)
+	}
+}
+
+// TestOversizedClauseHandling pins how the callers of the shared
+// level-zero install treat a clause over the arena's size limit:
+// construction and AddClause refuse it with an error, a foreign import is
+// dropped silently, and nothing reaches the arena either way.
+func TestOversizedClauseHandling(t *testing.T) {
+	n := maxClauseSize + 1
+	big := make(cnf.Clause, n)
+	for i := range big {
+		big[i] = cnf.Lit(i + 1)
+	}
+	f := cnf.New(n)
+	f.MustAddClause(big...)
+	if _, err := New(f, Options{}); err == nil {
+		t.Fatal("New accepted an oversized clause")
+	}
+	s, err := New(cnf.New(n), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddClause(big); err == nil {
+		t.Fatal("AddClause accepted an oversized clause")
+	}
+	if !s.importClause(SharedClause{Lits: big, Glue: 3}) {
+		t.Fatal("an oversized import made the solver unsatisfiable")
+	}
+	// AddedClauses counts every clause that survives root simplification,
+	// refused or not; Imported counts installed clauses only.
+	if st := s.Stats(); st.AddedClauses != 1 || st.Imported != 0 {
+		t.Errorf("AddedClauses = %d, Imported = %d; want 1 and 0", st.AddedClauses, st.Imported)
+	}
+	if c := s.LearnedClauseCount(); c != 0 {
+		t.Errorf("%d clauses installed, want 0", c)
+	}
+}
+
 // TestExtendBudgetResumes pins the resumability contract: a solve stopped
 // on a conflict budget continues to the same answer as an unbounded fresh
 // solve, and the restart cursor advances instead of rewinding.

@@ -123,11 +123,12 @@ type Options struct {
 	// the call — the hook must copy what it keeps. Used by the parallel
 	// portfolio's clause exchange; a nil Export costs nothing.
 	Export func(lits []cnf.Lit, glue int)
-	// Import, when non-nil, is drained at every restart boundary (including
-	// before the first search cycle): the returned batch is installed into
-	// the learned-clause database at decision level zero (see SharedClause).
-	// An imported empty clause decides UNSAT; imported units are enqueued
-	// and propagated immediately.
+	// Import, when non-nil, is drained at every restart boundary of every
+	// solve (including before the first search cycle): the returned batch
+	// is installed into the learned-clause database at decision level zero
+	// (see SharedClause), so an assumption solve gives up its kept prefix
+	// for the drain and re-descends it. An imported empty clause decides
+	// UNSAT; imported units are enqueued and propagated immediately.
 	Import func() []SharedClause
 	// ActivitySeed, when non-zero, deterministically perturbs the initial
 	// variable activities with tiny pseudo-random values (xorshift from the
@@ -242,7 +243,7 @@ type Solver struct {
 
 	// frames is the stack of activation variables opened by Push; the top
 	// frame guards every clause added since the matching Push, and every
-	// SolveUnderAssumptions call assumes all of them true.
+	// solve assumes all of them true.
 	frames []int
 
 	// arena is the flat clause store (see arena.go for the layout);
@@ -400,7 +401,11 @@ func New(f *cnf.Formula, opts Options) (*Solver, error) {
 		s.heap.push(v)
 	}
 	for _, c := range f.Clauses {
-		if err := s.addClause(c); err != nil {
+		buf := s.addBuf[:0]
+		for _, l := range c {
+			buf = append(buf, fromCNF(l))
+		}
+		if _, err := s.installRoot(buf, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -432,23 +437,30 @@ func (s *Solver) Model() cnf.Assignment { return s.model }
 // live.
 func (s *Solver) LearnedClauseCount() int { return len(s.learned) }
 
-// addClause installs a problem clause, handling empty, unit, and falsified
-// degenerate cases at decision level zero. Normalization happens in
-// internal-literal space inside a reusable scratch buffer: ascending
-// internal order is (variable, positive-first), the same order
-// cnf.Clause.Normalize produces, so no per-clause copy is allocated.
-func (s *Solver) addClause(raw cnf.Clause) error {
-	if !s.ok {
-		return nil
-	}
-	buf := s.addBuf[:0]
-	for _, l := range raw {
-		buf = append(buf, fromCNF(l))
-	}
+// installRoot is the one level-zero clause install, shared by New
+// (problem clauses), AddClause (incremental clauses) and importClause
+// (portfolio exchange). buf holds the clause in internal literals, in the
+// s.addBuf scratch; normalization sorts it in place — ascending internal
+// order is (variable, positive-first), the order cnf.Clause.Normalize
+// produces — so no per-clause copy is allocated. Duplicates are dropped,
+// and a tautology or a clause already satisfied at the root is skipped,
+// as is every clause once the solver is unsatisfiable. Root-false
+// literals are stripped. An empty survivor makes the solver
+// unsatisfiable; a unit is enqueued and propagated. A longer survivor
+// becomes a problem clause when glue is 0 and otherwise a learned clause
+// under glue, capped at the clause length; one over maxClauseSize is
+// refused with an error and nothing is installed.
+//
+// It must run at decision level zero, where every assignment is
+// permanent. n is the survivor's length, or -1 when the clause was
+// skipped; the callers' counters key off it.
+func (s *Solver) installRoot(buf []lit, glue int) (n int, err error) {
 	s.addBuf = buf
+	if !s.ok {
+		return -1, nil
+	}
 	sortLits(buf)
-	// Dedupe and detect tautologies: duplicates and complementary pairs
-	// are adjacent after sorting.
+	// Duplicates and complementary pairs are adjacent after sorting.
 	norm := buf[:0]
 	prev := litUndef
 	for _, il := range buf {
@@ -456,24 +468,18 @@ func (s *Solver) addClause(raw cnf.Clause) error {
 			continue
 		}
 		if il == prev.not() {
-			return nil // tautology
+			return -1, nil // tautology
 		}
 		prev = il
 		norm = append(norm, il)
 	}
 	lits := norm[:0]
 	for _, il := range norm {
-		switch valueOf(il, s.assign[il.v()]) {
+		switch s.value(il) {
 		case lTrue:
-			if s.level[il.v()] == 0 {
-				return nil // clause already satisfied at top level
-			}
-			lits = append(lits, il)
+			return -1, nil // satisfied at the root
 		case lFalse:
-			if s.level[il.v()] == 0 {
-				continue // literal dead at top level
-			}
-			lits = append(lits, il)
+			continue // dead at the root
 		default:
 			lits = append(lits, il)
 		}
@@ -481,24 +487,26 @@ func (s *Solver) addClause(raw cnf.Clause) error {
 	switch len(lits) {
 	case 0:
 		s.ok = false
-		return nil
+		return 0, nil
 	case 1:
-		if !s.enqueue(lits[0], crefUndef) {
-			s.ok = false
-			return nil
-		}
-		if conflict := s.propagate(); conflict != crefUndef {
+		if !s.enqueue(lits[0], crefUndef) || s.propagate() != crefUndef {
 			s.ok = false
 		}
-		return nil
+		return 1, nil
 	}
 	if len(lits) > maxClauseSize {
-		return fmt.Errorf("solver: clause of %d literals exceeds the arena limit of %d", len(lits), maxClauseSize)
+		return len(lits), fmt.Errorf("solver: clause of %d literals exceeds the arena limit of %d", len(lits), maxClauseSize)
 	}
-	c := s.allocClause(lits, false, 0, 0)
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
-	return nil
+	if glue == 0 {
+		c := s.allocClause(lits, false, 0, 0)
+		s.clauses = append(s.clauses, c)
+		s.attach(c)
+	} else {
+		c := s.allocClause(lits, true, min(glue, len(lits)), s.clsInc)
+		s.learned = append(s.learned, c)
+		s.attach(c)
+	}
+	return len(lits), nil
 }
 
 // attach installs the clause's two watchers. Binary clauses are inlined
@@ -612,13 +620,6 @@ func (s *Solver) SolveContext(ctx context.Context) Status {
 	s.ctx = ctx
 	defer func() { s.ctx = nil }()
 	t := s.opts.Tracer
-	if t != nil || s.opts.Progress != nil {
-		now := time.Now()
-		s.traceStart, s.winStart = now, now
-		s.winGlue = 0
-		s.winConfs, s.winProps = s.stats.Conflicts, s.stats.Propagations
-		s.nextWindow = s.stats.Conflicts + s.opts.TraceWindow
-	}
 	if t != nil {
 		ev := &obs.Event{Type: obs.EventSolveStart, Vars: s.numVars, Clauses: len(s.clauses)}
 		if s.opts.Policy != nil {
@@ -626,16 +627,9 @@ func (s *Solver) SolveContext(ctx context.Context) Status {
 		}
 		t.Trace(ev)
 	}
-	var st Status
-	if len(s.frames) > 0 {
-		// Clauses under open frames are guarded by activation literals that
-		// only the assumption path asserts; the plain loop would treat them
-		// as satisfiable via their free guards and could answer Sat with a
-		// model violating frame clauses.
-		st, _ = s.SolveUnderAssumptions(nil)
-	} else {
-		st = s.solveLoop()
-	}
+	// With no frame open the prefix is empty and the solve is resumable;
+	// open frames contribute their activation literals and make it scoped.
+	st, _ := s.solve(s.assumptionPrefix(nil), len(s.frames) > 0)
 	if t != nil {
 		ev := s.traceEvent(obs.EventSolveEnd)
 		ev.Status = st.String()
@@ -644,35 +638,57 @@ func (s *Solver) SolveContext(ctx context.Context) Status {
 	return st
 }
 
-// solveLoop is the restart-driving search loop behind SolveContext.
-func (s *Solver) solveLoop() Status {
+// solve is the restart driver behind every entry point: each cycle drains
+// Options.Import at decision level zero, then runs search under the
+// prefix and the next Luby conflict limit, counting and tracing every
+// restart. It also opens the first conflict window for the tracer and
+// progress sink.
+//
+// scoped selects one of two call disciplines:
+//   - resumable (false; SolveContext with no frame open): the Luby
+//     schedule is indexed by the cumulative restart count, so a solve
+//     resumed via ExtendBudget continues it instead of rewinding, and the
+//     trail is left as it stands on entry and after a result;
+//   - scoped (true; SolveUnderAssumptions, and SolveContext with frames
+//     open): the call backtracks to level zero on entry and exit, and the
+//     Luby schedule starts over at every call.
+func (s *Solver) solve(prefix []lit, scoped bool) (Status, []cnf.Lit) {
+	if s.opts.Tracer != nil || s.opts.Progress != nil {
+		now := time.Now()
+		s.traceStart, s.winStart = now, now
+		s.winGlue = 0
+		s.winConfs, s.winProps = s.stats.Conflicts, s.stats.Propagations
+		s.nextWindow = s.stats.Conflicts + s.opts.TraceWindow
+	}
 	if !s.ok {
-		return Unsat
+		return Unsat, nil
+	}
+	lubyStart := int64(0)
+	if scoped {
+		s.cancelUntil(0)
+		defer s.cancelUntil(0)
+		lubyStart = s.stats.Restarts
 	}
 	if conflict := s.propagate(); conflict != crefUndef {
 		s.ok = false
-		return Unsat
+		return Unsat, nil
 	}
 	if s.budget != nil {
-		return Unknown
+		return Unknown, nil
 	}
 	for {
-		// Restart boundary: the trail is at level zero, so foreign clauses
-		// can be bulk-installed before the next search cycle.
-		if s.opts.Import != nil && !s.importShared() {
-			return Unsat
+		if s.opts.Import != nil {
+			// Foreign clauses install at level zero only; a restart that
+			// kept the prefix gives it up here, and search re-descends it.
+			s.cancelUntil(0)
+			if !s.importShared() {
+				return Unsat, nil
+			}
 		}
-		// The Luby cursor is the cumulative restart counter, so a solve
-		// resumed via ExtendBudget continues the schedule instead of
-		// rewinding it. (Fresh solves are unchanged: both counters used to
-		// start at zero and advance together.)
-		limit := luby(2, s.stats.Restarts) * s.opts.RestartBase
-		st := s.search(limit)
-		if st != Unknown {
-			return st
-		}
-		if s.budget != nil {
-			return Unknown
+		limit := luby(2, s.stats.Restarts-lubyStart) * s.opts.RestartBase
+		st, core := s.search(prefix, limit)
+		if st != Unknown || s.budget != nil {
+			return st, core
 		}
 		s.stats.Restarts++
 		if t := s.opts.Tracer; t != nil {
@@ -768,22 +784,32 @@ func (s *Solver) checkStop() error {
 	return nil
 }
 
-// search runs until a result, a restart limit, or a budget boundary.
-func (s *Solver) search(conflictLimit int64) Status {
+// search is the CDCL loop: propagate, analyze and learn on conflict,
+// decide otherwise, until a result, the restart limit, or a stop. The
+// prefix literals (open frames' activation literals, then the caller's
+// assumptions; litUndef for a free one) are decided first, one per level,
+// so decision level i <= len(prefix) belongs to prefix[i-1]. A conflict
+// inside the prefix, or a prefix literal found already false, ends the
+// call Unsat with the failed-assumption core. With an empty prefix, as in
+// a plain solve, the prefix branches never fire.
+func (s *Solver) search(prefix []lit, conflictLimit int64) (Status, []cnf.Lit) {
 	conflictsHere := int64(0)
 	for {
 		conflict := s.propagate()
 		if s.budget != nil {
 			// A stride poll inside BCP raised a stop cause.
-			s.cancelUntil(0)
-			return Unknown
+			return s.stop(s.budget)
 		}
 		if conflict != crefUndef {
 			s.stats.Conflicts++
 			conflictsHere++
 			if s.decisionLevel() == 0 {
 				s.ok = false
-				return Unsat
+				return Unsat, nil
+			}
+			if s.decisionLevel() <= len(prefix) {
+				// The conflict depends only on the prefix.
+				return Unsat, s.analyzeFinal(conflict, litUndef, prefix)
 			}
 			learnt, backLvl, glue := s.analyze(conflict)
 			s.cancelUntil(backLvl)
@@ -797,14 +823,10 @@ func (s *Solver) search(conflictLimit int64) Status {
 				}
 			}
 			if s.opts.MaxConflicts > 0 && s.stats.Conflicts >= s.opts.MaxConflicts {
-				s.budget = ErrConflictBudget
-				s.cancelUntil(0)
-				return Unknown
+				return s.stop(ErrConflictBudget)
 			}
 			if err := s.checkStop(); err != nil {
-				s.budget = err
-				s.cancelUntil(0)
-				return Unknown
+				return s.stop(err)
 			}
 			if s.stats.Conflicts >= s.reduceLimit {
 				s.reduce()
@@ -812,24 +834,56 @@ func (s *Solver) search(conflictLimit int64) Status {
 			continue
 		}
 		if s.opts.MaxPropagations > 0 && s.stats.Propagations >= s.opts.MaxPropagations {
-			s.budget = ErrPropagationBudget
-			s.cancelUntil(0)
-			return Unknown
+			return s.stop(ErrPropagationBudget)
 		}
 		if conflictsHere >= conflictLimit {
-			s.cancelUntil(0)
-			return Unknown // restart
+			// Restart, keeping the prefix: its decisions and the
+			// propagation they trigger are identical every time, so
+			// cancelling to the prefix boundary instead of level zero
+			// saves re-propagating it. (The test-only
+			// disableAssumptionPrefixKeep restores the historical
+			// cancel-to-zero so the saving stays measurable.)
+			if s.opts.disableAssumptionPrefixKeep {
+				s.cancelUntil(0)
+			} else {
+				s.cancelUntil(len(prefix))
+			}
+			return Unknown, nil
 		}
-		// Decision.
+		if lvl := s.decisionLevel(); lvl < len(prefix) {
+			a := prefix[lvl]
+			switch {
+			case a == litUndef || s.value(a) == lTrue:
+				// Already satisfied (or a free variable): open an empty
+				// level so level indexing stays aligned with the prefix.
+				s.trailLim = append(s.trailLim, len(s.trail))
+			case s.value(a) == lFalse:
+				// Falsified at the root or by earlier prefix literals.
+				return Unsat, s.analyzeFinal(crefUndef, a, prefix)
+			default:
+				s.stats.Decisions++
+				s.trailLim = append(s.trailLim, len(s.trail))
+				s.enqueue(a, crefUndef)
+			}
+			continue
+		}
 		v := s.pickBranchVar()
 		if v < 0 {
 			s.extractModel()
-			return Sat
+			return Sat, nil
 		}
 		s.stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.enqueue(mkLit(v, !s.phase[v]), crefUndef)
 	}
+}
+
+// stop latches a stop cause and backtracks to level zero, so a resumed
+// solve starts from the root.
+func (s *Solver) stop(cause error) (Status, []cnf.Lit) {
+	s.budget = cause
+	s.cancelUntil(0)
+	return Unknown, nil
 }
 
 // pickBranchVar pops the highest-activity unassigned variable, or -1 when

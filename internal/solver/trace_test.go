@@ -3,6 +3,7 @@ package solver
 import (
 	"testing"
 
+	"neuroselect/internal/cnf"
 	"neuroselect/internal/gen"
 	"neuroselect/internal/obs"
 )
@@ -15,31 +16,46 @@ func (r *recordingTracer) Trace(ev *obs.Event) { r.events = append(r.events, *ev
 // TestTracerSearchNeutral solves the golden suite with and without a tracer
 // installed and demands identical status, stats, and per-variable
 // propagation counts: tracing must observe the search, never steer it.
+// Every entry point is covered: a plain solve, a solve with a Push frame
+// open, and an assumption solve.
 func TestTracerSearchNeutral(t *testing.T) {
-	for _, in := range goldenInstances() {
-		plain, err := New(in.F, goldenOptions(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tracedOpts := goldenOptions(nil)
-		tracedOpts.Tracer = &recordingTracer{}
-		tracedOpts.TraceWindow = 64
-		traced, err := New(in.F, tracedOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stPlain, stTraced := plain.Solve(), traced.Solve()
-		if stPlain != stTraced {
-			t.Fatalf("%s: status %v (plain) vs %v (traced)", in.Name, stPlain, stTraced)
-		}
-		if plain.Stats() != traced.Stats() {
-			t.Fatalf("%s: stats diverge under tracing\nplain:  %+v\ntraced: %+v",
-				in.Name, plain.Stats(), traced.Stats())
-		}
-		pf, tf := plain.PropagationFrequencies(), traced.PropagationFrequencies()
-		for v := range pf {
-			if pf[v] != tf[v] {
-				t.Fatalf("%s: propFreq[%d] = %d (plain) vs %d (traced)", in.Name, v, pf[v], tf[v])
+	modes := []struct {
+		name  string
+		solve func(*Solver) Status
+	}{
+		{"plain", (*Solver).Solve},
+		{"open-frame", func(s *Solver) Status { s.Push(); return s.Solve() }},
+		{"assumptions", func(s *Solver) Status {
+			st, _ := s.SolveUnderAssumptions([]cnf.Lit{1, -2})
+			return st
+		}},
+	}
+	for _, m := range modes {
+		for _, in := range goldenInstances() {
+			plain, err := New(in.F, goldenOptions(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tracedOpts := goldenOptions(nil)
+			tracedOpts.Tracer = &recordingTracer{}
+			tracedOpts.TraceWindow = 64
+			traced, err := New(in.F, tracedOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stPlain, stTraced := m.solve(plain), m.solve(traced)
+			if stPlain != stTraced {
+				t.Fatalf("%s/%s: status %v (plain) vs %v (traced)", m.name, in.Name, stPlain, stTraced)
+			}
+			if plain.Stats() != traced.Stats() {
+				t.Fatalf("%s/%s: stats diverge under tracing\nplain:  %+v\ntraced: %+v",
+					m.name, in.Name, plain.Stats(), traced.Stats())
+			}
+			pf, tf := plain.PropagationFrequencies(), traced.PropagationFrequencies()
+			for v := range pf {
+				if pf[v] != tf[v] {
+					t.Fatalf("%s/%s: propFreq[%d] = %d (plain) vs %d (traced)", m.name, in.Name, v, pf[v], tf[v])
+				}
 			}
 		}
 	}
@@ -238,6 +254,42 @@ func TestTraceEventStream(t *testing.T) {
 		last.Deleted != st.Deleted || last.GCCompactions != st.GCCompactions ||
 		last.GCLitsReclaimed != st.GCLitsReclaimed || last.GCBytesMoved != st.GCBytesMoved {
 		t.Errorf("solve_end counters %+v do not match final stats %+v", last, st)
+	}
+}
+
+// TestOpenFrameSolveTelemetry checks that a solve with a Push frame open
+// reports the same telemetry a frame-free solve does: one restart event
+// per counted restart, one window rollup per TraceWindow conflicts, and a
+// published Progress snapshot. (Open-frame solves used to run a separate
+// search loop that emitted neither restarts nor windows.)
+func TestOpenFrameSolveTelemetry(t *testing.T) {
+	rec := &recordingTracer{}
+	var sink ProgressSink
+	s, err := New(gen.Pigeonhole(7).F, Options{Tracer: rec, Progress: &sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Push()
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("php-7 with an open frame = %v, want UNSAT", st)
+	}
+	st := s.Stats()
+	if st.Restarts == 0 || st.Conflicts < 2*s.opts.TraceWindow {
+		t.Fatalf("solve too short to exercise telemetry: %+v", st)
+	}
+	counts := map[string]int64{}
+	for _, ev := range rec.events {
+		counts[ev.Type]++
+	}
+	if counts[obs.EventRestart] != st.Restarts {
+		t.Errorf("%d restart events, stats.Restarts = %d", counts[obs.EventRestart], st.Restarts)
+	}
+	if want := st.Conflicts / s.opts.TraceWindow; counts[obs.EventWindow] != want {
+		t.Errorf("%d window events for %d conflicts at stride %d, want %d",
+			counts[obs.EventWindow], st.Conflicts, s.opts.TraceWindow, want)
+	}
+	if _, ok := sink.Load(); !ok {
+		t.Error("no progress snapshot published")
 	}
 }
 

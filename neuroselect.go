@@ -226,14 +226,16 @@ func SolveAssuming(f *Formula, assumptions []Lit, cfg SolveConfig) (Result, erro
 }
 
 // SolveAdaptive runs the NeuroSelect-Kissat flow: a one-time model
-// inference picks the deletion policy, then the solver runs under it.
+// inference picks the deletion policy, then the formula is solved exactly
+// as Solve would under that policy, so Timeout, Tracer, Preprocess and
+// Proof apply as they do there. The model's choice overrides cfg.Policy;
+// with a Tracer set, the choice is traced as a policy event ahead of the
+// solve's own events.
 func SolveAdaptive(f *Formula, m *Model, cfg SolveConfig) (Result, error) {
 	sel := portfolio.NewSelector(m)
-	rep, err := sel.Solve(f, cfg.MaxConflicts)
-	if err != nil {
-		return Result{}, err
-	}
-	return rep.Result, nil
+	sel.Tracer = cfg.Tracer
+	cfg.Policy = sel.Choose(f).Policy.Name()
+	return Solve(f, cfg)
 }
 
 // TrainerConfig sizes selector training. The zero value uses the quick

@@ -1,10 +1,16 @@
 package neuroselect_test
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"neuroselect"
+	"neuroselect/internal/core"
+	"neuroselect/internal/gen"
+	"neuroselect/internal/obs"
 )
 
 func TestFacadeSolve(t *testing.T) {
@@ -97,6 +103,52 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if res.Status != neuroselect.Sat {
 		t.Fatalf("adaptive solve: %v", res.Status)
+	}
+}
+
+// eventLog is a Tracer that keeps every event.
+type eventLog struct{ events []neuroselect.TraceEvent }
+
+func (l *eventLog) Trace(ev *neuroselect.TraceEvent) { l.events = append(l.events, *ev) }
+
+// TestSolveAdaptiveHonorsConfig pins SolveAdaptive to Solve's handling of
+// SolveConfig: the model's policy replaces cfg.Policy, and Timeout,
+// Tracer, and the Proof/Preprocess conflict apply as they do for Solve.
+// (SolveAdaptive used to honor MaxConflicts alone: a 20 ms timeout on
+// php-10 ran to the full conflict budget and traced nothing.)
+func TestSolveAdaptiveHonorsConfig(t *testing.T) {
+	m := core.NewModel(core.DefaultConfig()) // untrained: any policy will do
+	f := gen.Pigeonhole(10).F
+	_, want := neuroselect.PredictPolicy(f, m)
+	log := &eventLog{}
+	res, err := neuroselect.SolveAdaptive(f, m, neuroselect.SolveConfig{
+		Policy:       "size",
+		MaxConflicts: 20000,
+		Timeout:      20 * time.Millisecond,
+		Tracer:       log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != neuroselect.Unknown || !errors.Is(res.Stop, neuroselect.ErrDeadline) {
+		t.Fatalf("php-10 under a 20ms timeout: %v (stop %v), want UNKNOWN on the deadline",
+			res.Status, res.Stop)
+	}
+	types := map[string]int{}
+	for _, ev := range log.events {
+		types[ev.Type]++
+		if ev.Type == obs.EventSolveStart && ev.Policy != want {
+			t.Errorf("solve ran under %q, model chose %q", ev.Policy, want)
+		}
+	}
+	for _, typ := range []string{obs.EventPolicy, obs.EventSolveStart, obs.EventSolveEnd} {
+		if types[typ] != 1 {
+			t.Errorf("%d %s events, want 1 (all: %v)", types[typ], typ, types)
+		}
+	}
+	proof := neuroselect.NewProofWriter(io.Discard)
+	if _, err := neuroselect.SolveAdaptive(f, m, neuroselect.SolveConfig{Preprocess: true, Proof: proof}); err == nil {
+		t.Error("Proof with Preprocess accepted; Solve rejects the combination")
 	}
 }
 

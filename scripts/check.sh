@@ -18,8 +18,8 @@
 # topology), three documentation gates (package comments, README flag
 # freshness, API.md metric freshness), a benchmark regression gate
 # against BENCH_solver.json (skip with BENCH_DELTA_SKIP=1), and coverage
-# gates on the experiments and portfolio packages. Run from the repo
-# root via `make check` or `./scripts/check.sh`.
+# gates on the experiments, portfolio and solver packages. Run from the
+# repo root via `make check` or `./scripts/check.sh`.
 set -eu
 
 # Statement-coverage floor for neuroselect/internal/experiments. The
@@ -33,6 +33,13 @@ EXPERIMENTS_COVER_FLOOR=85.0
 # cancellation/drain/faultpoint robustness) measures 88.5%; the floor
 # leaves headroom for incidental drift but catches a shed test suite.
 PORTFOLIO_COVER_FLOOR=80.0
+
+# Statement-coverage floor for neuroselect/internal/solver. Every solve
+# entry point shares one search loop, one restart driver and one
+# level-zero clause install; the suite measures 95.3%, and the floor keeps
+# the loop's assumption-prefix branches and all three callers of the
+# install (construction, AddClause, clause import) exercised.
+SOLVER_COVER_FLOOR=90.0
 
 COVER_PROFILE=""
 SMOKE_DIR=""
@@ -798,35 +805,33 @@ else
 		}' "$SMOKE_DIR/bench_base.txt" "$SMOKE_DIR/bench_cur.txt"
 fi
 
-echo "== coverage (experiments + sweep engine + portfolio)"
+echo "== coverage (experiments + sweep engine + portfolio + solver)"
+# cover_gate PROFILE PKG FLOOR fails unless PKG's statement coverage in
+# PROFILE reaches FLOOR percent.
+cover_gate() {
+	awk -F: -v pkg="$2" -v floor="$3" '
+		# profile lines: path:start,end numStmts hitCount
+		index($1, pkg "/") == 1 {
+			split($2, f, " ")
+			total += f[2]
+			if (f[3] > 0) covered += f[2]
+		}
+		END {
+			if (total == 0) { printf "coverage gate: no %s statements in profile\n", pkg; exit 1 }
+			pct = 100 * covered / total
+			printf "%s statement coverage: %.1f%% (floor %.1f%%)\n", pkg, pct, floor
+			if (pct < floor) { printf "coverage gate: FAIL — %s below floor\n", pkg; exit 1 }
+		}' "$1"
+}
 COVER_PROFILE="$(mktemp)"
 go test -count=1 -covermode=atomic -coverprofile="$COVER_PROFILE" \
 	./internal/experiments ./internal/sweep ./internal/metrics \
 	./internal/portfolio
-
-awk -F: -v efloor="$EXPERIMENTS_COVER_FLOOR" -v pfloor="$PORTFOLIO_COVER_FLOOR" '
-	{
-		# profile lines: path:start,end numStmts hitCount
-		if ($1 ~ /^neuroselect\/internal\/experiments\//) {
-			split($2, f, " ")
-			etotal += f[2]
-			if (f[3] > 0) ecovered += f[2]
-		}
-		if ($1 ~ /^neuroselect\/internal\/portfolio\//) {
-			split($2, f, " ")
-			ptotal += f[2]
-			if (f[3] > 0) pcovered += f[2]
-		}
-	}
-	END {
-		if (etotal == 0) { print "coverage gate: no experiments statements in profile"; exit 1 }
-		pct = 100 * ecovered / etotal
-		printf "experiments statement coverage: %.1f%% (floor %.1f%%)\n", pct, efloor
-		if (pct < efloor) { print "coverage gate: FAIL — experiments below floor"; exit 1 }
-		if (ptotal == 0) { print "coverage gate: no portfolio statements in profile"; exit 1 }
-		pct = 100 * pcovered / ptotal
-		printf "portfolio statement coverage: %.1f%% (floor %.1f%%)\n", pct, pfloor
-		if (pct < pfloor) { print "coverage gate: FAIL — portfolio below floor"; exit 1 }
-	}' "$COVER_PROFILE"
+cover_gate "$COVER_PROFILE" neuroselect/internal/experiments "$EXPERIMENTS_COVER_FLOOR"
+cover_gate "$COVER_PROFILE" neuroselect/internal/portfolio "$PORTFOLIO_COVER_FLOOR"
+# The solver is single-threaded; set mode keeps its instrumented search
+# loops an order of magnitude faster than atomic counting would.
+go test -count=1 -covermode=set -coverprofile="$COVER_PROFILE" ./internal/solver
+cover_gate "$COVER_PROFILE" neuroselect/internal/solver "$SOLVER_COVER_FLOOR"
 
 echo "check: all gates passed"
