@@ -20,7 +20,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/experiments ./internal/portfolio ./internal/sweep ./internal/dataset ./internal/solver ./internal/faultpoint ./internal/obs ./internal/server ./internal/cluster
+	$(GO) test -race ./internal/experiments ./internal/portfolio ./internal/sweep ./internal/dataset ./internal/core ./internal/solver ./internal/faultpoint ./internal/obs ./internal/server ./internal/cluster
 
 ## cover: per-package coverage summary for the sweep/experiments stack.
 cover:

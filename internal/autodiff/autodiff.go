@@ -123,7 +123,9 @@ func (t *Tape) Scale(a *Value, s float64) *Value {
 
 // AddScalar returns a + c elementwise for scalar constant c.
 func (t *Tape) AddScalar(a *Value, c float64) *Value {
-	out := t.node(tensor.Apply(a.M, func(x float64) float64 { return x + c }), nil)
+	m := a.M.Clone()
+	tensor.AddScalarInPlace(m, c)
+	out := t.node(m, nil)
 	out.back = func() {
 		tensor.AddInPlace(a.ensureGrad(), out.grad)
 	}
@@ -142,12 +144,9 @@ func (t *Tape) Hadamard(a, b *Value) *Value {
 
 // ReLU returns max(a, 0) elementwise.
 func (t *Tape) ReLU(a *Value) *Value {
-	out := t.node(tensor.Apply(a.M, func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	}), nil)
+	m := a.M.Clone()
+	tensor.ReLUInPlace(m)
+	out := t.node(m, nil)
 	out.back = func() {
 		g := a.ensureGrad()
 		for i, x := range a.M.Data {
@@ -226,19 +225,8 @@ func (t *Tape) AddRowBroadcast(a, r *Value) *Value {
 
 // RowScale scales row i of a by d[i] where d is N×1.
 func (t *Tape) RowScale(a, d *Value) *Value {
-	if d.M.Cols != 1 || d.M.Rows != a.M.Rows {
-		panic(fmt.Sprintf("autodiff: RowScale needs N×1 scale, got %dx%d for a %dx%d",
-			d.M.Rows, d.M.Cols, a.M.Rows, a.M.Cols))
-	}
-	out := tensor.New(a.M.Rows, a.M.Cols)
-	for i := 0; i < a.M.Rows; i++ {
-		s := d.M.Data[i]
-		arow := a.M.Row(i)
-		orow := out.Row(i)
-		for j, v := range arow {
-			orow[j] = v * s
-		}
-	}
+	out := a.M.Clone()
+	tensor.RowScaleInPlace(out, d.M)
 	node := t.node(out, nil)
 	node.back = func() {
 		ga := a.ensureGrad()
@@ -261,7 +249,9 @@ func (t *Tape) RowScale(a, d *Value) *Value {
 
 // Reciprocal returns 1/a elementwise.
 func (t *Tape) Reciprocal(a *Value) *Value {
-	out := t.node(tensor.Apply(a.M, func(x float64) float64 { return 1 / x }), nil)
+	m := a.M.Clone()
+	tensor.ReciprocalInPlace(m)
+	out := t.node(m, nil)
 	out.back = func() {
 		g := a.ensureGrad()
 		for i, x := range a.M.Data {

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"neuroselect/internal/autodiff"
@@ -50,11 +51,33 @@ func NewGIN(hidden, layers int, seed int64) *GIN {
 	return m
 }
 
+// signedAdj returns GIN's sum-aggregation operator: g.Adj with every
+// weight ±1/deg replaced by its sign, the raw ±1 edge weight (deg ≥ 1 for
+// every stored edge, so Copysign recovers it exactly).
+func signedAdj(g *satgraph.VCG) *tensor.Sparse {
+	s := tensor.NewSparse(g.Adj.Rows, g.Adj.Cols)
+	backing := make([]tensor.SparseEntry, g.Adj.NNZ())
+	for i, row := range g.Adj.Entries {
+		out := backing[:len(row):len(row)]
+		backing = backing[len(row):]
+		for k, e := range row {
+			out[k] = tensor.SparseEntry{Col: e.Col, W: math.Copysign(1, e.W)}
+		}
+		s.Entries[i] = out
+	}
+	return s
+}
+
 // Logit runs the forward pass for one variable–clause graph.
 func (m *GIN) Logit(t *autodiff.Tape, g *satgraph.VCG) *autodiff.Value {
+	return m.logit(t, g, signedAdj(g))
+}
+
+// logit is Logit with the graph's signed operator already derived.
+func (m *GIN) logit(t *autodiff.Tape, g *satgraph.VCG, adj *tensor.Sparse) *autodiff.Value {
 	x := t.Leaf(g.InitialFeatures(m.Hidden))
 	for l := 0; l < m.Layers; l++ {
-		agg := t.SpMM(g.AdjRaw, x) // sum aggregation with signed weights
+		agg := t.SpMM(adj, x) // sum aggregation with signed weights
 		epsV := m.Params.V(m.eps[l])
 		// (1+eps)·h_v + Σ h_u, with eps broadcast as a scalar.
 		selfScaled := t.Add(x, t.RowScale(x, t.MatMul(t.Leaf(onesCol(x.M.Rows)), epsV)))
@@ -79,8 +102,10 @@ func (m *GIN) Name() string { return "G4SATBench (GIN)" }
 // size 1.
 func (m *GIN) Fit(fs []*cnf.Formula, labels []int, epochs int, lr float64, seed int64) float64 {
 	graphs := make([]*satgraph.VCG, len(fs))
+	adjs := make([]*tensor.Sparse, len(fs))
 	for i, f := range fs {
 		graphs[i] = satgraph.BuildVCG(f)
+		adjs[i] = signedAdj(graphs[i])
 	}
 	rng := rand.New(rand.NewSource(seed))
 	opt := nn.NewAdam(lr)
@@ -95,7 +120,7 @@ func (m *GIN) Fit(fs []*cnf.Formula, labels []int, epochs int, lr float64, seed 
 		for _, i := range order {
 			t := autodiff.NewTape()
 			m.Params.Bind(t)
-			loss := t.BCEWithLogits(m.Logit(t, graphs[i]), float64(labels[i]))
+			loss := t.BCEWithLogits(m.logit(t, graphs[i], adjs[i]), float64(labels[i]))
 			t.Backward(loss)
 			opt.Step(m.Params)
 			total += loss.M.Data[0]

@@ -9,14 +9,34 @@ import (
 )
 
 // BenchmarkInference measures the one-time model call the portfolio pays
-// per instance (the quantity plotted in Figure 7(b)).
+// per instance (the quantity plotted in Figure 7(b)), at the experiments'
+// default model and at the QuickScale model the service benchmark serves.
+// The parallel variant runs one shared model from every P: with no lock
+// around inference, its ns/op falls with GOMAXPROCS.
 func BenchmarkInference(b *testing.B) {
-	m := NewModel(Config{Hidden: 16, HGTLayers: 2, MPLayers: 2, Attention: true, Seed: 1})
 	g := satgraph.BuildVCG(gen.RandomKSAT(200, 852, 3, 1).F)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictGraph(g)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{Hidden: 16, HGTLayers: 2, MPLayers: 2, Attention: true, Seed: 1}},
+		{"served", quickScaleConfig},
+	} {
+		m := NewModel(c.cfg)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.PredictGraph(g)
+			}
+		})
+		b.Run(c.name+"-parallel", func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					m.PredictGraph(g)
+				}
+			})
+		})
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 
 	"neuroselect/internal/autodiff"
 	"neuroselect/internal/cnf"
@@ -71,20 +70,17 @@ type hgtLayer struct {
 	attn *attnLayer
 }
 
-// Model is the NeuroSelect classifier. Predict/PredictGraph are safe for
-// concurrent use; training and Load are not.
+// Model is the NeuroSelect classifier. Inference (Predict, PredictGraph)
+// is a forward-only pass that reads Params and works in pooled per-call
+// scratch, so any number of goroutines may run it on one model at once
+// with no lock. Training goes through Logit on an autodiff tape; training
+// and Load write Params and must not overlap inference.
 type Model struct {
 	Cfg    Config
 	Params *nn.Params
 
 	layers []*hgtLayer
 	head   *nn.MLP
-
-	// inferMu serializes inference: the forward pass binds Params to a
-	// fresh tape through shared Params state, so concurrent callers (the
-	// parallel sweep engine's cells) must take turns. Inference is a
-	// one-time cost per instance, small next to the solve it gates.
-	inferMu sync.Mutex
 }
 
 // NewModel constructs a model with freshly initialized parameters.
@@ -120,7 +116,8 @@ func NewModel(cfg Config) *Model {
 
 // Logit runs the forward pass for one graph on the given tape and returns
 // the 1×1 classification logit. Params.Bind must already have been called
-// on the tape.
+// on the tape. Training differentiates through it; PredictGraph computes
+// the same logit, bit for bit, without a tape.
 func (m *Model) Logit(t *autodiff.Tape, g *satgraph.VCG) *autodiff.Value {
 	x := t.Leaf(g.InitialFeatures(m.Cfg.Hidden))
 	n := g.NumVars
@@ -169,16 +166,6 @@ func (m *Model) linearAttention(t *autodiff.Tape, a *attnLayer, z *autodiff.Valu
 // (label 1) outperforms the default policy on the formula.
 func (m *Model) Predict(f *cnf.Formula) float64 {
 	return m.PredictGraph(satgraph.BuildVCG(f))
-}
-
-// PredictGraph is Predict for a pre-built graph.
-func (m *Model) PredictGraph(g *satgraph.VCG) float64 {
-	m.inferMu.Lock()
-	defer m.inferMu.Unlock()
-	t := autodiff.NewTape()
-	m.Params.Bind(t)
-	logit := m.Logit(t, g)
-	return sigmoid(logit.M.Data[0])
 }
 
 // Save serializes the model parameters.

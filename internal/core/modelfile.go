@@ -32,7 +32,8 @@ func (m *Model) SaveFile(w io.Writer) error {
 }
 
 // LoadModelFile reconstructs a model (architecture and weights) saved with
-// SaveFile.
+// SaveFile. A config with a negative dimension, or a payload that does not
+// hold every parameter of that architecture exactly once, is an error.
 func LoadModelFile(r io.Reader) (*Model, error) {
 	var mf modelFile
 	if err := json.NewDecoder(r).Decode(&mf); err != nil {
@@ -40,6 +41,9 @@ func LoadModelFile(r io.Reader) (*Model, error) {
 	}
 	if mf.Format != modelFormat {
 		return nil, fmt.Errorf("core: unsupported model format %q", mf.Format)
+	}
+	if c := mf.Config; c.Hidden < 0 || c.HGTLayers < 0 || c.MPLayers < 0 {
+		return nil, fmt.Errorf("core: load model: negative dimension in config %+v", c)
 	}
 	m := NewModel(mf.Config)
 	if err := m.Params.Load(bytes.NewReader(mf.Payload)); err != nil {

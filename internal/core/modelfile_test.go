@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -53,5 +54,33 @@ func TestLoadModelFileErrors(t *testing.T) {
 	}
 	if _, err := LoadModelFile(strings.NewReader(`{"format":"wrong","config":{},"payload":[]}`)); err == nil {
 		t.Fatal("wrong format accepted")
+	}
+	for _, cfg := range []string{`{"Hidden":-1}`, `{"HGTLayers":-2}`, `{"MPLayers":-1}`} {
+		file := `{"format":"neuroselect-model-v1","config":` + cfg + `,"payload":[]}`
+		if _, err := LoadModelFile(strings.NewReader(file)); err == nil {
+			t.Errorf("negative dimension accepted: %s", cfg)
+		}
+	}
+	// A payload that omits parameters must not load as a model serving its
+	// seeded initial weights.
+	if _, err := LoadModelFile(strings.NewReader(`{"format":"neuroselect-model-v1","config":{"Hidden":4,"Seed":1},"payload":[]}`)); err == nil {
+		t.Error("empty payload accepted")
+	}
+	var buf bytes.Buffer
+	if err := NewModel(Config{Hidden: 4, HGTLayers: 1, MPLayers: 1, Seed: 1}).SaveFile(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var mf modelFile
+	if err := json.Unmarshal(buf.Bytes(), &mf); err != nil {
+		t.Fatal(err)
+	}
+	var params []json.RawMessage
+	if err := json.Unmarshal(mf.Payload, &params); err != nil {
+		t.Fatal(err)
+	}
+	mf.Payload, _ = json.Marshal(params[1:])
+	short, _ := json.Marshal(mf)
+	if _, err := LoadModelFile(bytes.NewReader(short)); err == nil {
+		t.Error("payload missing a parameter accepted")
 	}
 }

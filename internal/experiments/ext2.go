@@ -55,16 +55,18 @@ func (r *Runner) Selectors() (SelectorsResult, error) {
 	var solved []bool
 	budget := r.Scale.ScatterBudget
 	items := c.Test.Items
-	// Predictions run serially up front (both predictors share model state);
-	// the expensive part — one 2-worker race per instance — is sharded
-	// across the sweep engine. Free-running race outcomes depend on
-	// scheduling; in Deterministic mode the race runs as a lockstep
+	// Each predictor runs once per item, serially: inference is cheap next
+	// to the expensive part — one 2-worker race per instance — which is
+	// sharded across the sweep engine. Free-running race outcomes depend
+	// on scheduling; in Deterministic mode the race runs as a lockstep
 	// 2-worker portfolio instead, so the whole experiment is under the
 	// byte-identical guarantee and RaceWall reports propagation
 	// pseudo-time.
 	for _, it := range items {
-		out.Logistic.Add(logit.Predict(it.Inst.F) >= 0.5, it.Label == 1)
-		out.NeuroSelect.Add(sel.Model.Predict(it.Inst.F) >= 0.5, it.Label == 1)
+		logitProb := logit.Predict(it.Inst.F)
+		neuroProb := sel.Model.Predict(it.Inst.F)
+		out.Logistic.Add(logitProb >= 0.5, it.Label == 1)
+		out.NeuroSelect.Add(neuroProb >= 0.5, it.Label == 1)
 
 		// Costs: the labeling pass already measured both policies at this
 		// budget, so selector costs are table lookups.
@@ -77,8 +79,8 @@ func (r *Runner) Selectors() (SelectorsResult, error) {
 			}
 			return def
 		}
-		neuroCost = append(neuroCost, pick(sel.Model.Predict(it.Inst.F), sel.Threshold))
-		logitCost = append(logitCost, pick(logit.Predict(it.Inst.F), logitTh))
+		neuroCost = append(neuroCost, pick(neuroProb, sel.Threshold))
+		logitCost = append(logitCost, pick(logitProb, logitTh))
 	}
 	races, errs := sweepCells(r, "ext-selectors", len(items),
 		func(ctx context.Context, i int) (portfolio.RaceReport, error) {

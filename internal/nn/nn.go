@@ -275,24 +275,40 @@ func (p *Params) Save(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Load restores parameter values saved by Save. Every stored parameter must
-// exist in the registry with matching shape; parameters absent from the
-// stream keep their current values.
+// Load restores parameter values saved by Save. The stream must hold every
+// registered parameter exactly once, each with its registered shape and
+// rows×cols values; otherwise Load returns an error and changes nothing.
 func (p *Params) Load(r io.Reader) error {
 	var in []savedParam
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return fmt.Errorf("nn: load: %w", err)
 	}
+	seen := make(map[string]bool, len(in))
 	for _, sp := range in {
 		par, ok := p.byN[sp.Name]
 		if !ok {
 			return fmt.Errorf("nn: load: unknown parameter %q", sp.Name)
 		}
+		if seen[sp.Name] {
+			return fmt.Errorf("nn: load: parameter %q stored twice", sp.Name)
+		}
+		seen[sp.Name] = true
 		if par.M.Rows != sp.Rows || par.M.Cols != sp.Cols {
 			return fmt.Errorf("nn: load: shape mismatch for %q: have %dx%d, stored %dx%d",
 				sp.Name, par.M.Rows, par.M.Cols, sp.Rows, sp.Cols)
 		}
-		copy(par.M.Data, sp.Data)
+		if len(sp.Data) != len(par.M.Data) {
+			return fmt.Errorf("nn: load: %q stores %d values for a %dx%d parameter",
+				sp.Name, len(sp.Data), sp.Rows, sp.Cols)
+		}
+	}
+	for _, par := range p.list {
+		if !seen[par.Name] {
+			return fmt.Errorf("nn: load: parameter %q missing", par.Name)
+		}
+	}
+	for _, sp := range in {
+		copy(p.byN[sp.Name].M.Data, sp.Data)
 	}
 	return nil
 }

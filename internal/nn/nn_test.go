@@ -228,6 +228,33 @@ func TestLoadErrors(t *testing.T) {
 	if err := s.Load(bytes.NewBufferString("not json")); err == nil {
 		t.Fatal("expected decode error")
 	}
+	// A registered parameter absent from the stream, a parameter stored
+	// twice, and data shorter or longer than rows×cols: each is an error
+	// that leaves the registry unchanged.
+	for name, stream := range map[string]string{
+		"missing":   `[]`,
+		"missing-b": `[{"name":"a","rows":2,"cols":2,"data":[1,2,3,4]}]`,
+		"repeated":  `[{"name":"a","rows":2,"cols":2,"data":[1,2,3,4]},{"name":"a","rows":2,"cols":2,"data":[1,2,3,4]},{"name":"b","rows":1,"cols":1,"data":[5]}]`,
+		"short":     `[{"name":"a","rows":2,"cols":2,"data":[1,2]},{"name":"b","rows":1,"cols":1,"data":[5]}]`,
+		"long":      `[{"name":"a","rows":2,"cols":2,"data":[1,2,3,4,5]},{"name":"b","rows":1,"cols":1,"data":[5]}]`,
+	} {
+		u := NewParams()
+		a := u.New("a", 2, 2, "xavier", rng)
+		u.New("b", 1, 1, "zero", rng)
+		before := a.M.Clone()
+		if err := u.Load(bytes.NewBufferString(stream)); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+		if tensor.MaxAbsDiff(a.M, before) != 0 {
+			t.Errorf("%s: failed load changed parameter a", name)
+		}
+	}
+	// The complete stream loads.
+	v := NewParams()
+	v.New("a", 2, 2, "zero", rng)
+	if err := v.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("complete stream: %v", err)
+	}
 }
 
 func TestSharedParamAccumulatesGrad(t *testing.T) {

@@ -18,11 +18,10 @@ type VCG struct {
 	NumVars    int
 	NumClauses int
 	// Adj is the mean-normalized message operator over the full node set:
-	// Adj[v][u] = w_uv / |N(v)| for each neighbor u of v (Eq. 6).
+	// Adj[v][u] = w_uv / |N(v)| for each neighbor u of v (Eq. 6). Each row
+	// lists its edges in formula order (clause by clause, literal by
+	// literal), and every row is carved out of one backing array.
 	Adj *tensor.Sparse
-	// AdjRaw is the unnormalized signed adjacency, used by sum-aggregating
-	// baselines such as GIN.
-	AdjRaw *tensor.Sparse
 	// Degree[v] is |N(v)| for each node.
 	Degree []int
 }
@@ -30,9 +29,11 @@ type VCG struct {
 // NumNodes returns |V1| + |V2|, the quantity the paper caps at 400,000.
 func (g *VCG) NumNodes() int { return g.NumVars + g.NumClauses }
 
-// BuildVCG constructs the bipartite graph of a formula. A variable occurring
-// in both polarities in one clause contributes two edges whose weights
-// cancel in aggregation, mirroring the tautological structure.
+// BuildVCG constructs the bipartite graph of a formula in two passes: the
+// first counts every node's degree, the second fills the rows of Adj,
+// which are sized by those degrees. A variable occurring in both
+// polarities in one clause contributes two edges whose weights cancel in
+// aggregation, mirroring the tautological structure.
 func BuildVCG(f *cnf.Formula) *VCG {
 	n, m := f.NumVars, len(f.Clauses)
 	g := &VCG{
@@ -40,29 +41,30 @@ func BuildVCG(f *cnf.Formula) *VCG {
 		NumClauses: m,
 		Degree:     make([]int, n+m),
 	}
-	type edge struct {
-		v, c int
-		w    float64
-	}
-	edges := make([]edge, 0, f.NumLiterals())
 	for j, cl := range f.Clauses {
 		for _, l := range cl {
+			g.Degree[l.Var()-1]++
+		}
+		g.Degree[n+j] = len(cl)
+	}
+	g.Adj = tensor.NewSparse(n+m, n+m)
+	backing := make([]tensor.SparseEntry, 2*f.NumLiterals())
+	off := 0
+	for i, d := range g.Degree {
+		g.Adj.Entries[i] = backing[off : off : off+d]
+		off += d
+	}
+	for j, cl := range f.Clauses {
+		c := n + j
+		for _, l := range cl {
+			v := l.Var() - 1
 			w := 1.0
 			if !l.Positive() {
 				w = -1.0
 			}
-			edges = append(edges, edge{v: l.Var() - 1, c: n + j, w: w})
-			g.Degree[l.Var()-1]++
-			g.Degree[n+j]++
+			g.Adj.Entries[v] = append(g.Adj.Entries[v], tensor.SparseEntry{Col: c, W: w / float64(g.Degree[v])})
+			g.Adj.Entries[c] = append(g.Adj.Entries[c], tensor.SparseEntry{Col: v, W: w / float64(g.Degree[c])})
 		}
-	}
-	g.Adj = tensor.NewSparse(n+m, n+m)
-	g.AdjRaw = tensor.NewSparse(n+m, n+m)
-	for _, e := range edges {
-		g.Adj.Add(e.v, e.c, e.w/float64(g.Degree[e.v]))
-		g.Adj.Add(e.c, e.v, e.w/float64(g.Degree[e.c]))
-		g.AdjRaw.Add(e.v, e.c, e.w)
-		g.AdjRaw.Add(e.c, e.v, e.w)
 	}
 	return g
 }

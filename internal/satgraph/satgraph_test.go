@@ -49,14 +49,35 @@ func TestVCGEdgeWeightsAndNormalization(t *testing.T) {
 	if weights[3] != 0.5 || weights[4] != -0.5 {
 		t.Fatalf("x2 weights = %v", weights)
 	}
-	// Raw adjacency keeps ±1.
-	rawRow := g.AdjRaw.Entries[1]
-	rawWeights := map[int]float64{}
-	for _, e := range rawRow {
-		rawWeights[e.Col] = e.W
+}
+
+// TestVCGRowsInFormulaOrder checks the two-pass build: every row lists its
+// edges clause by clause, literal by literal, and ends exactly where its
+// degree says, so rows carved from the shared backing array never overlap.
+func TestVCGRowsInFormulaOrder(t *testing.T) {
+	f := cnf.New(3)
+	f.MustAddClause(2, -1)
+	f.MustAddClause(1, -1, 3)
+	f.MustAddClause(-2)
+	g := BuildVCG(f)
+	want := [][]tensor.SparseEntry{
+		{{Col: 3, W: -1.0 / 3}, {Col: 4, W: 1.0 / 3}, {Col: 4, W: -1.0 / 3}},
+		{{Col: 3, W: 0.5}, {Col: 5, W: -0.5}},
+		{{Col: 4, W: 1}},
+		{{Col: 1, W: 0.5}, {Col: 0, W: -0.5}},
+		{{Col: 0, W: 1.0 / 3}, {Col: 0, W: -1.0 / 3}, {Col: 2, W: 1.0 / 3}},
+		{{Col: 1, W: -1}},
 	}
-	if rawWeights[3] != 1 || rawWeights[4] != -1 {
-		t.Fatalf("raw x2 weights = %v", rawWeights)
+	for i, w := range want {
+		row := g.Adj.Entries[i]
+		if len(row) != len(w) || cap(row) != g.Degree[i] {
+			t.Fatalf("row %d: len %d cap %d, want len %d cap %d", i, len(row), cap(row), len(w), g.Degree[i])
+		}
+		for k := range w {
+			if row[k] != w[k] {
+				t.Fatalf("row %d entry %d = %+v, want %+v", i, k, row[k], w[k])
+			}
+		}
 	}
 }
 

@@ -42,12 +42,22 @@ func (s *Sparse) NNZ() int {
 
 // SpMM returns s × d for dense d.
 func SpMM(s *Sparse, d *Matrix) *Matrix {
+	out := New(s.Rows, d.Cols)
+	SpMMInto(out, s, d)
+	return out
+}
+
+// SpMMInto stores s × d in dst, which must be s.Rows×d.Cols and must not
+// share storage with d. Each output row sums its row's entries in stored
+// order.
+func SpMMInto(dst *Matrix, s *Sparse, d *Matrix) {
 	if s.Cols != d.Rows {
 		panic(fmt.Sprintf("tensor: spmm inner mismatch %dx%d × %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
 	}
-	out := New(s.Rows, d.Cols)
+	dstShape("spmm", dst, s.Rows, d.Cols)
+	dst.Zero()
 	for i, row := range s.Entries {
-		orow := out.Row(i)
+		orow := dst.Row(i)
 		for _, e := range row {
 			drow := d.Row(e.Col)
 			for j, v := range drow {
@@ -55,7 +65,6 @@ func SpMM(s *Sparse, d *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
 // SpMMT returns sᵀ × d for dense d: the backward operator of SpMM.

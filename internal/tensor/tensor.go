@@ -61,15 +61,32 @@ func sameShape(op string, a, b *Matrix) {
 	}
 }
 
+// dstShape panics unless dst is rows×cols.
+func dstShape(op string, dst *Matrix, rows, cols int) {
+	if dst.Rows != rows || dst.Cols != cols {
+		panic(fmt.Sprintf("tensor: %s destination %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, cols))
+	}
+}
+
 // MatMul returns a × b.
 func MatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
+// MatMulInto stores a × b in dst, which must be a.Rows×b.Cols and must not
+// share storage with a or b. Each output element sums its products in
+// increasing inner index, skipping the zero entries of a.
+func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul inner mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
+	dstShape("matmul", dst, a.Rows, b.Cols)
+	dst.Zero()
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
-		orow := out.Row(i)
+		orow := dst.Row(i)
 		for k, av := range arow {
 			if av == 0 {
 				continue
@@ -80,7 +97,6 @@ func MatMul(a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	return out
 }
 
 // MatMulT returns a × bᵀ.
@@ -106,10 +122,21 @@ func MatMulT(a, b *Matrix) *Matrix {
 
 // TMatMul returns aᵀ × b.
 func TMatMul(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	TMatMulInto(out, a, b)
+	return out
+}
+
+// TMatMulInto stores aᵀ × b in dst, which must be a.Cols×b.Cols and must
+// not share storage with a or b. Each output element sums its products in
+// increasing row index of a and b, skipping the zero entries of a, so the
+// result equals MatMul(Transpose(a), b) bit for bit.
+func TMatMulInto(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: tmatmul inner mismatch (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
+	dstShape("tmatmul", dst, a.Cols, b.Cols)
+	dst.Zero()
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Row(k)
 		brow := b.Row(k)
@@ -117,13 +144,12 @@ func TMatMul(a, b *Matrix) *Matrix {
 			if av == 0 {
 				continue
 			}
-			orow := out.Row(i)
+			orow := dst.Row(i)
 			for j, bv := range brow {
 				orow[j] += av * bv
 			}
 		}
 	}
-	return out
 }
 
 // Transpose returns aᵀ.
@@ -141,9 +167,7 @@ func Transpose(a *Matrix) *Matrix {
 func Add(a, b *Matrix) *Matrix {
 	sameShape("add", a, b)
 	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
+	AddInPlace(out, b)
 	return out
 }
 
@@ -168,10 +192,39 @@ func Sub(a, b *Matrix) *Matrix {
 // Scale returns s·a.
 func Scale(a *Matrix, s float64) *Matrix {
 	out := a.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
+	ScaleInPlace(out, s)
 	return out
+}
+
+// ScaleInPlace multiplies every element of a by s.
+func ScaleInPlace(a *Matrix, s float64) {
+	for i := range a.Data {
+		a.Data[i] *= s
+	}
+}
+
+// AddScalarInPlace adds c to every element of a.
+func AddScalarInPlace(a *Matrix, c float64) {
+	for i := range a.Data {
+		a.Data[i] += c
+	}
+}
+
+// ReciprocalInPlace replaces every element x of a with 1/x.
+func ReciprocalInPlace(a *Matrix) {
+	for i, v := range a.Data {
+		a.Data[i] = 1 / v
+	}
+}
+
+// ReLUInPlace replaces every element of a that is not positive (NaN
+// included) with 0.
+func ReLUInPlace(a *Matrix) {
+	for i, v := range a.Data {
+		if !(v > 0) {
+			a.Data[i] = 0
+		}
+	}
 }
 
 // Hadamard returns the elementwise product a ⊙ b.
@@ -186,41 +239,72 @@ func Hadamard(a, b *Matrix) *Matrix {
 
 // AddRowBroadcast returns a with the 1×Cols row vector r added to each row.
 func AddRowBroadcast(a, r *Matrix) *Matrix {
+	out := a.Clone()
+	AddRowBroadcastInPlace(out, r)
+	return out
+}
+
+// AddRowBroadcastInPlace adds the 1×Cols row vector r to each row of a.
+func AddRowBroadcastInPlace(a, r *Matrix) {
 	if r.Rows != 1 || r.Cols != a.Cols {
 		panic(fmt.Sprintf("tensor: broadcast shape %dx%d onto %dx%d", r.Rows, r.Cols, a.Rows, a.Cols))
 	}
-	out := a.Clone()
 	for i := 0; i < a.Rows; i++ {
-		row := out.Row(i)
+		row := a.Row(i)
 		for j, v := range r.Data {
 			row[j] += v
 		}
 	}
-	return out
+}
+
+// RowScaleInPlace multiplies row i of a by d[i], where d is Rows×1.
+func RowScaleInPlace(a, d *Matrix) {
+	if d.Cols != 1 || d.Rows != a.Rows {
+		panic(fmt.Sprintf("tensor: rowscale needs a %dx1 scale, got %dx%d", a.Rows, d.Rows, d.Cols))
+	}
+	for i, s := range d.Data {
+		row := a.Row(i)
+		for j, v := range row {
+			row[j] = v * s
+		}
+	}
 }
 
 // ColSums returns the 1×Cols vector of column sums.
 func ColSums(a *Matrix) *Matrix {
 	out := New(1, a.Cols)
+	ColSumsInto(out, a)
+	return out
+}
+
+// ColSumsInto stores the column sums of a in the 1×Cols matrix dst, which
+// must not share storage with a. Each sum runs over the rows in order.
+func ColSumsInto(dst, a *Matrix) {
+	dstShape("colsums", dst, 1, a.Cols)
+	dst.Zero()
 	for i := 0; i < a.Rows; i++ {
 		row := a.Row(i)
 		for j, v := range row {
-			out.Data[j] += v
+			dst.Data[j] += v
 		}
 	}
-	return out
 }
 
 // RowMean returns the 1×Cols mean of the rows.
 func RowMean(a *Matrix) *Matrix {
-	out := ColSums(a)
-	if a.Rows > 0 {
-		inv := 1.0 / float64(a.Rows)
-		for j := range out.Data {
-			out.Data[j] *= inv
-		}
-	}
+	out := New(1, a.Cols)
+	RowMeanInto(out, a)
 	return out
+}
+
+// RowMeanInto stores the 1×Cols mean of the rows of a in dst, which must
+// not share storage with a: the column sums scaled by 1/Rows (left at zero
+// when a has no rows).
+func RowMeanInto(dst, a *Matrix) {
+	ColSumsInto(dst, a)
+	if a.Rows > 0 {
+		ScaleInPlace(dst, 1.0/float64(a.Rows))
+	}
 }
 
 // Frobenius returns the Frobenius norm ‖a‖_F.

@@ -273,3 +273,136 @@ func TestFrobeniusScaling(t *testing.T) {
 		t.Fatal("Frobenius homogeneity")
 	}
 }
+
+// sparseMat is randMat with about a third of its entries zeroed, so the
+// products' zero skip is exercised.
+func sparseMat(rng *rand.Rand, r, c int) *Matrix {
+	m := randMat(rng, r, c)
+	for i := range m.Data {
+		if rng.Intn(3) == 0 {
+			m.Data[i] = 0
+		}
+	}
+	return m
+}
+
+// garbage returns a rows×cols matrix full of NaN: an Into destination's
+// old contents must never leak into its result.
+func garbage(r, c int) *Matrix {
+	m := New(r, c)
+	for i := range m.Data {
+		m.Data[i] = math.NaN()
+	}
+	return m
+}
+
+// sameBits reports whether a and b are equal element by element, bit for
+// bit.
+func sameBits(a, b *Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTMatMulEqualsTransposedMatMul: aᵀ×b sums every output element over
+// the rows in the same order, with the same zero skip, as MatMul on the
+// transpose, so the two agree bit for bit.
+func TestTMatMulEqualsTransposedMatMul(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := sparseMat(rng, 1+rng.Intn(40), 1+rng.Intn(9))
+		b := randMat(rng, a.Rows, 1+rng.Intn(9))
+		return sameBits(TMatMul(a, b), MatMul(Transpose(a), b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestIntoMatchesAllocating(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := sparseMat(rng, 7, 5)
+	b := randMat(rng, 5, 4)
+	c := randMat(rng, 7, 4)
+	s := NewSparse(6, 7)
+	for i := 0; i < 20; i++ {
+		s.Add(rng.Intn(6), rng.Intn(7), rng.NormFloat64())
+	}
+	dst := garbage(7, 4)
+	MatMulInto(dst, a, b)
+	if !sameBits(dst, MatMul(a, b)) {
+		t.Error("MatMulInto")
+	}
+	dst = garbage(5, 4)
+	TMatMulInto(dst, a, c)
+	if !sameBits(dst, TMatMul(a, c)) {
+		t.Error("TMatMulInto")
+	}
+	dst = garbage(6, 4)
+	SpMMInto(dst, s, c)
+	if !sameBits(dst, SpMM(s, c)) {
+		t.Error("SpMMInto")
+	}
+	dst = garbage(1, 4)
+	ColSumsInto(dst, c)
+	if !sameBits(dst, ColSums(c)) {
+		t.Error("ColSumsInto")
+	}
+	dst = garbage(1, 4)
+	RowMeanInto(dst, c)
+	if !sameBits(dst, RowMean(c)) {
+		t.Error("RowMeanInto")
+	}
+	dst = garbage(1, 4)
+	RowMeanInto(dst, New(0, 4))
+	if !sameBits(dst, New(1, 4)) {
+		t.Error("RowMeanInto of no rows must be zero")
+	}
+}
+
+func TestInPlaceOps(t *testing.T) {
+	a := FromSlice(2, 3, []float64{1, -2, 0, math.Copysign(0, -1), math.NaN(), 4})
+	ReLUInPlace(a)
+	for i, w := range []float64{1, 0, 0, 0, 0, 4} {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("relu[%d] = %v, want %v", i, a.Data[i], w)
+		}
+	}
+	a = FromSlice(2, 2, []float64{1, 2, 4, -8})
+	AddScalarInPlace(a, 1)
+	ReciprocalInPlace(a)
+	RowScaleInPlace(a, FromSlice(2, 1, []float64{2, 3}))
+	ScaleInPlace(a, 10)
+	AddRowBroadcastInPlace(a, FromSlice(1, 2, []float64{1, -1}))
+	for i, w := range []float64{1 + 10*2.0/2, 10*2.0/3 - 1, 1 + 10*3.0/5, 10*3.0/-7 - 1} {
+		if math.Abs(a.Data[i]-w) > 1e-12 {
+			t.Fatalf("in-place chain [%d] = %v, want %v", i, a.Data[i], w)
+		}
+	}
+}
+
+func TestIntoShapePanics(t *testing.T) {
+	for _, fn := range []func(){
+		func() { MatMulInto(New(2, 2), New(2, 3), New(3, 3)) },
+		func() { TMatMulInto(New(3, 3), New(2, 3), New(2, 2)) },
+		func() { SpMMInto(New(3, 2), NewSparse(2, 2), New(2, 2)) },
+		func() { ColSumsInto(New(2, 3), New(2, 3)) },
+		func() { RowScaleInPlace(New(2, 3), New(3, 1)) },
+		func() { AddRowBroadcastInPlace(New(2, 3), New(1, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected shape panic")
+				}
+			}()
+			fn()
+		}()
+	}
+}

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 gate: build, vet, full test suite, the race detector on the
 # concurrency-bearing packages (portfolio racing, the sweep engine, the
-# experiments runner, solver cancellation, registry scrapes, the HTTP
-# server), a live metrics-endpoint smoke test, a portfolio determinism
+# experiments runner, lock-free selector inference, solver cancellation,
+# registry scrapes, the HTTP server), a live metrics-endpoint smoke test, a portfolio determinism
 # smoke (php-9 under -portfolio -deterministic must be byte-identical
 # across runs and worker counts), an end-to-end smoke of the solving
 # service (cache hit, queue shedding, SIGTERM drain), an incremental
@@ -78,13 +78,13 @@ go test ./...
 
 echo "== go test -race (concurrency-bearing packages)"
 go test -race ./internal/experiments ./internal/portfolio \
-	./internal/sweep ./internal/dataset \
+	./internal/sweep ./internal/dataset ./internal/core \
 	./internal/solver ./internal/faultpoint ./internal/obs \
 	./internal/server ./internal/aiger ./internal/cluster
 
 echo "== benchmark smoke (1 iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x ./internal/solver ./internal/drat \
-	./internal/portfolio > /dev/null
+	./internal/portfolio ./internal/core ./internal/tensor > /dev/null
 
 echo "== metrics endpoint smoke (satsolve -metrics-addr)"
 SMOKE_DIR="$(mktemp -d)"
