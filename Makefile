@@ -4,9 +4,10 @@ GO ?= go
 
 .PHONY: check build vet test race cover bench
 
-## check: the tier-1 gate — build, vet, all tests, race detector on the
-## concurrency-bearing packages, and the experiments coverage floor. CI and
-## pre-merge both run this.
+## check: the tier-1 gate — build, vet, gofmt, all tests, race detector on
+## the concurrency-bearing packages, the service smokes, and the
+## experiments, portfolio and solver coverage floors. CI and pre-merge both
+## run this.
 check:
 	./scripts/check.sh
 
@@ -20,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/experiments ./internal/portfolio ./internal/sweep ./internal/dataset ./internal/core ./internal/solver ./internal/faultpoint ./internal/obs ./internal/server ./internal/cluster
+	$(GO) test -race ./internal/experiments ./internal/portfolio ./internal/sweep ./internal/dataset ./internal/core ./internal/solver ./internal/faultpoint ./internal/obs ./internal/server ./internal/aiger ./internal/cluster
 
 ## cover: per-package coverage summary for the sweep/experiments stack.
 cover:

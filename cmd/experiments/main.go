@@ -114,10 +114,11 @@ func main() {
 	start := time.Now()
 	var err error
 	if *jsonOut {
+		var names []string
 		if *only != "" {
-			fmt.Fprintln(os.Stderr, "-json runs all experiments; -only is ignored")
+			names = []string{*only}
 		}
-		err = r.RunAllJSON(os.Stdout)
+		err = r.RunAllJSON(os.Stdout, names...)
 	} else {
 		err = r.RunAll(os.Stdout, *only)
 	}

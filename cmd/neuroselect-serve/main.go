@@ -51,8 +51,10 @@
 // warm pool usually makes the recreation cheap.
 //
 // -model loads a trained selector (see `neuroselect train`) so every
-// request gets the paper's one-time policy inference; without it all
-// requests solve under the default policy (or a ?policy= override).
+// request gets the paper's one-time policy inference, decided at the
+// threshold the model file carries (0.5 for a file that stores none);
+// without it all requests solve under the default policy (or a ?policy=
+// override).
 //
 // -journal enables the durable job journal: async jobs are fsync'd to
 // DIR/journal.jsonl before they are acknowledged, and a restart with the
@@ -191,7 +193,7 @@ func run() int {
 		}
 		sel = portfolio.NewSelector(model)
 		sel.Obs = reg
-		fmt.Printf("selector model loaded from %s\n", *modelPath)
+		fmt.Printf("selector model loaded from %s (threshold %g)\n", *modelPath, model.Threshold)
 	}
 
 	svc, err := server.New(server.Config{

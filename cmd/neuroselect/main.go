@@ -1,5 +1,7 @@
 // Command neuroselect trains the clause-deletion policy selector and
-// applies it to DIMACS instances.
+// applies it to DIMACS instances. "train" writes a model file that carries
+// the decision threshold calibrated on its training corpus; "predict" and
+// "solve" decide at that threshold.
 //
 // Usage:
 //
@@ -17,6 +19,7 @@ import (
 	"neuroselect"
 	"neuroselect/internal/dataset"
 	"neuroselect/internal/metrics"
+	"neuroselect/internal/portfolio"
 )
 
 func main() {
@@ -87,7 +90,7 @@ func cmdTrain(args []string) {
 	if err := neuroselect.SaveModel(f, m); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "model written to %s\n", *out)
+	fmt.Fprintf(os.Stderr, "model written to %s (threshold %g)\n", *out, m.Threshold)
 }
 
 // loadModel restores a self-describing model file written by "train".
@@ -126,8 +129,12 @@ func cmdPredict(args []string) {
 		fatal(err)
 	}
 	f := readFormula(fs)
-	prob, policy := neuroselect.PredictPolicy(f, m)
-	fmt.Printf("p(frequency wins) = %.4f -> policy %q\n", prob, policy)
+	ch := portfolio.NewSelector(m).Choose(f)
+	if ch.Fallback != "" {
+		fmt.Printf("inference skipped (%s) -> policy %q\n", ch.Fallback, ch.Policy.Name())
+		return
+	}
+	fmt.Printf("p(frequency wins) = %.4f -> policy %q (threshold %g)\n", ch.Prob, ch.Policy.Name(), m.Threshold)
 }
 
 func cmdSolve(args []string) {

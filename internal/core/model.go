@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"neuroselect/internal/autodiff"
@@ -70,14 +69,22 @@ type hgtLayer struct {
 	attn *attnLayer
 }
 
+// DefaultThreshold is the decision threshold of a model that was never
+// calibrated: a fresh model, or a model file that stores none.
+const DefaultThreshold = 0.5
+
 // Model is the NeuroSelect classifier. Inference (Predict, PredictGraph)
 // is a forward-only pass that reads Params and works in pooled per-call
 // scratch, so any number of goroutines may run it on one model at once
 // with no lock. Training goes through Logit on an autodiff tape; training
-// and Load write Params and must not overlap inference.
+// writes Params and must not overlap inference.
 type Model struct {
 	Cfg    Config
 	Params *nn.Params
+	// Threshold is the decision rule that travels with the weights: a
+	// selector picks the frequency policy when the predicted probability
+	// is at or above it. Above 1 means never; 0 means always.
+	Threshold float64
 
 	layers []*hgtLayer
 	head   *nn.MLP
@@ -88,7 +95,7 @@ func NewModel(cfg Config) *Model {
 	cfg.fillDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	p := nn.NewParams()
-	m := &Model{Cfg: cfg, Params: p}
+	m := &Model{Cfg: cfg, Params: p, Threshold: DefaultThreshold}
 	d := cfg.Hidden
 	for l := 0; l < cfg.HGTLayers; l++ {
 		hl := &hgtLayer{}
@@ -167,12 +174,6 @@ func (m *Model) linearAttention(t *autodiff.Tape, a *attnLayer, z *autodiff.Valu
 func (m *Model) Predict(f *cnf.Formula) float64 {
 	return m.PredictGraph(satgraph.BuildVCG(f))
 }
-
-// Save serializes the model parameters.
-func (m *Model) Save(w io.Writer) error { return m.Params.Save(w) }
-
-// Load restores parameters saved from a model with the identical Config.
-func (m *Model) Load(r io.Reader) error { return m.Params.Load(r) }
 
 func sigmoid(x float64) float64 {
 	if x >= 0 {

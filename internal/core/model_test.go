@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -103,19 +104,29 @@ func TestBalancedPosWeight(t *testing.T) {
 }
 
 func TestSaveLoadPreservesPredictions(t *testing.T) {
-	cfg := Config{Hidden: 8, HGTLayers: 1, MPLayers: 1, Attention: true, Seed: 6}
-	m := NewModel(cfg)
+	m := NewModel(Config{Hidden: 8, HGTLayers: 1, MPLayers: 1, Attention: true, Seed: 6})
 	g := tinyGraph()
 	before := m.PredictGraph(g)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.SaveFile(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewModel(cfg)
-	if m2.PredictGraph(g) == before {
-		t.Skip("fresh model coincidentally equal; cannot distinguish load")
+	// Rewrite the stored seed, so the loader's freshly initialized model
+	// predicts differently and only the payload can restore the weights.
+	var mf modelFile
+	if err := json.Unmarshal(buf.Bytes(), &mf); err != nil {
+		t.Fatal(err)
 	}
-	if err := m2.Load(&buf); err != nil {
+	mf.Config.Seed = 7
+	if NewModel(mf.Config).PredictGraph(g) == before {
+		t.Fatal("seeds 6 and 7 initialize identical models; the test cannot tell a load")
+	}
+	reseeded, err := json.Marshal(mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := LoadModelFile(bytes.NewReader(reseeded))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if m2.PredictGraph(g) != before {

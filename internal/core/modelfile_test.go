@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -29,6 +30,52 @@ func TestModelFileRoundTrip(t *testing.T) {
 	}
 	if got := loaded.PredictGraph(g); got != want {
 		t.Fatalf("prediction drift: %v vs %v", got, want)
+	}
+}
+
+func TestModelFileThreshold(t *testing.T) {
+	for _, th := range []float64{0, 0.3, 1.1} {
+		m := NewModel(Config{Hidden: 4, HGTLayers: 1, MPLayers: 1, Seed: 1})
+		m.Threshold = th
+		var buf bytes.Buffer
+		if err := m.SaveFile(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadModelFile(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(loaded.Threshold) != math.Float64bits(th) {
+			t.Errorf("threshold %v loaded as %v", th, loaded.Threshold)
+		}
+	}
+
+	// A file written before the threshold field existed holds only
+	// format, config and payload; it decides at DefaultThreshold.
+	m := NewModel(Config{Hidden: 4, HGTLayers: 1, MPLayers: 1, Seed: 1})
+	m.Threshold = 0.3
+	var buf bytes.Buffer
+	if err := m.SaveFile(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "threshold")
+	old, _ := json.Marshal(fields)
+	loaded, err := LoadModelFile(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Threshold != DefaultThreshold {
+		t.Fatalf("file without a threshold decides at %v, want %v", loaded.Threshold, DefaultThreshold)
+	}
+
+	fields["threshold"] = json.RawMessage(`-0.1`)
+	negative, _ := json.Marshal(fields)
+	if _, err := LoadModelFile(bytes.NewReader(negative)); err == nil {
+		t.Fatal("negative threshold accepted")
 	}
 }
 

@@ -139,28 +139,6 @@ func (SizePolicy) NeedsFrequency() bool { return false }
 // Score implements Policy.
 func (SizePolicy) Score(ci ClauseInfo) uint64 { return negate(ci.Size, 63) }
 
-// GlueThresholdPolicy keeps clauses with glue at or below Threshold and
-// ranks the rest by the default layout. It mirrors the LBD-threshold policy
-// of Vaezipoor et al. discussed in the paper's introduction.
-type GlueThresholdPolicy struct {
-	Threshold int
-}
-
-// Name implements Policy.
-func (p GlueThresholdPolicy) Name() string { return fmt.Sprintf("glue<=%d", p.Threshold) }
-
-// NeedsFrequency implements Policy.
-func (GlueThresholdPolicy) NeedsFrequency() bool { return false }
-
-// Score implements Policy.
-func (p GlueThresholdPolicy) Score(ci ClauseInfo) uint64 {
-	s := DefaultPolicy{}.Score(ci) >> 1 // make room for the threshold bit
-	if ci.Glue <= p.Threshold {
-		s |= 1 << 63
-	}
-	return s
-}
-
 // ByName returns the policy registered under name, or an error listing the
 // valid names.
 func ByName(name string) (Policy, error) {
@@ -176,11 +154,4 @@ func ByName(name string) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("deletion: unknown policy %q (valid: default, frequency, activity, size)", name)
 	}
-}
-
-// All returns the two policies the NeuroSelect selector chooses between,
-// default first. Index order matches the classifier's label convention:
-// label 0 selects All()[0], label 1 selects All()[1].
-func All() []Policy {
-	return []Policy{DefaultPolicy{}, FrequencyPolicy{}}
 }

@@ -147,18 +147,6 @@ func TestSizePolicyOrdering(t *testing.T) {
 	}
 }
 
-func TestGlueThresholdPolicy(t *testing.T) {
-	p := GlueThresholdPolicy{Threshold: 5}
-	kept := ClauseInfo{Glue: 5, Size: 100}
-	dropped := ClauseInfo{Glue: 6, Size: 2}
-	if p.Score(kept) <= p.Score(dropped) {
-		t.Fatal("clauses at or under the threshold must outrank all others")
-	}
-	if p.Name() != "glue<=5" {
-		t.Fatalf("name = %q", p.Name())
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"default", "frequency", "activity", "size"} {
 		p, err := ByName(name)
@@ -171,16 +159,6 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("bogus"); err == nil {
 		t.Fatal("expected error for unknown policy")
-	}
-}
-
-func TestAllReturnsSelectorPair(t *testing.T) {
-	all := All()
-	if len(all) != 2 {
-		t.Fatalf("All() returned %d policies", len(all))
-	}
-	if all[0].Name() != "default" || all[1].Name() != "frequency" {
-		t.Fatalf("All() order = %s, %s", all[0].Name(), all[1].Name())
 	}
 }
 

@@ -3,8 +3,14 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"sort"
 	"strings"
 	"testing"
+
+	"neuroselect/internal/core"
+	"neuroselect/internal/dataset"
+	"neuroselect/internal/portfolio"
 )
 
 // quickRunner returns a Runner small enough for test time; the corpus and
@@ -277,9 +283,65 @@ func TestRunnerMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := r.Selector()
-	if s1.Threshold != s2.Threshold {
-		t.Fatal("threshold must be memoized")
+	if s1.Model != m1 {
+		t.Fatal("selector must wrap the memoized model")
+	}
+}
+
+// TestTrainedModelCarriesThreshold pins the one calibration: the trained
+// model holds the threshold calibrated on the training strata, and a
+// selector built from the model file decides exactly as the runner's.
+func TestTrainedModelCarriesThreshold(t *testing.T) {
+	r := quickRunner()
+	m, err := r.TrainedModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := r.Corpus()
+	if want := portfolio.CalibrateThreshold(m, c.All()); m.Threshold != want {
+		t.Fatalf("trained threshold %v, calibration gives %v", m.Threshold, want)
+	}
+	roundTrip := func() *core.Model {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.SaveFile(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := core.LoadModelFile(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	if got := roundTrip().Threshold; got != m.Threshold {
+		t.Fatalf("threshold %v loaded as %v", m.Threshold, got)
+	}
+
+	// At the median probability both policies occur, so the comparison
+	// below covers both sides of the rule.
+	items := append(append([]dataset.Labeled(nil), c.All()...), c.Test.Items...)
+	var probs []float64
+	for _, it := range items {
+		probs = append(probs, m.Predict(it.Inst.F))
+	}
+	sort.Float64s(probs)
+	m.Threshold = probs[len(probs)/2]
+	fromFile := portfolio.NewSelector(roundTrip())
+	fromRunner, err := r.Selector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := map[string]int{}
+	for _, it := range items {
+		want, got := fromRunner.Choose(it.Inst.F), fromFile.Choose(it.Inst.F)
+		if got.Policy.Name() != want.Policy.Name() || math.Float64bits(got.Prob) != math.Float64bits(want.Prob) {
+			t.Errorf("%s: file selector chose %s at p=%v, runner %s at p=%v",
+				it.Inst.Name, got.Policy.Name(), got.Prob, want.Policy.Name(), want.Prob)
+		}
+		chosen[want.Policy.Name()]++
+	}
+	if chosen["default"] == 0 || chosen["frequency"] == 0 {
+		t.Fatalf("median threshold %v did not split the instances: %v", m.Threshold, chosen)
 	}
 }
 

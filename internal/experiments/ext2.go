@@ -64,23 +64,23 @@ func (r *Runner) Selectors() (SelectorsResult, error) {
 	// pseudo-time.
 	for _, it := range items {
 		logitProb := logit.Predict(it.Inst.F)
-		neuroProb := sel.Model.Predict(it.Inst.F)
+		ch := sel.Choose(it.Inst.F)
 		out.Logistic.Add(logitProb >= 0.5, it.Label == 1)
-		out.NeuroSelect.Add(neuroProb >= 0.5, it.Label == 1)
+		out.NeuroSelect.Add(ch.Prob >= 0.5, it.Label == 1)
 
 		// Costs: the labeling pass already measured both policies at this
 		// budget, so selector costs are table lookups.
 		def := float64(it.PropsDefault)
 		freq := float64(it.PropsFrequency)
 		defCost = append(defCost, def)
-		pick := func(prob float64, th float64) float64 {
-			if prob >= th {
+		pick := func(frequency bool) float64 {
+			if frequency {
 				return freq
 			}
 			return def
 		}
-		neuroCost = append(neuroCost, pick(neuroProb, sel.Threshold))
-		logitCost = append(logitCost, pick(logitProb, logitTh))
+		neuroCost = append(neuroCost, pick(ch.Policy.Name() == "frequency"))
+		logitCost = append(logitCost, pick(logitProb >= logitTh))
 	}
 	races, errs := sweepCells(r, "ext-selectors", len(items),
 		func(ctx context.Context, i int) (portfolio.RaceReport, error) {

@@ -27,7 +27,7 @@ type Fig7Result struct {
 	// FreqChosen counts instances routed to the frequency policy.
 	FreqChosen int
 	// Fallbacks counts instances where the selector bypassed inference
-	// (node cap, contained panic, inference deadline).
+	// (node cap, contained inference panic or error).
 	Fallbacks int
 	// Failures lists instances whose solves failed; they are excluded
 	// from the scatter and summaries but recorded as failure rows.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -21,67 +20,16 @@ type Report struct {
 	Scaling    *ScalingResult    `json:"ext_scaling,omitempty"`
 }
 
-// reportSteps maps experiment names to the Report field they fill; paper
-// order. Used by BuildReport for both the full run and selections.
-func (r *Runner) reportSteps(rep *Report) []struct {
-	name string
-	run  func() error
-} {
-	return []struct {
-		name string
-		run  func() error
-	}{
-		{"fig3", func() error { v, err := r.Fig3(); rep.Fig3 = &v; return err }},
-		{"fig5", func() error { v, err := r.Fig5(); rep.Fig5 = &v; return err }},
-		{"table1", func() error { v, err := r.Table1(); rep.Table1 = &v; return err }},
-		{"fig4", func() error { v, err := r.Fig4(); rep.Fig4 = &v; return err }},
-		{"table2", func() error { v, err := r.Table2(); rep.Table2 = &v; return err }},
-		{"fig7", func() error { v, err := r.Fig7(); rep.Fig7 = &v; return err }},
-		{"ext-policies", func() error { v, err := r.PolicyPool(); rep.PolicyPool = &v; return err }},
-		{"ext-selectors", func() error { v, err := r.Selectors(); rep.Selectors = &v; return err }},
-		{"ext-alpha", func() error { v, err := r.AlphaSweep(); rep.AlphaSweep = &v; return err }},
-		{"ext-scaling", func() error { v, err := r.Scaling(); rep.Scaling = &v; return err }},
-	}
-}
-
 // BuildReport executes the named experiments (all of them when only is
-// empty) and returns the combined report. The heavyweight shared artifacts
-// (corpus, trained model) are computed once across steps.
+// empty) and returns the combined report.
 func (r *Runner) BuildReport(only ...string) (*Report, error) {
-	want := func(name string) bool {
-		if len(only) == 0 {
-			return true
-		}
-		for _, o := range only {
-			if o == name {
-				return true
-			}
-		}
-		return false
-	}
-	var rep Report
-	ran := false
-	for _, s := range r.reportSteps(&rep) {
-		if !want(s.name) {
-			continue
-		}
-		if err := r.baseContext().Err(); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", s.name, err)
-		}
-		ran = true
-		if err := s.run(); err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", s.name, err)
-		}
-	}
-	if !ran {
-		return nil, fmt.Errorf("experiments: no experiment matched %v", only)
-	}
-	return &rep, nil
+	return r.run(only, func(renderer) {})
 }
 
-// RunAllJSON executes every experiment and writes one JSON document.
-func (r *Runner) RunAllJSON(w io.Writer) error {
-	rep, err := r.BuildReport()
+// RunAllJSON executes the named experiments (all of them when only is
+// empty) and writes one JSON document.
+func (r *Runner) RunAllJSON(w io.Writer, only ...string) error {
+	rep, err := r.BuildReport(only...)
 	if err != nil {
 		return err
 	}

@@ -125,14 +125,13 @@ type Runner struct {
 	// running cell counters, as cmd/experiments -metrics-addr serves them.
 	Obs *obs.Registry
 
-	logMu     sync.Mutex
-	corpus    *dataset.Corpus
-	model     *core.Model
-	threshold float64
+	logMu  sync.Mutex
+	corpus *dataset.Corpus
+	model  *core.Model
 }
 
 // NewRunner returns a Runner at the given scale.
-func NewRunner(s Scale) *Runner { return &Runner{Scale: s, threshold: -1} }
+func NewRunner(s Scale) *Runner { return &Runner{Scale: s} }
 
 func (r *Runner) logf(format string, args ...any) {
 	if r.Log != nil {
@@ -179,7 +178,8 @@ func Samples(items []dataset.Labeled) []core.Sample {
 }
 
 // TrainedModel trains (once) the NeuroSelect model on the corpus's training
-// strata.
+// strata and calibrates its decision threshold on the same strata, so the
+// model carries the rule every selector built from it decides by.
 func (r *Runner) TrainedModel() (*core.Model, error) {
 	if r.model != nil {
 		return r.model, nil
@@ -199,22 +199,17 @@ func (r *Runner) TrainedModel() (*core.Model, error) {
 		len(train), cfg.Epochs, restarts)
 	m, score := core.TrainBest(r.Scale.Model, train, cfg, restarts)
 	r.logf("best training balanced accuracy %.3f", score)
+	m.Threshold = portfolio.CalibrateThreshold(m, c.All())
+	r.logf("calibrated decision threshold: %.2f", m.Threshold)
 	r.model = m
 	return m, nil
 }
 
-// Selector returns a calibrated portfolio selector for the trained model.
+// Selector returns a portfolio selector for the trained model.
 func (r *Runner) Selector() (*portfolio.Selector, error) {
 	m, err := r.TrainedModel()
 	if err != nil {
 		return nil, err
 	}
-	if r.threshold < 0 {
-		c, _ := r.Corpus()
-		r.threshold = portfolio.CalibrateThreshold(m, c.All())
-		r.logf("calibrated decision threshold: %.2f", r.threshold)
-	}
-	s := portfolio.NewSelector(m)
-	s.Threshold = r.threshold
-	return s, nil
+	return portfolio.NewSelector(m), nil
 }

@@ -174,9 +174,9 @@ func TestRaceDeterministicReproduces(t *testing.T) {
 // TestSelectorDrivesWorkerZero checks that a selector-equipped portfolio
 // consults the model exactly once and worker 0 carries its choice.
 func TestSelectorDrivesWorkerZero(t *testing.T) {
-	sel := NewSelector(freshModel())
-	sel.Threshold = 0 // always pick frequency if inference runs
-	rep, err := SolveParallel(gen.NQueens(6).F, Config{Workers: 2, Selector: sel, Deterministic: true})
+	m := freshModel()
+	m.Threshold = 0 // always pick frequency if inference runs
+	rep, err := SolveParallel(gen.NQueens(6).F, Config{Workers: 2, Selector: NewSelector(m), Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,6 @@ import (
 // graph exceeds the cap skip inference and use the default policy.
 const NodeCapDefault = 400000
 
-// ErrInferenceTimeout is the Choice.Err cause when model inference exceeds
-// Selector.InferenceTimeout.
-var ErrInferenceTimeout = errors.New("portfolio: model inference deadline exceeded")
-
 // Fallback reasons recorded in Choice.Fallback. An empty string means
 // inference ran and its probability drove the selection.
 const (
@@ -37,38 +33,23 @@ const (
 	FallbackNodeCap = "node-cap"
 	// FallbackPanic: inference panicked and was contained.
 	FallbackPanic = "inference-panic"
-	// FallbackTimeout: inference exceeded InferenceTimeout.
-	FallbackTimeout = "inference-timeout"
 	// FallbackError: inference failed with an error.
 	FallbackError = "inference-error"
 )
 
 // Selector chooses a deletion policy per instance using a trained
-// NeuroSelect model.
+// NeuroSelect model, at the decision threshold the model carries.
 type Selector struct {
 	Model *core.Model
-	// Threshold is the probability above which the frequency policy is
-	// selected (0.5 unless calibrated).
-	Threshold float64
-	// NodeCap disables inference for graphs with more nodes (the paper's
-	// 400,000-node filter). Zero means NodeCapDefault.
-	NodeCap int
-	// InferenceTimeout bounds the one-time model call; when it is
-	// exceeded the selector falls back to the default policy, matching
-	// the paper's degrade-to-Kissat behaviour (0 = unbounded).
-	InferenceTimeout time.Duration
 	// Obs, when non-nil, records every selection decision as metrics:
 	// neuroselect_portfolio_choices_total{policy,fallback} and the
 	// inference-latency histogram neuroselect_portfolio_inference_seconds.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives one EventPolicy per Choose call.
-	Tracer obs.Tracer
 }
 
-// NewSelector wraps a trained model with the standard threshold and node
-// cap.
+// NewSelector wraps a trained model.
 func NewSelector(m *core.Model) *Selector {
-	return &Selector{Model: m, Threshold: 0.5, NodeCap: NodeCapDefault}
+	return &Selector{Model: m}
 }
 
 // Choice records one policy-selection decision.
@@ -80,24 +61,32 @@ type Choice struct {
 	// Inference is the wall-clock cost of the one-time model call.
 	Inference time.Duration
 	// Fallback names why the default policy was chosen without a model
-	// probability: FallbackNodeCap, FallbackPanic, FallbackTimeout, or
-	// FallbackError. Empty when inference drove the selection.
+	// probability: FallbackNodeCap, FallbackPanic or FallbackError. Empty
+	// when inference drove the selection.
 	Fallback string
 	// Err carries the contained inference failure behind a non-empty
 	// Fallback (nil for the node-cap skip).
 	Err error
 }
 
-// Choose runs the one-time inference and returns the selected policy.
-// Inference failures never propagate: a panicking, erroring, or
-// over-deadline model call degrades to the default (Kissat) policy with
-// the fallback reason recorded in the Choice.
-func (s *Selector) Choose(f *cnf.Formula) Choice {
-	cap := s.NodeCap
-	if cap == 0 {
-		cap = NodeCapDefault
+// Event returns the choice as a policy trace event.
+func (ch Choice) Event() *obs.Event {
+	return &obs.Event{
+		Type:        obs.EventPolicy,
+		Policy:      ch.Policy.Name(),
+		Prob:        ch.Prob,
+		Fallback:    ch.Fallback,
+		InferenceNS: ch.Inference.Nanoseconds(),
 	}
-	if f.NumVars+len(f.Clauses) > cap {
+}
+
+// Choose runs the one-time inference and returns the selected policy: the
+// frequency policy when the probability is at or above the model's
+// threshold, the default policy otherwise. Inference failures never
+// propagate: a panicking or erroring model call degrades to the default
+// (Kissat) policy with the fallback reason recorded in the Choice.
+func (s *Selector) Choose(f *cnf.Formula) Choice {
+	if f.NumVars+len(f.Clauses) > NodeCapDefault {
 		return s.record(Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: FallbackNodeCap})
 	}
 	start := time.Now()
@@ -107,17 +96,13 @@ func (s *Selector) Choose(f *cnf.Formula) Choice {
 		ch.Policy = deletion.DefaultPolicy{}
 		ch.Prob = -1
 		ch.Err = err
-		switch {
-		case errors.Is(err, ErrInferenceTimeout):
-			ch.Fallback = FallbackTimeout
-		case errors.Is(err, errInferencePanic):
+		ch.Fallback = FallbackError
+		if errors.Is(err, errInferencePanic) {
 			ch.Fallback = FallbackPanic
-		default:
-			ch.Fallback = FallbackError
 		}
 		return s.record(ch)
 	}
-	if prob >= s.Threshold {
+	if prob >= s.Model.Threshold {
 		ch.Policy = deletion.FrequencyPolicy{}
 	} else {
 		ch.Policy = deletion.DefaultPolicy{}
@@ -125,8 +110,8 @@ func (s *Selector) Choose(f *cnf.Formula) Choice {
 	return s.record(ch)
 }
 
-// record publishes one selection decision to the selector's registry and
-// tracer (both optional) and returns the choice unchanged.
+// record publishes one selection decision to the selector's registry (when
+// set) and returns the choice unchanged.
 func (s *Selector) record(ch Choice) Choice {
 	if s.Obs != nil {
 		fb := ch.Fallback
@@ -140,59 +125,23 @@ func (s *Selector) record(ch Choice) Choice {
 			"Wall-clock latency of the one-time model inference.",
 			nil, nil).Observe(ch.Inference.Seconds())
 	}
-	if s.Tracer != nil {
-		s.Tracer.Trace(&obs.Event{
-			Type:        obs.EventPolicy,
-			Policy:      ch.Policy.Name(),
-			Prob:        ch.Prob,
-			Fallback:    ch.Fallback,
-			InferenceNS: ch.Inference.Nanoseconds(),
-		})
-	}
 	return ch
 }
 
 // errInferencePanic marks inference failures that originated as panics.
 var errInferencePanic = errors.New("portfolio: model inference panicked")
 
-// infer runs the model call with panic containment and, when
-// InferenceTimeout is set, a wall-clock bound. On timeout the abandoned
-// inference goroutine finishes (and is discarded) in the background — the
-// model call is pure CPU with no cancellation points, so the bound is on
-// the selector's latency, not the model's.
-func (s *Selector) infer(f *cnf.Formula) (float64, error) {
-	run := func() (prob float64, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%w: %v", errInferencePanic, r)
-			}
-		}()
-		if err := faultpoint.Hit(faultpoint.ModelInference); err != nil {
-			return 0, err
+// infer runs the model call with panic containment.
+func (s *Selector) infer(f *cnf.Formula) (prob float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", errInferencePanic, r)
 		}
-		g := satgraph.BuildVCG(f)
-		return s.Model.PredictGraph(g), nil
-	}
-	if s.InferenceTimeout <= 0 {
-		return run()
-	}
-	type outcome struct {
-		prob float64
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		p, err := run()
-		ch <- outcome{p, err}
 	}()
-	timer := time.NewTimer(s.InferenceTimeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.prob, o.err
-	case <-timer.C:
-		return 0, ErrInferenceTimeout
+	if err := faultpoint.Hit(faultpoint.ModelInference); err != nil {
+		return 0, err
 	}
+	return s.Model.PredictGraph(satgraph.BuildVCG(f)), nil
 }
 
 // Report is the outcome of one adaptive solve.

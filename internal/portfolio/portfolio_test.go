@@ -15,23 +15,20 @@ func freshModel() *core.Model {
 }
 
 func TestChooseRespectsThreshold(t *testing.T) {
-	m := freshModel()
 	f := gen.RandomKSAT(20, 80, 3, 1).F
-	prob := m.Predict(f)
-
-	never := NewSelector(m)
-	never.Threshold = 1.01
-	if ch := never.Choose(f); ch.Policy.Name() != "default" {
-		t.Fatalf("threshold above 1 must select default, got %s", ch.Policy.Name())
+	choose := func(threshold float64) string {
+		m := freshModel()
+		m.Threshold = threshold
+		return NewSelector(m).Choose(f).Policy.Name()
 	}
-	always := NewSelector(m)
-	always.Threshold = 0
-	if ch := always.Choose(f); ch.Policy.Name() != "frequency" {
-		t.Fatalf("threshold 0 must select frequency, got %s", ch.Policy.Name())
+	if got := choose(1.01); got != "default" {
+		t.Fatalf("threshold above 1 must select default, got %s", got)
 	}
-	mid := NewSelector(m)
-	mid.Threshold = prob // prob >= threshold → frequency
-	if ch := mid.Choose(f); ch.Policy.Name() != "frequency" {
+	if got := choose(0); got != "frequency" {
+		t.Fatalf("threshold 0 must select frequency, got %s", got)
+	}
+	// prob >= threshold → frequency
+	if got := choose(freshModel().Predict(f)); got != "frequency" {
 		t.Fatal("boundary probability must select frequency")
 	}
 }
@@ -48,11 +45,9 @@ func TestChooseReportsInferenceTime(t *testing.T) {
 }
 
 func TestNodeCapSkipsInference(t *testing.T) {
-	sel := NewSelector(freshModel())
-	sel.Threshold = 0 // would always pick frequency if inference ran
-	sel.NodeCap = 5
-	f := gen.RandomKSAT(30, 120, 3, 3).F // 150 nodes > 5
-	ch := sel.Choose(f)
+	m := freshModel()
+	m.Threshold = 0 // would always pick frequency if inference ran
+	ch := NewSelector(m).Choose(cnf.New(NodeCapDefault + 1))
 	if ch.Policy.Name() != "default" {
 		t.Fatal("capped instances must fall back to the default policy")
 	}

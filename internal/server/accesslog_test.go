@@ -126,7 +126,7 @@ func TestAccessLoggerSampling(t *testing.T) {
 	// only matters for admitted lines); the stride admits every 3rd.
 	want := []verdict{
 		{true, false}, {true, false}, // under the limit
-		{true, true},                 // n=3: first over-limit line, flagged
+		{true, true}, // n=3: first over-limit line, flagged
 		{false, true}, {false, true},
 		{true, true}, // n=6: stride of 3 admits again
 		{false, true}, {false, true},

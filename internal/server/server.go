@@ -838,48 +838,39 @@ const FallbackBreakerOpen = "breaker-open"
 // selectPolicy resolves the deletion policy for one job: a client-pinned
 // ?policy= wins, then the model-driven selector (behind the circuit
 // breaker), then the default policy. When the job captures a trace, the
-// selection is recorded as an EventPolicy exactly as portfolio's own
-// tracer would emit it.
+// choice is recorded as its policy event.
 func (s *Server) selectPolicy(j *job, mem *memTracer) (deletion.Policy, policyInfo) {
-	var pol deletion.Policy
-	var info policyInfo
+	var ch portfolio.Choice
 	switch {
 	case j.policy != nil:
-		pol = j.policy
-		info = policyInfo{Name: pol.Name(), Prob: -1, Fallback: "requested"}
-	case s.cfg.Selector != nil:
-		pol, info = s.inferPolicy(j)
+		ch = portfolio.Choice{Policy: j.policy, Prob: -1, Fallback: "requested"}
+	case s.cfg.Selector == nil:
+		ch = portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: "no-model"}
+	case !s.brk.Allow():
+		// An open breaker skips the model call entirely.
+		s.m.inference(FallbackBreakerOpen).Inc()
+		ch = portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: FallbackBreakerOpen}
 	default:
-		pol = deletion.DefaultPolicy{}
-		info = policyInfo{Name: pol.Name(), Prob: -1, Fallback: "no-model"}
+		ch = s.inferPolicy(j)
 	}
 	if mem != nil {
-		mem.Trace(&obs.Event{
-			Type:        obs.EventPolicy,
-			Policy:      info.Name,
-			Prob:        info.Prob,
-			Fallback:    info.Fallback,
-			InferenceNS: info.InferenceNS,
-		})
+		mem.Trace(ch.Event())
 	}
-	return pol, info
+	return ch.Policy, policyInfo{
+		Name:        ch.Policy.Name(),
+		Prob:        ch.Prob,
+		Fallback:    ch.Fallback,
+		InferenceNS: ch.Inference.Nanoseconds(),
+	}
 }
 
-// inferPolicy runs the selector behind the circuit breaker. Inference
-// failures (the portfolio fallback vocabulary, which covers faults injected
-// at the model-inference site, or latency above BreakerMaxLatency) feed
-// the breaker; an open breaker
-// skips the model call entirely and degrades to the default policy.
-func (s *Server) inferPolicy(j *job) (deletion.Policy, policyInfo) {
-	if !s.brk.Allow() {
-		s.m.inference(FallbackBreakerOpen).Inc()
-		pol := deletion.DefaultPolicy{}
-		return pol, policyInfo{Name: pol.Name(), Prob: -1, Fallback: FallbackBreakerOpen}
-	}
+// inferPolicy runs the selector the breaker admitted. A contained
+// inference failure (panic or error, which covers faults injected at the
+// model-inference site) or latency above BreakerMaxLatency feeds the
+// breaker as a failure.
+func (s *Server) inferPolicy(j *job) portfolio.Choice {
 	ch := s.cfg.Selector.Choose(j.f)
-	failed := ch.Fallback == portfolio.FallbackPanic ||
-		ch.Fallback == portfolio.FallbackTimeout ||
-		ch.Fallback == portfolio.FallbackError
+	failed := ch.Err != nil
 	if !failed && s.cfg.BreakerMaxLatency > 0 && ch.Inference > s.cfg.BreakerMaxLatency {
 		failed = true // latency spike: the model answered too slowly to trust
 	}
@@ -889,12 +880,7 @@ func (s *Server) inferPolicy(j *job) (deletion.Policy, policyInfo) {
 	} else {
 		s.m.inference("ok").Inc()
 	}
-	return ch.Policy, policyInfo{
-		Name:        ch.Policy.Name(),
-		Prob:        ch.Prob,
-		Fallback:    ch.Fallback,
-		InferenceNS: ch.Inference.Nanoseconds(),
-	}
+	return ch
 }
 
 // cacheGet consults the result cache; an injected cache fault degrades to

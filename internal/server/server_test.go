@@ -313,6 +313,68 @@ func TestTraceCapture(t *testing.T) {
 	}
 }
 
+// TestPolicyEventMatchesResponse pins, for each way selectPolicy decides
+// (a pinned policy, no model, an open breaker, inference), the response's
+// policy object and the ?trace=1 policy event that records the same
+// choice.
+func TestPolicyEventMatchesResponse(t *testing.T) {
+	f, err := cnf.ParseDIMACS(strings.NewReader(satCNF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inferred := testSelector().Choose(f)
+	cases := []struct {
+		name  string
+		cfg   Config
+		query string
+		prime int // requests sent first, to trip the breaker
+		want  policyInfo
+	}{
+		{"requested", Config{Selector: testSelector()}, "&policy=frequency", 0,
+			policyInfo{Name: "frequency", Prob: -1, Fallback: "requested"}},
+		{"no-model", Config{}, "", 0,
+			policyInfo{Name: "default", Prob: -1, Fallback: "no-model"}},
+		{"breaker-open", Config{Selector: testSelector(), BreakerThreshold: 1, BreakerCooldown: time.Hour,
+			BreakerMaxLatency: time.Nanosecond}, "", 1,
+			policyInfo{Name: "default", Prob: -1, Fallback: FallbackBreakerOpen}},
+		{"inferred", Config{Selector: testSelector()}, "", 0,
+			policyInfo{Name: inferred.Policy.Name(), Prob: inferred.Prob}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Workers = 1
+			tc.cfg.CacheSize = -1
+			_, ts := newTestServer(t, tc.cfg)
+			for i := 0; i < tc.prime; i++ {
+				post(t, ts.URL+"/v1/solve", satCNF).Body.Close()
+			}
+			sr, raw := decodeSolve(t, post(t, ts.URL+"/v1/solve?trace=1"+tc.query, satCNF))
+			got := sr.Policy
+			got.InferenceNS = 0
+			if got != tc.want {
+				t.Errorf("policy = %+v, want %+v", sr.Policy, tc.want)
+			}
+			if ran := sr.Policy.InferenceNS > 0; ran != (tc.want.Fallback == "") {
+				t.Errorf("inference_ns = %d with fallback %q", sr.Policy.InferenceNS, sr.Policy.Fallback)
+			}
+			var events []obs.Event
+			for _, ev := range sr.Trace {
+				if ev.Type == obs.EventPolicy {
+					events = append(events, ev)
+				}
+			}
+			if len(events) != 1 {
+				t.Fatalf("%d policy events, want 1: %s", len(events), raw)
+			}
+			ev := events[0]
+			if ev.Policy != sr.Policy.Name || ev.Prob != sr.Policy.Prob ||
+				ev.Fallback != sr.Policy.Fallback || ev.InferenceNS != sr.Policy.InferenceNS {
+				t.Errorf("policy event %+v disagrees with the response's %+v", ev, sr.Policy)
+			}
+		})
+	}
+}
+
 func TestQueueFullSheds429(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, MaxTimeout: 60 * time.Second})
 	hard := phpDIMACS(t, 10)

@@ -226,15 +226,17 @@ func SolveAssuming(f *Formula, assumptions []Lit, cfg SolveConfig) (Result, erro
 }
 
 // SolveAdaptive runs the NeuroSelect-Kissat flow: a one-time model
-// inference picks the deletion policy, then the formula is solved exactly
-// as Solve would under that policy, so Timeout, Tracer, Preprocess and
-// Proof apply as they do there. The model's choice overrides cfg.Policy;
-// with a Tracer set, the choice is traced as a policy event ahead of the
-// solve's own events.
+// inference picks the deletion policy at the model's threshold, then the
+// formula is solved exactly as Solve would under that policy, so Timeout,
+// Tracer, Preprocess and Proof apply as they do there. The model's choice
+// overrides cfg.Policy; with a Tracer set, the choice is traced as a
+// policy event ahead of the solve's own events.
 func SolveAdaptive(f *Formula, m *Model, cfg SolveConfig) (Result, error) {
-	sel := portfolio.NewSelector(m)
-	sel.Tracer = cfg.Tracer
-	cfg.Policy = sel.Choose(f).Policy.Name()
+	ch := portfolio.NewSelector(m).Choose(f)
+	if cfg.Tracer != nil {
+		cfg.Tracer.Trace(ch.Event())
+	}
+	cfg.Policy = ch.Policy.Name()
 	return Solve(f, cfg)
 }
 
@@ -248,7 +250,8 @@ type TrainerConfig struct {
 }
 
 // TrainSelector builds a labeled corpus, trains a NeuroSelect model on it,
-// and returns the model.
+// calibrates the model's decision threshold on the same corpus, and
+// returns the model.
 func TrainSelector(cfg TrainerConfig) (*Model, error) {
 	scale := experiments.QuickScale()
 	if cfg.Scale == "default" {
@@ -259,19 +262,21 @@ func TrainSelector(cfg TrainerConfig) (*Model, error) {
 	return r.TrainedModel()
 }
 
-// SaveModel writes a self-describing model file (architecture + weights).
+// SaveModel writes a self-describing model file (architecture, decision
+// threshold and weights).
 func SaveModel(w io.Writer, m *Model) error { return m.SaveFile(w) }
 
-// LoadModel restores a model written by SaveModel.
+// LoadModel restores a model written by SaveModel. A file that stores no
+// threshold decides at 0.5.
 func LoadModel(r io.Reader) (*Model, error) { return core.LoadModelFile(r) }
 
-// PredictPolicy returns the model's probability that the frequency-guided
-// deletion policy beats the default on the formula, and the policy name it
-// would select at the 0.5 threshold.
+// PredictPolicy makes the model's one-time policy choice for the formula,
+// as SolveAdaptive does. It returns the model's probability that the
+// frequency-guided deletion policy beats the default, and the policy name
+// chosen at the model's threshold. When inference was skipped (the
+// formula is over the node cap, or inference failed) the probability is
+// -1 and the policy is "default".
 func PredictPolicy(f *Formula, m *Model) (prob float64, policy string) {
-	prob = m.Predict(f)
-	if prob >= 0.5 {
-		return prob, "frequency"
-	}
-	return prob, "default"
+	ch := portfolio.NewSelector(m).Choose(f)
+	return ch.Prob, ch.Policy.Name()
 }

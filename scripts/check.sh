@@ -1,11 +1,15 @@
 #!/bin/sh
-# Tier-1 gate: build, vet, full test suite, the race detector on the
+# Tier-1 gate: build, vet, a gofmt gate over the root module, full test
+# suite, the race detector on the
 # concurrency-bearing packages (portfolio racing, the sweep engine, the
 # experiments runner, lock-free selector inference, solver cancellation,
 # registry scrapes, the HTTP server), a live metrics-endpoint smoke test, a portfolio determinism
 # smoke (php-9 under -portfolio -deterministic must be byte-identical
 # across runs and worker counts), an end-to-end smoke of the solving
-# service (cache hit, queue shedding, SIGTERM drain), an incremental
+# service (cache hit, queue shedding, SIGTERM drain), a trained-model
+# smoke (neuroselect train writes a threshold into the model file, and
+# neuroselect predict and neuroselect-serve -model choose the same policy
+# for php-7, the server with no fallback), an incremental
 # warm-session smoke (a session's steps must answer exactly like cold
 # solves of the equivalent accumulated formulas, and an idle session
 # must expire after -session-ttl), an SSE telemetry smoke (live window
@@ -72,6 +76,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l (root module)"
+unformatted="$(find . -path ./bench -prune -o -name '*.go' -print | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt gate: FAIL — files need gofmt:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go test ./..."
 go test ./...
@@ -344,6 +356,64 @@ if [ "$rc" != 0 ]; then
 	exit 1
 fi
 echo "serve smoke: concurrent solves, cache hit, 429 shedding, SIGTERM drain all ok"
+
+echo "== trained-model smoke (train, predict, serve -model decide alike)"
+# The model file is the selector artifact: train writes the calibrated
+# threshold into it, and predict and a server started with -model must
+# make the same choice from it, with inference actually running.
+go build -o "$SMOKE_DIR/neuroselect" ./cmd/neuroselect
+"$SMOKE_DIR/neuroselect" train -scale quick -out "$SMOKE_DIR/model.json" 2> "$SMOKE_DIR/train.txt"
+th="$(sed -n 's/.*"threshold":\([0-9.eE+-]*\).*/\1/p' "$SMOKE_DIR/model.json")"
+if [ -z "$th" ]; then
+	echo "model smoke: FAIL — trained model file carries no threshold"
+	exit 1
+fi
+want="$("$SMOKE_DIR/neuroselect" predict -model "$SMOKE_DIR/model.json" "$SMOKE_DIR/php7.cnf" |
+	sed -n 's/.*-> policy "\([a-z]*\)".*/\1/p')"
+if [ -z "$want" ]; then
+	echo "model smoke: FAIL — predict named no policy for php-7"
+	exit 1
+fi
+"$SMOKE_DIR/neuroselect-serve" -addr 127.0.0.1:0 -workers 1 \
+	-model "$SMOKE_DIR/model.json" > "$SMOKE_DIR/serve_model.txt" 2>&1 &
+SERVE_PID=$!
+api=""
+i=0
+while [ -z "$api" ] && [ "$i" -lt 100 ]; do
+	api="$(sed -n 's/^solving API listening on //p' "$SMOKE_DIR/serve_model.txt" 2>/dev/null)"
+	[ -n "$api" ] || sleep 0.1
+	i=$((i + 1))
+done
+if [ -z "$api" ]; then
+	echo "model smoke: FAIL — server never announced its listen address"
+	exit 1
+fi
+grep -qxF "selector model loaded from $SMOKE_DIR/model.json (threshold $th)" "$SMOKE_DIR/serve_model.txt" || {
+	echo "model smoke: FAIL — load line does not name threshold $th: $(head -1 "$SMOKE_DIR/serve_model.txt")"
+	exit 1
+}
+pol="$(curl -fsS --data-binary @"$SMOKE_DIR/php7.cnf" "http://$api/v1/solve?policy=auto" |
+	grep -o '"policy":{[^}]*}')"
+case "$pol" in
+*'"fallback"'*)
+	echo "model smoke: FAIL — served choice fell back: $pol"
+	exit 1
+	;;
+'"policy":{"name":"'"$want"'"'*) : ;;
+*)
+	echo "model smoke: FAIL — served $pol, predict chose $want"
+	exit 1
+	;;
+esac
+kill -TERM "$SERVE_PID"
+rc=0
+wait "$SERVE_PID" || rc=$?
+SERVE_PID=""
+if [ "$rc" != 0 ]; then
+	echo "model smoke: FAIL — server exited $rc after drain"
+	exit 1
+fi
+echo "model smoke: threshold $th in the file, served and predicted policy $want"
 
 echo "== incremental-session smoke (warm steps match cold solves, idle TTL expiry)"
 # An implication chain 1->2->3->4: under the assumptions below every
