@@ -62,9 +62,18 @@ func (c *Coordinator) refuseIfDraining(w http.ResponseWriter) bool {
 // from one replica, not all of them). The body is forwarded as the
 // original bytes either way.
 func routeKey(body []byte, contentEncoding string, maxBytes int64) string {
-	if src, err := server.DecodeBody(bytes.NewReader(body), contentEncoding, maxBytes); err == nil {
-		if f, err := cnf.ParseDIMACS(src); err == nil {
-			return server.CanonicalHash(f)
+	raw := bytes.NewReader(body)
+	if src, err := server.DecodeBody(raw, contentEncoding, maxBytes); err == nil {
+		// An identity upload comes back as raw itself: parse the buffered
+		// bytes in place rather than copying them out of the reader.
+		plain := body
+		if src != io.Reader(raw) {
+			plain, err = io.ReadAll(src)
+		}
+		if err == nil {
+			if f, err := cnf.Parse(plain); err == nil {
+				return server.CanonicalHash(f)
+			}
 		}
 	}
 	sum := sha256.Sum256(body)

@@ -10,12 +10,17 @@ package cnf
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
 // Lit is a DIMACS-style literal: +v for the positive literal of variable v,
 // -v for its negation. Zero is invalid.
 type Lit int32
+
+// MaxVarIndex is the largest variable index a literal can name: both v and
+// -v must fit in a Lit, so math.MinInt32 is not a literal.
+const MaxVarIndex = math.MaxInt32
 
 // Var returns the (1-based) variable index of the literal.
 func (l Lit) Var() int {
@@ -154,13 +159,17 @@ func (f *Formula) Clone() *Formula {
 	return g
 }
 
-// Validate checks structural invariants: no zero literals and no variable
-// index above NumVars.
+// Validate checks structural invariants: no zero literals, no
+// math.MinInt32 literal (its variable, 2147483648, exceeds MaxVarIndex),
+// and no variable index above NumVars.
 func (f *Formula) Validate() error {
 	for i, c := range f.Clauses {
 		for _, l := range c {
 			if l == 0 {
 				return fmt.Errorf("cnf: clause %d contains literal 0", i)
+			}
+			if l == math.MinInt32 {
+				return fmt.Errorf("cnf: clause %d contains literal %d out of range: variables are numbered 1..%d", i, l, MaxVarIndex)
 			}
 			if l.Var() > f.NumVars {
 				return fmt.Errorf("cnf: clause %d references variable %d > NumVars %d", i, l.Var(), f.NumVars)

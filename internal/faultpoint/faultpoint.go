@@ -36,7 +36,8 @@ type Site string
 // The compiled-in sites. The constant value is the stable name; the
 // constant identifier documents the owning package.
 const (
-	// DimacsParse fires at the top of cnf.ParseDIMACS.
+	// DimacsParse fires at the top of cnf.Parse, which every DIMACS
+	// ingest reaches (cnf.ParseDIMACS reads its input, then calls it).
 	DimacsParse Site = "cnf.dimacs.parse"
 	// ModelInference fires inside portfolio.Selector.Choose, immediately
 	// before the model call.

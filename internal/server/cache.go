@@ -1,11 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"sync"
 
 	"neuroselect/internal/cnf"
@@ -21,38 +22,73 @@ import (
 // sorted ascending, the clause list itself sorted lexicographically.
 // Reordering cannot change satisfiability, and a cached model satisfies
 // every permutation of the clause set, so serving the first response
-// verbatim is sound. The digest is SHA-256; keys are its hex form.
+// verbatim is sound. The digest is SHA-256 over little-endian int64s (the
+// variable count, then each clause's length and literals); keys are its
+// hex form.
+//
+// The formula is not modified: its literals are copied once into a flat
+// array whose clause spans are sorted in place, and the clause order is
+// sorted as (prefix key, offset, length) triples that hold no pointers.
 func CanonicalHash(f *cnf.Formula) string {
-	clauses := make([][]cnf.Lit, len(f.Clauses))
+	lits := make([]cnf.Lit, 0, f.NumLiterals())
+	spans := make([]clauseSpan, len(f.Clauses))
 	for i, c := range f.Clauses {
-		cc := make([]cnf.Lit, len(c))
-		copy(cc, c)
-		sort.Slice(cc, func(a, b int) bool { return cc[a] < cc[b] })
-		clauses[i] = cc
+		off := len(lits)
+		lits = append(lits, c...)
+		sorted := lits[off:]
+		slices.Sort(sorted)
+		spans[i] = clauseSpan{key: prefixKey(sorted), off: uint32(off), n: uint32(len(c))}
 	}
-	sort.Slice(clauses, func(a, b int) bool {
-		x, y := clauses[a], clauses[b]
-		for i := 0; i < len(x) && i < len(y); i++ {
-			if x[i] != y[i] {
-				return x[i] < y[i]
-			}
+	slices.SortFunc(spans, func(a, b clauseSpan) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
 		}
-		return len(x) < len(y)
+		return slices.Compare(lits[a.off:a.off+a.n], lits[b.off:b.off+b.n])
 	})
+
 	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(n int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(n))
-		h.Write(buf[:])
+	buf := make([]byte, 0, 4096)
+	put := func(n int64) {
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
 	}
-	writeInt(int64(f.NumVars))
-	for _, c := range clauses {
-		writeInt(int64(len(c)))
-		for _, l := range c {
-			writeInt(int64(l))
+	put(int64(f.NumVars))
+	for _, s := range spans {
+		put(int64(s.n))
+		for _, l := range lits[s.off : s.off+s.n] {
+			put(int64(l))
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// clauseSpan locates one sorted clause in CanonicalHash's flat literal
+// array, with the key it sorts by first. Offsets are 32-bit, which keeps a
+// span at 16 bytes; a formula of 2^32 literals would need 16 GiB for the
+// flat copy alone.
+type clauseSpan struct {
+	key    uint64
+	off, n uint32
+}
+
+// prefixKey packs a sorted clause's first two literals into a key whose
+// order agrees with the lexicographic clause order: each literal with its
+// sign bit flipped (an order-preserving map from int32 to uint32), and 0
+// for a missing literal. A missing literal must sort first; it ties with
+// math.MinInt32, and the full comparison settles every tie.
+func prefixKey(c []cnf.Lit) uint64 {
+	var k uint64
+	if len(c) > 0 {
+		k = uint64(uint32(c[0])^1<<31) << 32
+	}
+	if len(c) > 1 {
+		k |= uint64(uint32(c[1]) ^ 1<<31)
+	}
+	return k
 }
 
 // resultCache is a fixed-capacity LRU over marshaled solve responses. Only

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -208,7 +207,7 @@ func (s *Server) readFormula(w http.ResponseWriter, r *http.Request) (*cnf.Formu
 	if herr != nil {
 		return nil, herr
 	}
-	f, err := cnf.ParseDIMACS(bytes.NewReader(body))
+	f, err := cnf.Parse(body)
 	if err != nil {
 		return nil, badRequest("parse DIMACS: %v", err)
 	}

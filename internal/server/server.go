@@ -443,7 +443,7 @@ func (s *Server) replayJob(rec *journalRecord) *job {
 	s.initJobStream(j)
 	s.jobs.AddReplayed(j, rec.ID)
 
-	f, err := cnf.ParseDIMACS(strings.NewReader(rec.CNF))
+	f, err := cnf.Parse([]byte(rec.CNF))
 	if err != nil {
 		s.failReplayed(j, "journal replay: parse DIMACS: "+err.Error())
 		return nil

@@ -453,6 +453,20 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// stepLitError says why literal l in a session step's clause or
+// assumptions (where) is not a cnf.Lit, or returns "" when it is one: 0 is
+// the DIMACS terminator, and a magnitude above cnf.MaxVarIndex would wrap
+// in the int32 conversion.
+func stepLitError(l int, where string) string {
+	switch {
+	case l == 0:
+		return "zero literal in " + where
+	case l < -cnf.MaxVarIndex || l > cnf.MaxVarIndex:
+		return fmt.Sprintf("literal %d out of range in %s: variables are numbered 1..%d", l, where, cnf.MaxVarIndex)
+	}
+	return ""
+}
+
 // handleSessionSolve is POST /v1/sessions/{id}/solve: one incremental
 // step — pop, push, add, solve under assumptions — on the pinned solver.
 func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
@@ -500,8 +514,8 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		c := make(cnf.Clause, len(raw))
 		for j, l := range raw {
-			if l == 0 {
-				writeError(w, http.StatusBadRequest, "zero literal in clause")
+			if msg := stepLitError(l, "clause"); msg != "" {
+				writeError(w, http.StatusBadRequest, msg)
 				return
 			}
 			c[j] = cnf.Lit(l)
@@ -510,8 +524,8 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	assumptions := make([]cnf.Lit, len(req.Assumptions))
 	for i, l := range req.Assumptions {
-		if l == 0 {
-			writeError(w, http.StatusBadRequest, "zero literal in assumptions")
+		if msg := stepLitError(l, "assumptions"); msg != "" {
+			writeError(w, http.StatusBadRequest, msg)
 			return
 		}
 		assumptions[i] = cnf.Lit(l)

@@ -3,10 +3,13 @@
 # suite, the race detector on the
 # concurrency-bearing packages (portfolio racing, the sweep engine, the
 # experiments runner, lock-free selector inference, solver cancellation,
-# registry scrapes, the HTTP server), a live metrics-endpoint smoke test, a portfolio determinism
-# smoke (php-9 under -portfolio -deterministic must be byte-identical
-# across runs and worker counts), an end-to-end smoke of the solving
-# service (cache hit, queue shedding, SIGTERM drain), a trained-model
+# registry scrapes, the HTTP server), a 1-iteration benchmark smoke, a
+# 10-second differential fuzz of the DIMACS reader against the
+# line-oriented reference it replaced, a live metrics-endpoint smoke test,
+# a portfolio determinism smoke (php-9 under -portfolio -deterministic
+# must be byte-identical across runs and worker counts), an end-to-end
+# smoke of the solving service (cache hit, queue shedding, SIGTERM
+# drain), a trained-model
 # smoke (neuroselect train writes a threshold into the model file, and
 # neuroselect predict and neuroselect-serve -model choose the same policy
 # for php-7, the server with no fallback), an incremental
@@ -96,7 +99,11 @@ go test -race ./internal/experiments ./internal/portfolio \
 
 echo "== benchmark smoke (1 iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x ./internal/solver ./internal/drat \
-	./internal/portfolio ./internal/core ./internal/tensor > /dev/null
+	./internal/portfolio ./internal/core ./internal/tensor \
+	./internal/cnf ./internal/server > /dev/null
+
+echo "== DIMACS reader differential fuzz smoke (10s)"
+go test -run '^$' -fuzz '^FuzzParseMatchesReference$' -fuzztime 10s ./internal/cnf > /dev/null
 
 echo "== metrics endpoint smoke (satsolve -metrics-addr)"
 SMOKE_DIR="$(mktemp -d)"
