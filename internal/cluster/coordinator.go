@@ -11,7 +11,9 @@
 //     uploaded formula (the same key the replica's cache uses), with
 //     transparent failover to the key's ring successor when the owner is
 //     down — a transport-level failure before any response bytes marks
-//     the backend down and retries once on the next live backend.
+//     the backend down and retries once on the next live backend. A memo
+//     from an upload's wire digest to its key routes a byte-identical
+//     repeat without decoding it.
 //   - GET /v1/jobs/{id} and GET /v1/jobs/{id}/events route by a bounded
 //     job-id → backend map filled from proxied submissions; an unknown id
 //     (coordinator restart, map eviction) falls back to scatter-probing
@@ -37,8 +39,8 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -47,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neuroselect/internal/lru"
 	"neuroselect/internal/obs"
 	"neuroselect/internal/server"
 )
@@ -71,10 +74,12 @@ type Config struct {
 	// own cap so the coordinator rejects oversize bodies before
 	// forwarding them (<=0 → 64 MiB).
 	MaxBodyBytes int64
-	// RouteCap bounds the job-id and session-id affinity maps, LRU each
-	// (<=0 → 4096). An evicted job id degrades to a scatter probe; an
-	// evicted session id degrades the same way (the session still lives
-	// on its replica).
+	// RouteCap bounds each of the coordinator's LRU maps (<=0 → 4096):
+	// the job-id and session-id affinity maps, and the route-key memo
+	// from an upload's wire digest to its routing key. An evicted job or
+	// session id degrades to a scatter probe (the resource still lives on
+	// its replica); an evicted upload is keyed again by gunzip, parse and
+	// hash. None of the three changes where a key routes.
 	RouteCap int
 	// Registry receives the neuroselect_cluster_* metrics; nil uses a
 	// private registry.
@@ -95,6 +100,9 @@ type Coordinator struct {
 
 	jobRoute  *routeMap // job id → backend name
 	sessRoute *routeMap // session id → backend name
+	// routeKeys memoizes routeKey for uploads it keyed canonically: an
+	// upload's wire digest (server.UploadDigest) → its routing key.
+	routeKeys *lru.Cache[[sha256.Size]byte, string]
 
 	draining atomic.Bool
 	cancel   context.CancelFunc
@@ -104,9 +112,10 @@ type Coordinator struct {
 }
 
 type clusterMetrics struct {
-	routed  func(backend, endpoint string) *obs.Counter
-	retries *obs.Counter
-	probes  func(backend, outcome string) *obs.Counter
+	routed    func(backend, endpoint string) *obs.Counter
+	retries   *obs.Counter
+	probes    func(backend, outcome string) *obs.Counter
+	routeKeys func(event string) *obs.Counter
 }
 
 func newClusterMetrics(reg *obs.Registry, c *Coordinator) clusterMetrics {
@@ -122,6 +131,11 @@ func newClusterMetrics(reg *obs.Registry, c *Coordinator) clusterMetrics {
 		return reg.Counter("neuroselect_cluster_probes_total",
 			"Active health probes by backend and outcome (ok, fail).",
 			obs.Labels{"backend": backend, "outcome": outcome})
+	}
+	m.routeKeys = func(event string) *obs.Counter {
+		return reg.Counter("neuroselect_cluster_route_keys_total",
+			"Route-key memo lookups by event: hit (a byte-identical repeat routed without decoding) or miss.",
+			obs.Labels{"event": event})
 	}
 	for name, b := range c.backends {
 		b := b
@@ -178,8 +192,9 @@ func New(cfg Config) (*Coordinator, error) {
 		// request's ?timeout= and SSE streams are open-ended. Per-probe
 		// deadlines come from probeOnce's context.
 		client:    &http.Client{Transport: transport},
-		jobRoute:  newRouteMap(cfg.RouteCap),
-		sessRoute: newRouteMap(cfg.RouteCap),
+		jobRoute:  lru.New[string, string](cfg.RouteCap),
+		sessRoute: lru.New[string, string](cfg.RouteCap),
+		routeKeys: lru.New[[sha256.Size]byte, string](cfg.RouteCap),
 	}
 	var names []string
 	for _, raw := range cfg.Replicas {
@@ -288,60 +303,4 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 // routeMap is a bounded LRU map of resource id → backend name, filling
 // from proxied responses. Eviction only costs a scatter probe later, so
 // the bound is a memory cap, not a correctness edge.
-type routeMap struct {
-	mu   sync.Mutex
-	cap  int
-	byID map[string]*list.Element
-	ll   *list.List // front = most recently used
-}
-
-type routeEntry struct {
-	id      string
-	backend string
-}
-
-func newRouteMap(capacity int) *routeMap {
-	return &routeMap{cap: capacity, byID: make(map[string]*list.Element), ll: list.New()}
-}
-
-// Put records (or refreshes) an id's backend.
-func (m *routeMap) Put(id, backend string) {
-	if id == "" || backend == "" {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.byID[id]; ok {
-		el.Value.(*routeEntry).backend = backend
-		m.ll.MoveToFront(el)
-		return
-	}
-	m.byID[id] = m.ll.PushFront(&routeEntry{id: id, backend: backend})
-	for m.ll.Len() > m.cap {
-		back := m.ll.Back()
-		m.ll.Remove(back)
-		delete(m.byID, back.Value.(*routeEntry).id)
-	}
-}
-
-// Get looks an id's backend up, refreshing its recency.
-func (m *routeMap) Get(id string) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.byID[id]
-	if !ok {
-		return "", false
-	}
-	m.ll.MoveToFront(el)
-	return el.Value.(*routeEntry).backend, true
-}
-
-// Delete forgets an id (session closed).
-func (m *routeMap) Delete(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.byID[id]; ok {
-		m.ll.Remove(el)
-		delete(m.byID, id)
-	}
-}
+type routeMap = lru.Cache[string, string]

@@ -55,29 +55,38 @@ func (c *Coordinator) refuseIfDraining(w http.ResponseWriter) bool {
 }
 
 // routeKey derives the consistent-hash key for an upload: the canonical
-// formula hash when the body decodes through server.DecodeBody (the
+// formula hash when the body decodes through server.DecodeUpload (the
 // replicas' own decoder and expansion cap) and parses as DIMACS, else a
-// digest of the raw bytes, so malformed uploads, unsupported encodings
-// and gzip bombs still route deterministically (their 4xx answers come
-// from one replica, not all of them). The body is forwarded as the
-// original bytes either way.
+// digest of the raw bytes prefixed "raw:", so malformed uploads,
+// unsupported encodings and gzip bombs still route deterministically
+// (their 4xx answers come from one replica, not all of them). The body is
+// forwarded as the original bytes either way.
 func routeKey(body []byte, contentEncoding string, maxBytes int64) string {
-	raw := bytes.NewReader(body)
-	if src, err := server.DecodeBody(raw, contentEncoding, maxBytes); err == nil {
-		// An identity upload comes back as raw itself: parse the buffered
-		// bytes in place rather than copying them out of the reader.
-		plain := body
-		if src != io.Reader(raw) {
-			plain, err = io.ReadAll(src)
-		}
-		if err == nil {
-			if f, err := cnf.Parse(plain); err == nil {
-				return server.CanonicalHash(f)
-			}
+	if text, err := server.DecodeUpload(body, contentEncoding, maxBytes); err == nil {
+		if f, err := cnf.Parse(text); err == nil {
+			return server.CanonicalHash(f)
 		}
 	}
 	sum := sha256.Sum256(body)
 	return "raw:" + hex.EncodeToString(sum[:])
+}
+
+// uploadKey is routeKey behind the route-key memo: a byte-identical
+// repeat of an upload keyed canonically before routes by the remembered
+// key without gunzip, parse or hash. Raw-digest keys are not memoized;
+// recomputing one costs no more than the lookup.
+func (c *Coordinator) uploadKey(body []byte, contentEncoding string) string {
+	digest := server.UploadDigest(contentEncoding, body)
+	if key, ok := c.routeKeys.Get(digest); ok {
+		c.m.routeKeys("hit").Inc()
+		return key
+	}
+	c.m.routeKeys("miss").Inc()
+	key := routeKey(body, contentEncoding, c.cfg.MaxBodyBytes)
+	if !strings.HasPrefix(key, "raw:") {
+		c.routeKeys.Put(digest, key)
+	}
+	return key
 }
 
 // handleHashRouted proxies one body-carrying POST to the routing key's
@@ -101,7 +110,7 @@ func (c *Coordinator) handleHashRouted(endpoint string) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 			return
 		}
-		key := routeKey(body, r.Header.Get("Content-Encoding"), c.cfg.MaxBodyBytes)
+		key := c.uploadKey(body, r.Header.Get("Content-Encoding"))
 		first := true
 		for _, name := range c.ring.Order(key) {
 			b := c.backends[name]

@@ -2,14 +2,13 @@ package server
 
 import (
 	"cmp"
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"slices"
-	"sync"
 
 	"neuroselect/internal/cnf"
+	"neuroselect/internal/lru"
 )
 
 // CanonicalHash returns a cache key that identifies the formula up to
@@ -97,15 +96,13 @@ func prefixKey(c []cnf.Lit) uint64 {
 // stored body verbatim, so repeated uploads of one instance get
 // byte-identical answers.
 type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recent
-	byKey map[string]*list.Element
+	entries *lru.Cache[string, *cacheEntry]
 }
 
-// cacheEntry is one stored response body.
+// cacheEntry is one stored response body. A re-fill stores a fresh entry
+// rather than updating fields: the policy label must follow the body, and
+// a reader may still hold the old entry.
 type cacheEntry struct {
-	key    string
 	body   []byte
 	policy string // policy that produced the body, for the hit counter label
 }
@@ -113,53 +110,17 @@ type cacheEntry struct {
 // newResultCache returns an LRU holding up to capacity entries; capacity
 // <= 0 disables caching (Get always misses, Put drops).
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element)}
+	return &resultCache{entries: lru.New[string, *cacheEntry](capacity)}
 }
 
 // Get returns the cached body for key and promotes it to most recent.
-func (c *resultCache) Get(key string) (*cacheEntry, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
-}
+func (c *resultCache) Get(key string) (*cacheEntry, bool) { return c.entries.Get(key) }
 
 // Put stores body under key, evicting the least-recently-used entry when
 // over capacity. It returns the number of evictions (0 or 1).
 func (c *resultCache) Put(key string, body []byte, policy string) int {
-	if c.cap <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		// A fresh entry rather than a field update: the policy label must
-		// follow the body, and a reader may still hold the old entry.
-		el.Value = &cacheEntry{key: key, body: body, policy: policy}
-		c.ll.MoveToFront(el)
-		return 0
-	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, body: body, policy: policy})
-	evicted := 0
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.byKey, last.Value.(*cacheEntry).key)
-		evicted++
-	}
-	return evicted
+	return c.entries.Put(key, &cacheEntry{body: body, policy: policy})
 }
 
 // Len returns the number of cached entries.
-func (c *resultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *resultCache) Len() int { return c.entries.Len() }

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -111,25 +114,92 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// parseJob builds a job from one upload (readFormula) and its query
-// parameters (?timeout=, ?policy=, ?trace=). It does not admit the job —
-// admission is the caller's move so the cache can short-circuit first.
-func (s *Server) parseJob(w http.ResponseWriter, r *http.Request) (*job, *httpError) {
-	f, herr := s.readFormula(w, r)
+// parseJob builds a job from one upload and its query parameters
+// (?timeout=, ?policy=, ?trace=, ?portfolio=, ?deterministic=), and for a
+// keyed job consults the result cache once: a hit comes back as the
+// entry, and the job then may carry no formula. It does not admit the
+// job — admission is the caller's move.
+//
+// A keyed upload is looked up in the key memo first. A byte-identical
+// repeat of an upload keyed before takes its canonical hash from there,
+// skipping gunzip, parse and hash; it is decoded and parsed only when
+// the result cache has no answer for it.
+func (s *Server) parseJob(w http.ResponseWriter, r *http.Request) (*job, *cacheEntry, *httpError) {
+	up, herr := s.readUpload(w, r)
 	if herr != nil {
-		return nil, herr
+		return nil, nil, herr
+	}
+	j := newJob(nil)
+	perr := s.parseParams(j, r.URL.Query())
+	// Trace payloads are per-request, so traced solves bypass the cache
+	// entirely: no lookup, no fill.
+	keyed := perr == nil && s.cfg.CacheSize > 0 && !j.trace
+	var digest [sha256.Size]byte
+	hash, known := "", false
+	if keyed {
+		digest = UploadDigest(up.enc, up.wire)
+		hash, known = s.uploadKeys.Get(digest)
+		if known {
+			s.m.uploadKeys("hit").Inc()
+		} else {
+			s.m.uploadKeys("miss").Inc()
+		}
+	}
+	// The body is checked before the parameters, so a request wrong in
+	// both reports the body. A memo hit is a body that passed before.
+	if !known {
+		if herr := s.loadFormula(j, up); herr != nil {
+			return nil, nil, herr
+		}
+	}
+	if perr != nil {
+		return nil, nil, perr
+	}
+	j.enqueued = time.Now() // timings start once the upload is read
+	if !keyed {
+		return j, nil, nil
+	}
+	if !known {
+		hash = CanonicalHash(j.f)
+		s.uploadKeys.Put(digest, hash)
+	}
+	j.key = cacheVariant(j) + ":" + hash
+	if e, ok := s.cacheGet(j.key); ok {
+		s.m.cacheEv("hit").Inc()
+		s.m.solves(e.policy, "cached").Inc()
+		return j, e, nil
+	}
+	s.m.cacheEv("miss").Inc()
+	if j.f == nil {
+		// A memo hit without a cached answer: the solve needs the formula.
+		if herr := s.loadFormula(j, up); herr != nil {
+			return nil, nil, herr
+		}
+	}
+	return j, nil, nil
+}
+
+// loadFormula decodes and parses a job's upload, refusing an empty
+// formula.
+func (s *Server) loadFormula(j *job, up upload) *httpError {
+	f, herr := s.decodeFormula(up)
+	if herr != nil {
+		return herr
 	}
 	if len(f.Clauses) == 0 && f.NumVars == 0 {
-		return nil, badRequest("empty formula: body contained no DIMACS clauses")
+		return badRequest("empty formula: body contained no DIMACS clauses")
 	}
-	j := newJob(f)
+	j.f = f
+	return nil
+}
 
-	q := r.URL.Query()
+// parseParams sets a job's request parameters from its query string.
+func (s *Server) parseParams(j *job, q url.Values) *httpError {
 	j.timeout = s.cfg.MaxTimeout
 	if v := q.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			return nil, badRequest("bad timeout %q: want a positive Go duration like 5s or 500ms", v)
+			return badRequest("bad timeout %q: want a positive Go duration like 5s or 500ms", v)
 		}
 		if d < j.timeout {
 			j.timeout = d
@@ -141,7 +211,7 @@ func (s *Server) parseJob(w http.ResponseWriter, r *http.Request) (*job, *httpEr
 	default:
 		pol, err := deletion.ByName(v)
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return badRequest("%v", err)
 		}
 		j.policy = pol
 	}
@@ -150,15 +220,15 @@ func (s *Server) parseJob(w http.ResponseWriter, r *http.Request) (*job, *httpEr
 	case "1", "true":
 		j.trace = true
 	default:
-		return nil, badRequest("bad trace %q: want 1 or 0", v)
+		return badRequest("bad trace %q: want 1 or 0", v)
 	}
 	if v := q.Get("portfolio"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 || n > maxPortfolioWorkers {
-			return nil, badRequest("bad portfolio %q: want a worker count in 1..%d", v, maxPortfolioWorkers)
+			return badRequest("bad portfolio %q: want a worker count in 1..%d", v, maxPortfolioWorkers)
 		}
 		if j.policy != nil {
-			return nil, badRequest("?policy= cannot be combined with ?portfolio= (workers carry their own policies)")
+			return badRequest("?policy= cannot be combined with ?portfolio= (workers carry their own policies)")
 		}
 		j.portfolio = n
 	}
@@ -166,80 +236,94 @@ func (s *Server) parseJob(w http.ResponseWriter, r *http.Request) (*job, *httpEr
 	case "", "0", "false":
 	case "1", "true":
 		if j.portfolio == 0 {
-			return nil, badRequest("?deterministic= requires ?portfolio=")
+			return badRequest("?deterministic= requires ?portfolio=")
 		}
 		j.deterministic = true
 	default:
-		return nil, badRequest("bad deterministic %q: want 1 or 0", v)
+		return badRequest("bad deterministic %q: want 1 or 0", v)
 	}
-	// Trace payloads are per-request, so traced solves bypass the cache
-	// entirely: no lookup, no fill. The key carries the policy variant:
-	// a request that pins ?policy= must not be served a result computed
-	// under a different policy (the stats and policy fields would lie).
-	if s.cfg.CacheSize > 0 && !j.trace {
-		variant := "auto"
-		if j.policy != nil {
-			variant = j.policy.Name()
-		}
-		// Portfolio solves cache under their own variant: the response
-		// schema (portfolio block) and, in free-running mode, the answer's
-		// provenance differ per worker count and mode.
-		if j.portfolio > 0 {
-			variant = "portfolio" + strconv.Itoa(j.portfolio)
-			if j.deterministic {
-				variant += "-det"
-			}
-		}
-		j.key = variant + ":" + CanonicalHash(f)
+	return nil
+}
+
+// cacheVariant names the answer a keyed job asks for; it prefixes the
+// canonical hash in the job's cache key. A request that pins ?policy=
+// must not be served a result computed under a different policy (the
+// stats and policy fields would lie). Portfolio solves cache under their
+// own variant: the response schema (portfolio block) and, in
+// free-running mode, the answer's provenance differ per worker count and
+// mode.
+func cacheVariant(j *job) string {
+	switch {
+	case j.portfolio > 0 && j.deterministic:
+		return "portfolio" + strconv.Itoa(j.portfolio) + "-det"
+	case j.portfolio > 0:
+		return "portfolio" + strconv.Itoa(j.portfolio)
+	case j.policy != nil:
+		return j.policy.Name()
+	default:
+		return "auto"
 	}
-	return j, nil
 }
 
 // maxPortfolioWorkers caps ?portfolio=: a request cannot demand more
 // worker goroutines than a small multiple of the machine's cores.
 const maxPortfolioWorkers = 16
 
-// readFormula reads and parses one DIMACS upload. One-shot jobs and
-// session creation share it; only parseJob refuses an empty formula,
-// because an empty session base is a valid start for incremental adds.
+// readFormula reads, decodes and parses one DIMACS upload for a session
+// create, which accepts an empty formula as a valid start for
+// incremental adds.
 func (s *Server) readFormula(w http.ResponseWriter, r *http.Request) (*cnf.Formula, *httpError) {
-	body, herr := s.readBody(w, r)
+	up, herr := s.readUpload(w, r)
 	if herr != nil {
 		return nil, herr
 	}
-	f, err := cnf.Parse(body)
+	return s.decodeFormula(up)
+}
+
+// upload is one request body as it came off the wire.
+type upload struct {
+	enc  string // lower-cased Content-Encoding, one the service decodes
+	wire []byte
+}
+
+// readUpload buffers an upload's wire bytes, enforcing
+// Config.MaxBodyBytes (413), once its Content-Encoding is known to be one
+// the service decodes (415).
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (upload, *httpError) {
+	enc, err := uploadEncoding(r.Header.Get("Content-Encoding"))
+	if err != nil {
+		return upload{}, &httpError{code: http.StatusUnsupportedMediaType, msg: err.Error()}
+	}
+	max := s.cfg.MaxBodyBytes
+	wire, err := io.ReadAll(http.MaxBytesReader(w, r.Body, max))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return upload{}, &httpError{code: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("body exceeds %d bytes", max)}
+	case err != nil:
+		return upload{}, badRequest("read body: %v", err)
+	}
+	return upload{enc: enc, wire: wire}, nil
+}
+
+// decodeFormula decodes (DecodeUpload) and parses a buffered upload,
+// mapping a decompressed size past Config.MaxBodyBytes to 413 and every
+// other failure to 400.
+func (s *Server) decodeFormula(up upload) (*cnf.Formula, *httpError) {
+	text, err := DecodeUpload(up.wire, up.enc, s.cfg.MaxBodyBytes)
+	switch {
+	case errors.Is(err, ErrBodyTooLarge):
+		return nil, &httpError{code: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("decompressed body exceeds %d bytes", s.cfg.MaxBodyBytes)}
+	case err != nil:
+		return nil, badRequest("%v", err)
+	}
+	f, err := cnf.Parse(text)
 	if err != nil {
 		return nil, badRequest("parse DIMACS: %v", err)
 	}
 	return f, nil
-}
-
-// readBody returns the decoded upload (DecodeBody), enforcing
-// Config.MaxBodyBytes on both the wire bytes and the decompressed size,
-// and maps failures to 413 (too large), 415 (unsupported encoding) or 400.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *httpError) {
-	max := s.cfg.MaxBodyBytes
-	src, err := DecodeBody(http.MaxBytesReader(w, r.Body, max), r.Header.Get("Content-Encoding"), max)
-	if errors.Is(err, ErrUnsupportedEncoding) {
-		return nil, &httpError{code: http.StatusUnsupportedMediaType, msg: err.Error()}
-	}
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	body, err := io.ReadAll(src)
-	var tooBig *http.MaxBytesError
-	switch {
-	case err == nil:
-		return body, nil
-	case errors.As(err, &tooBig):
-		return nil, &httpError{code: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("body exceeds %d bytes", max)}
-	case errors.Is(err, ErrBodyTooLarge):
-		return nil, &httpError{code: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("decompressed body exceeds %d bytes", max)}
-	default:
-		return nil, badRequest("read body: %v", err)
-	}
 }
 
 // Upload decoding failures.
@@ -251,26 +335,78 @@ var (
 	ErrBodyTooLarge = errors.New("decompressed body exceeds the size cap")
 )
 
+// uploadEncoding lower-cases a Content-Encoding and fails with
+// ErrUnsupportedEncoding unless it names gzip or identity ("" or
+// "identity").
+func uploadEncoding(contentEncoding string) (string, error) {
+	switch enc := strings.ToLower(contentEncoding); enc {
+	case "", "identity", "gzip":
+		return enc, nil
+	default:
+		return "", fmt.Errorf("%w %q: want gzip or identity", ErrUnsupportedEncoding, enc)
+	}
+}
+
 // DecodeBody wraps an upload's wire bytes in the decoder its
 // Content-Encoding names: identity ("" or "identity") returns src itself,
 // gzip a decompressing reader that fails with ErrBodyTooLarge once the
 // decoded stream passes max bytes, so a gzip bomb cannot expand past the
-// cap. Any other encoding fails with ErrUnsupportedEncoding. Replicas
-// and the cluster coordinator both decode through it, so the routing key
-// and the replica's cache key come from the same bytes.
+// cap. Any other encoding fails with ErrUnsupportedEncoding.
 func DecodeBody(src io.Reader, contentEncoding string, max int64) (io.Reader, error) {
-	switch enc := strings.ToLower(contentEncoding); enc {
-	case "", "identity":
-		return src, nil
-	case "gzip":
-		gz, err := gzip.NewReader(src)
-		if err != nil {
-			return nil, fmt.Errorf("bad gzip body: %w", err)
-		}
-		return &capReader{r: gz, left: max}, nil
-	default:
-		return nil, fmt.Errorf("%w %q: want gzip or identity", ErrUnsupportedEncoding, enc)
+	enc, err := uploadEncoding(contentEncoding)
+	if err != nil {
+		return nil, err
 	}
+	if enc != "gzip" {
+		return src, nil
+	}
+	gz, err := gzip.NewReader(src)
+	if err != nil {
+		return nil, fmt.Errorf("bad gzip body: %w", err)
+	}
+	return &capReader{r: gz, left: max}, nil
+}
+
+// DecodeUpload returns the DIMACS text of a buffered upload: body itself
+// for identity, its decompression through DecodeBody for gzip, failing
+// with ErrBodyTooLarge past max decoded bytes, a "read body" error on a
+// corrupt stream, and DecodeBody's errors otherwise. Replicas and the
+// cluster coordinator both decode through it, so the routing key and the
+// replica's cache key come from the same bytes. The caller bounds the
+// wire bytes.
+func DecodeUpload(body []byte, contentEncoding string, max int64) ([]byte, error) {
+	raw := bytes.NewReader(body)
+	src, err := DecodeBody(raw, contentEncoding, max)
+	if err != nil {
+		return nil, err
+	}
+	if src == io.Reader(raw) {
+		return body, nil
+	}
+	text, err := io.ReadAll(src)
+	switch {
+	case err == nil:
+		return text, nil
+	case errors.Is(err, ErrBodyTooLarge):
+		return nil, err
+	default:
+		return nil, fmt.Errorf("read body: %w", err)
+	}
+}
+
+// UploadDigest identifies an upload by its exact wire form: SHA-256 over
+// the lower-cased Content-Encoding, a zero byte (no header value holds
+// one) and the body. Both tiers key their memo of finished ingests by it,
+// so only a byte-identical repeat under the same encoding finds an entry;
+// a body re-compressed with a new gzip header is a new upload.
+func UploadDigest(contentEncoding string, body []byte) [sha256.Size]byte {
+	h := sha256.New()
+	io.WriteString(h, strings.ToLower(contentEncoding))
+	h.Write([]byte{0})
+	h.Write(body)
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // capReader passes at most left+1 bytes of r, failing with ErrBodyTooLarge
@@ -331,23 +467,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.refuseIfDraining(w) {
 		return
 	}
-	j, herr := s.parseJob(w, r)
+	j, hit, herr := s.parseJob(w, r)
 	if herr != nil {
 		writeError(w, herr.code, herr.msg)
 		return
 	}
-	j.reqID = RequestIDFrom(r.Context())
-	if j.key != "" {
-		if e, ok := s.cacheGet(j.key); ok {
-			s.m.cacheEv("hit").Inc()
-			s.m.solves(e.policy, "cached").Inc()
-			w.Header().Set("X-Cache", "hit")
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(e.body)
-			return
-		}
-		s.m.cacheEv("miss").Inc()
+	if hit != nil {
+		w.Header().Set("X-Cache", "hit")
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(hit.body)
+		return
 	}
+	j.reqID = RequestIDFrom(r.Context())
 	if j.key != "" {
 		// Keyed solves run under the server's lifetime, not the request's:
 		// the result may be shared with concurrent identical requests, and
@@ -414,7 +545,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.refuseIfDraining(w) {
 		return
 	}
-	j, herr := s.parseJob(w, r)
+	j, hit, herr := s.parseJob(w, r)
 	if herr != nil {
 		writeError(w, herr.code, herr.msg)
 		return
@@ -423,18 +554,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Every async job gets its event stream before it becomes findable:
 	// a subscriber may connect the moment the id is out.
 	s.initJobStream(j)
-	if j.key != "" {
-		if e, ok := s.cacheGet(j.key); ok {
-			s.m.cacheEv("hit").Inc()
-			s.m.solves(e.policy, "cached").Inc()
-			j.cached = true
-			s.jobs.Add(j)
-			j.completeFromCache(e.body)
-			s.jobs.NoteDone(j)
-			writeJSON(w, http.StatusOK, j.view())
-			return
-		}
-		s.m.cacheEv("miss").Inc()
+	if hit != nil {
+		j.cached = true
+		s.jobs.Add(j)
+		j.completeFromCache(hit.body)
+		s.jobs.NoteDone(j)
+		writeJSON(w, http.StatusOK, j.view())
+		return
 	}
 	// Async solves outlive the submit request: they run under the server's
 	// base context (canceled only by Close), bounded by the job timeout.

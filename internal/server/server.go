@@ -21,7 +21,8 @@
 //   - Result cache: an LRU keyed by CanonicalHash short-circuits repeated
 //     instances — the one-time solving (and inference) cost is amortized
 //     across identical uploads, the NeuroBack-style amortization argument
-//     applied to whole results.
+//     applied to whole results. A memo from an upload's wire digest to
+//     its hash keys a byte-identical repeat without gunzip, parse or hash.
 //   - Singleflight dedup: concurrent identical solves (same canonical
 //     hash and policy variant) share one worker; followers receive the
 //     leader's result with X-Dedup: shared (see flight.go).
@@ -56,6 +57,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -71,6 +73,7 @@ import (
 	"neuroselect/internal/dataset"
 	"neuroselect/internal/deletion"
 	"neuroselect/internal/faultpoint"
+	"neuroselect/internal/lru"
 	"neuroselect/internal/obs"
 	"neuroselect/internal/portfolio"
 	"neuroselect/internal/solver"
@@ -93,7 +96,8 @@ type Config struct {
 	// of the deadline (0 = unlimited).
 	MaxConflicts int64
 	// CacheSize is the result-cache capacity in entries (0 → 256;
-	// negative disables caching).
+	// negative disables caching). It also bounds the upload-key memo,
+	// which a negative value disables with the cache.
 	CacheSize int
 	// MaxBodyBytes caps the decompressed request body (<=0 → 64 MiB).
 	MaxBodyBytes int64
@@ -182,6 +186,10 @@ type Server struct {
 	jnl   *journal // nil when journaling is disabled
 	brk   *breaker
 
+	// uploadKeys memoizes finished ingests: an upload's wire digest
+	// (UploadDigest) → the formula's CanonicalHash, sized like the cache.
+	uploadKeys *lru.Cache[[sha256.Size]byte, string]
+
 	sessions *sessionTable // warm incremental sessions (see sessions.go)
 	pool     *solverPool   // parked warm solvers keyed by base-formula hash
 
@@ -213,6 +221,7 @@ type serverMetrics struct {
 	queueWait  *obs.Histogram
 	shed       *obs.Counter
 	cacheEv    func(event string) *obs.Counter
+	uploadKeys func(event string) *obs.Counter
 	solves     func(policy, status string) *obs.Counter
 	inflight   *obs.Gauge
 	dedup      func(path string) *obs.Counter
@@ -244,6 +253,11 @@ func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 	m.cacheEv = func(event string) *obs.Counter {
 		return reg.Counter("neuroselect_server_cache_events_total",
 			"Result-cache activity by event (hit, miss, evict).", obs.Labels{"event": event})
+	}
+	m.uploadKeys = func(event string) *obs.Counter {
+		return reg.Counter("neuroselect_server_upload_keys_total",
+			"Upload-key memo lookups by event: hit (a byte-identical repeat keyed without decoding) or miss.",
+			obs.Labels{"event": event})
 	}
 	m.solves = func(policy, status string) *obs.Counter {
 		return reg.Counter("neuroselect_server_solves_total",
@@ -360,16 +374,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		queue:    make(chan *job, cfg.QueueDepth),
-		cache:    newResultCache(cfg.CacheSize),
-		jobs:     newJobStore(cfg.JobHistory, idPrefix),
-		brk:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		fl:       flightTable{m: make(map[string]*job)},
-		sessions: newSessionTable(cfg.SessionMax, idPrefix),
-		pool:     newSolverPool(cfg.SessionMax),
-		baseCtx:  ctx,
-		cancel:   cancel,
+		cfg:        cfg,
+		queue:      make(chan *job, cfg.QueueDepth),
+		cache:      newResultCache(cfg.CacheSize),
+		uploadKeys: lru.New[[sha256.Size]byte, string](cfg.CacheSize),
+		jobs:       newJobStore(cfg.JobHistory, idPrefix),
+		brk:        newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		fl:         flightTable{m: make(map[string]*job)},
+		sessions:   newSessionTable(cfg.SessionMax, idPrefix),
+		pool:       newSolverPool(cfg.SessionMax),
+		baseCtx:    ctx,
+		cancel:     cancel,
 	}
 	s.m = newServerMetrics(cfg.Registry, s)
 	s.brk.onFlip = func(to breakerState) { s.m.breakerTo(to.String()).Inc() }

@@ -3,9 +3,11 @@
 # suite, the race detector on the
 # concurrency-bearing packages (portfolio racing, the sweep engine, the
 # experiments runner, lock-free selector inference, solver cancellation,
-# registry scrapes, the HTTP server), a 1-iteration benchmark smoke, a
-# 10-second differential fuzz of the DIMACS reader against the
-# line-oriented reference it replaced, a live metrics-endpoint smoke test,
+# registry scrapes, the HTTP server, the shared LRU), a 1-iteration
+# benchmark smoke, a 10-second differential fuzz of the DIMACS reader
+# against the line-oriented reference it replaced, a 10-second
+# differential fuzz of the coordinator's route key against the replica's
+# decode and hash, a live metrics-endpoint smoke test,
 # a portfolio determinism smoke (php-9 under -portfolio -deterministic
 # must be byte-identical across runs and worker counts), an end-to-end
 # smoke of the solving service (cache hit, queue shedding, SIGTERM
@@ -20,9 +22,9 @@
 # the poll body, moving stream metrics, JSON access lines), a chaos smoke
 # (kill -9 mid-solve, restart over the same -journal directory, the job
 # must still complete), a cluster smoke (coordinator + 2 replicas:
-# sticky consistent-hash routing, a cache hit served through the proxy,
-# failover after killing the owning replica, SIGTERM drain of the whole
-# topology), three documentation gates (package comments, README flag
+# sticky consistent-hash routing, a cache hit served through the proxy
+# and keyed from both tiers' upload-key memos, failover after killing the
+# owning replica, SIGTERM drain of the whole topology), three documentation gates (package comments, README flag
 # freshness, API.md metric freshness), a benchmark regression gate
 # against BENCH_solver.json (skip with BENCH_DELTA_SKIP=1), and coverage
 # gates on the experiments, portfolio and solver packages. Run from the
@@ -95,15 +97,18 @@ echo "== go test -race (concurrency-bearing packages)"
 go test -race ./internal/experiments ./internal/portfolio \
 	./internal/sweep ./internal/dataset ./internal/core \
 	./internal/solver ./internal/faultpoint ./internal/obs \
-	./internal/server ./internal/aiger ./internal/cluster
+	./internal/server ./internal/aiger ./internal/cluster ./internal/lru
 
 echo "== benchmark smoke (1 iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x ./internal/solver ./internal/drat \
 	./internal/portfolio ./internal/core ./internal/tensor \
-	./internal/cnf ./internal/server > /dev/null
+	./internal/cnf ./internal/server ./internal/cluster > /dev/null
 
 echo "== DIMACS reader differential fuzz smoke (10s)"
 go test -run '^$' -fuzz '^FuzzParseMatchesReference$' -fuzztime 10s ./internal/cnf > /dev/null
+
+echo "== route-key differential fuzz smoke (10s)"
+go test -run '^$' -fuzz '^FuzzRouteKeyAgreesWithReplica$' -fuzztime 10s ./internal/cluster > /dev/null
 
 echo "== metrics endpoint smoke (satsolve -metrics-addr)"
 SMOKE_DIR="$(mktemp -d)"
@@ -696,12 +701,14 @@ echo "== cluster smoke (coordinator + 2 replicas: stickiness, cache locality, fa
 # route to the same replica (X-Backend equal) with the second answer a
 # cache hit served through the proxy; killing that replica must reroute
 # the third identical upload to the survivor (fresh miss, still UNSAT);
-# SIGTERM must drain the whole topology with exit 0 everywhere.
+# SIGTERM must drain the whole topology with exit 0 everywhere. The
+# repeat is byte-identical, so the coordinator and the owning replica must
+# both key it from their memos (each tier's hit counter moves).
 "$SMOKE_DIR/neuroselect-serve" -addr 127.0.0.1:0 -workers 2 -backend-name r1 \
-	> "$SMOKE_DIR/repl1.txt" 2>&1 &
+	-metrics-addr 127.0.0.1:0 > "$SMOKE_DIR/repl1.txt" 2>&1 &
 R1_PID=$!
 "$SMOKE_DIR/neuroselect-serve" -addr 127.0.0.1:0 -workers 2 -backend-name r2 \
-	> "$SMOKE_DIR/repl2.txt" 2>&1 &
+	-metrics-addr 127.0.0.1:0 > "$SMOKE_DIR/repl2.txt" 2>&1 &
 R2_PID=$!
 api1=""
 api2=""
@@ -758,6 +765,24 @@ cmp -s "$SMOKE_DIR/cr1.json" "$SMOKE_DIR/cr2.json" || {
 	echo "cluster smoke: FAIL — cache hit body differs from the original through the coordinator"
 	exit 1
 }
+# memo_hits ADDR METRIC: the hit count of one tier's upload-key memo.
+memo_hits() {
+	curl -fsS "http://$1/metrics" | awk -v m="$2" '
+		$1 == m "{event=\"hit\"}" { n = $2 }
+		END { print n + 0 }'
+}
+case "$be1" in
+r1) rmaddr="$(sed -n 's/^metrics listening on //p' "$SMOKE_DIR/repl1.txt")" ;;
+*) rmaddr="$(sed -n 's/^metrics listening on //p' "$SMOKE_DIR/repl2.txt")" ;;
+esac
+if [ "$(memo_hits "$cmaddr" neuroselect_cluster_route_keys_total)" -lt 1 ]; then
+	echo "cluster smoke: FAIL — the coordinator did not key the repeated upload from its memo"
+	exit 1
+fi
+if [ "$(memo_hits "$rmaddr" neuroselect_server_upload_keys_total)" -lt 1 ]; then
+	echo "cluster smoke: FAIL — owning replica $be1 did not key the repeated upload from its memo"
+	exit 1
+fi
 
 # Kill the owning replica (no drain — a crash): the next identical upload
 # must fail over to the survivor and solve fresh.
@@ -814,7 +839,7 @@ if [ "$rc" != 0 ]; then
 	echo "cluster smoke: FAIL — surviving replica exited $rc after drain"
 	exit 1
 fi
-echo "cluster smoke: sticky routing, proxied cache hit, failover on crash, topology drain all ok"
+echo "cluster smoke: sticky routing, proxied cache hit keyed from both memos, failover on crash, topology drain all ok"
 
 echo "== benchmark regression gate (BENCH_solver.json delta)"
 if [ "${BENCH_DELTA_SKIP:-0}" = 1 ]; then
