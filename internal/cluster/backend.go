@@ -36,7 +36,7 @@ func (b *backend) markUp() {
 }
 
 // probeLoop drives one backend's active health checking until ctx ends.
-// A 200 /healthz readmits the backend immediately; FailThreshold
+// A 200 /healthz readmits the backend immediately; failThreshold
 // consecutive failures (non-200, transport error, or timeout) eject it.
 // A draining replica answers 503, so a cluster-wide drain naturally
 // removes replicas from routing before their listeners close.
@@ -59,7 +59,7 @@ func (c *Coordinator) probeLoop(ctx context.Context, b *backend) {
 			}
 		} else {
 			c.m.probes(b.name, "fail").Inc()
-			if b.fails.Add(1) >= int32(c.cfg.FailThreshold) {
+			if b.fails.Add(1) >= failThreshold {
 				b.markDown()
 			}
 		}
@@ -88,6 +88,6 @@ func (c *Coordinator) probeOnce(ctx context.Context, b *backend) bool {
 // backend is ejected immediately — the prober readmits it on its next
 // successful /healthz.
 func (c *Coordinator) noteTransportFailure(b *backend) {
-	b.fails.Store(int32(c.cfg.FailThreshold))
+	b.fails.Store(failThreshold)
 	b.markDown()
 }

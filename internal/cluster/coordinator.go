@@ -25,7 +25,7 @@
 //     state exists on exactly one replica.
 //
 // Health is tracked per backend by an active /healthz prober (ejection
-// after FailThreshold consecutive failures, readmission on the first
+// after failThreshold consecutive failures, readmission on the first
 // success) plus passive markdown on proxy transport errors. The ring
 // itself is immutable — dead backends are skipped at lookup, so only the
 // dead backend's keys remap (~1/N) and readmission restores the exact
@@ -65,29 +65,27 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health check (<=0 → min(ProbeInterval, 1s)).
 	ProbeTimeout time.Duration
-	// FailThreshold is how many consecutive probe failures eject a
-	// backend from routing (<=0 → 2). One probe success readmits.
-	FailThreshold int
-	// Vnodes is the ring points per backend (<=0 → 128).
-	Vnodes int
 	// MaxBodyBytes caps a buffered upload body, matching the replicas'
 	// own cap so the coordinator rejects oversize bodies before
-	// forwarding them (<=0 → 64 MiB).
+	// forwarding them (<=0 → 64 MiB, the replicas' default).
 	MaxBodyBytes int64
-	// RouteCap bounds each of the coordinator's LRU maps (<=0 → 4096):
-	// the job-id and session-id affinity maps, and the route-key memo
-	// from an upload's wire digest to its routing key. An evicted job or
-	// session id degrades to a scatter probe (the resource still lives on
-	// its replica); an evicted upload is keyed again by gunzip, parse and
-	// hash. None of the three changes where a key routes.
-	RouteCap int
 	// Registry receives the neuroselect_cluster_* metrics; nil uses a
 	// private registry.
 	Registry *obs.Registry
-	// Transport overrides the proxy transport (tests); nil uses
-	// http.DefaultTransport.
-	Transport http.RoundTripper
 }
+
+const (
+	// failThreshold is how many consecutive probe failures eject a backend
+	// from routing. One probe success readmits it.
+	failThreshold = 2
+	// routeCap bounds each of the coordinator's LRU maps: the job-id and
+	// session-id affinity maps, and the route-key memo from an upload's
+	// wire digest to its routing key. An evicted job or session id
+	// degrades to a scatter probe (the resource still lives on its
+	// replica); an evicted upload is keyed again by gunzip, parse and
+	// hash. None of the three changes where a key routes.
+	routeCap = 4096
+)
 
 // Coordinator is a running routing tier. Create with New, mount Handler
 // on an http.Server, stop with Close (Drain first for graceful LB
@@ -169,21 +167,11 @@ func New(cfg Config) (*Coordinator, error) {
 			cfg.ProbeTimeout = cfg.ProbeInterval
 		}
 	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 2
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
 	}
-	if cfg.RouteCap <= 0 {
-		cfg.RouteCap = 4096
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
-	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = http.DefaultTransport
 	}
 	c := &Coordinator{
 		cfg:      cfg,
@@ -191,10 +179,10 @@ func New(cfg Config) (*Coordinator, error) {
 		// No client-level timeout: solves legitimately block for the
 		// request's ?timeout= and SSE streams are open-ended. Per-probe
 		// deadlines come from probeOnce's context.
-		client:    &http.Client{Transport: transport},
-		jobRoute:  lru.New[string, string](cfg.RouteCap),
-		sessRoute: lru.New[string, string](cfg.RouteCap),
-		routeKeys: lru.New[[sha256.Size]byte, string](cfg.RouteCap),
+		client:    &http.Client{},
+		jobRoute:  lru.New[string, string](routeCap),
+		sessRoute: lru.New[string, string](routeCap),
+		routeKeys: lru.New[[sha256.Size]byte, string](routeCap),
 	}
 	var names []string
 	for _, raw := range cfg.Replicas {
@@ -211,7 +199,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.backends[name] = b
 		names = append(names, name)
 	}
-	c.ring = NewRing(names, cfg.Vnodes)
+	c.ring = NewRing(names)
 	c.m = newClusterMetrics(cfg.Registry, c)
 
 	ctx, cancel := context.WithCancel(context.Background())

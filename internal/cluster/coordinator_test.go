@@ -612,3 +612,29 @@ func TestCoordinatorHealth(t *testing.T) {
 		t.Fatalf("solve while draining: %d, want 503", sr.StatusCode)
 	}
 }
+
+// TestConfigDefaults pins the coordinator's defaults: what New fills into
+// an unset Config, and the constants behind the settings it has no field
+// for.
+func TestConfigDefaults(t *testing.T) {
+	c, err := New(Config{Replicas: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range []struct {
+		name      string
+		got, want any
+	}{
+		{"probe interval", c.cfg.ProbeInterval, 2 * time.Second},
+		{"probe timeout", c.cfg.ProbeTimeout, time.Second},
+		{"fail threshold", failThreshold, 2},
+		{"max body", c.cfg.MaxBodyBytes, int64(64 << 20)},
+		{"route cap", routeCap, 4096},
+		{"ring points per backend", len(c.ring.points) / len(c.ring.Backends()), 128},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
+		}
+	}
+}

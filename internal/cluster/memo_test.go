@@ -167,8 +167,9 @@ func TestRepeatUploadSkipsParserThroughCoordinator(t *testing.T) {
 
 // TestRouteKeyMemoCases: a permuted re-serialization is a new upload,
 // keyed through the full path onto the same replica and its cached
-// answer; bodies the replicas refuse are refused identically twice, and
-// those the coordinator cannot key leave no memo entry.
+// answer; refused bodies (including a session step past the body cap) are
+// refused identically twice, and those the coordinator cannot key leave
+// no memo entry.
 func TestRouteKeyMemoCases(t *testing.T) {
 	const max = 4096
 	coord, _, front := newCappedCluster(t, max)
@@ -185,28 +186,42 @@ func TestRouteKeyMemoCases(t *testing.T) {
 		t.Errorf("route_keys_total hit=%d miss=%d, want 0 and 2", hit, miss)
 	}
 
+	_, created := postEncoded(t, front.URL+"/v1/sessions", "", []byte(testCNFSat))
+	var sess struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(created, &sess); err != nil || sess.ID == "" {
+		t.Fatalf("create session: %s (err %v)", created, err)
+	}
+
 	keyed := coord.routeKeys.Len()
 	bomb := gzipBytes([]byte("p cnf 2 2000\n" + strings.Repeat("1 2 0\n", 2000)))
 	for _, rc := range []struct {
-		name, enc string
-		body      []byte
-		code      int
-		memoized  bool
+		name, path, enc string
+		body            []byte
+		code            int
+		memoized        bool
 	}{
-		{"malformed", "", []byte("p cnf 2 1\n1 x 0\n"), 400, false},
-		{"gzip bomb", "gzip", bomb, 413, false},
-		{"unsupported encoding", "zstd", []byte(testCNFSat), 415, false},
+		{"malformed", "/v1/solve", "", []byte("p cnf 2 1\n1 x 0\n"), 400, false},
+		{"gzip bomb", "/v1/solve", "gzip", bomb, 413, false},
+		{"unsupported encoding", "/v1/solve", "zstd", []byte(testCNFSat), 415, false},
 		// The coordinator keys an empty formula, as it keys any body that
 		// parses: session creates accept one.
-		{"empty formula", "", []byte("c nothing here\n"), 400, true},
+		{"empty formula", "/v1/solve", "", []byte("c nothing here\n"), 400, true},
+		// A step body past the cap is refused like an oversize upload.
+		{"oversize session step", "/v1/sessions/" + sess.ID + "/solve", "",
+			[]byte(`{"assumptions":[` + strings.Repeat("1,", max) + `1]}`), 413, false},
 	} {
-		resp1, raw1 := postEncoded(t, front.URL+"/v1/solve", rc.enc, rc.body)
-		resp2, raw2 := postEncoded(t, front.URL+"/v1/solve", rc.enc, rc.body)
+		resp1, raw1 := postEncoded(t, front.URL+rc.path, rc.enc, rc.body)
+		resp2, raw2 := postEncoded(t, front.URL+rc.path, rc.enc, rc.body)
 		if resp1.StatusCode != rc.code || resp2.StatusCode != rc.code || !bytes.Equal(raw1, raw2) ||
 			resp1.Header.Get("X-Backend") != resp2.Header.Get("X-Backend") {
 			t.Errorf("%s: %d %s from %q then %d %s from %q; want %d twice from one replica", rc.name,
 				resp1.StatusCode, raw1, resp1.Header.Get("X-Backend"),
 				resp2.StatusCode, raw2, resp2.Header.Get("X-Backend"), rc.code)
+		}
+		if rc.code == 413 && !bytes.Contains(raw1, []byte("body exceeds 4096 bytes")) {
+			t.Errorf("%s: body %s does not name the 4096-byte cap", rc.name, raw1)
 		}
 		_, ok := coord.routeKeys.Get(server.UploadDigest(rc.enc, rc.body))
 		if ok != rc.memoized {

@@ -99,15 +99,8 @@ func (c *Coordinator) handleHashRouted(endpoint string) http.HandlerFunc {
 		if c.refuseIfDraining(w) {
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("body exceeds %d bytes", c.cfg.MaxBodyBytes))
-				return
-			}
-			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+		body, ok := c.readBody(w, r)
+		if !ok {
 			return
 		}
 		key := c.uploadKey(body, r.Header.Get("Content-Encoding"))
@@ -140,6 +133,23 @@ func (c *Coordinator) handleHashRouted(endpoint string) http.HandlerFunc {
 		}
 		writeError(w, http.StatusBadGateway, "no live backend for this request")
 	}
+}
+
+// readBody buffers a request body up to MaxBodyBytes, answering 413 past
+// the cap (in the replicas' words) and 400 on any other read failure.
+func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("body exceeds %d bytes", c.cfg.MaxBodyBytes))
+		} else {
+			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+		}
+		return nil, false
+	}
+	return body, true
 }
 
 // recordRoute files the id → backend affinity a creating endpoint's
@@ -305,10 +315,7 @@ func (c *Coordinator) handleSessionOp(endpoint string) http.HandlerFunc {
 		}
 		var body []byte
 		if r.Body != nil && r.ContentLength != 0 {
-			var err error
-			body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+			if body, ok = c.readBody(w, r); !ok {
 				return
 			}
 		}

@@ -1,7 +1,7 @@
 package cluster
 
 // Consistent-hash ring over a static backend set. Each backend owns
-// ~Vnodes points on a 64-bit circle (FNV-1a over "name#i"), and a key
+// vnodes points on a 64-bit circle (FNV-1a over "name#i"), and a key
 // routes to the first point clockwise of its own hash. Properties the
 // coordinator (and the rebalance tests) depend on:
 //
@@ -22,10 +22,10 @@ import (
 	"sort"
 )
 
-// defaultVnodes is how many ring points each backend owns. 128 keeps the
+// vnodes is how many ring points each backend owns. 128 keeps the
 // per-backend keyspace share within a few percent of 1/N while the whole
 // ring stays a small sorted slice (binary search per lookup).
-const defaultVnodes = 128
+const vnodes = 128
 
 type ringPoint struct {
 	hash    uint64
@@ -40,11 +40,8 @@ type Ring struct {
 }
 
 // NewRing builds the ring from the backend names (duplicates collapse)
-// with vnodes points per backend (<=0 → defaultVnodes).
-func NewRing(backends []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+// with vnodes points per backend.
+func NewRing(backends []string) *Ring {
 	seen := make(map[string]bool, len(backends))
 	var names []string
 	for _, b := range backends {

@@ -37,9 +37,9 @@ func TestRingDeterministic(t *testing.T) {
 		{"c:1", "a:1", "b:1"},        // shuffled configuration order
 		{"b:1", "c:1", "a:1", "a:1"}, // duplicates collapse
 	}
-	base := assign(NewRing(cases[0], 0), keys, nil)
+	base := assign(NewRing(cases[0]), keys, nil)
 	for _, names := range cases[1:] {
-		got := assign(NewRing(names, 0), keys, nil)
+		got := assign(NewRing(names), keys, nil)
 		for k, want := range base {
 			if got[k] != want {
 				t.Fatalf("ring built from %v: key %s → %s, want %s", names, k[:12], got[k], want)
@@ -61,7 +61,7 @@ func TestRingRebalance(t *testing.T) {
 			for i := 0; i < n; i++ {
 				names = append(names, fmt.Sprintf("replica-%d:8080", i))
 			}
-			r := NewRing(names, 0)
+			r := NewRing(names)
 			before := assign(r, keys, nil)
 
 			dead := names[n/2]
@@ -103,7 +103,7 @@ func TestRingRebalance(t *testing.T) {
 // owner, covers every backend exactly once, and is itself stable.
 func TestRingOrder(t *testing.T) {
 	names := []string{"a:1", "b:1", "c:1", "d:1"}
-	r := NewRing(names, 0)
+	r := NewRing(names)
 	for _, k := range testKeys(100) {
 		order := r.Order(k)
 		if len(order) != len(names) {
@@ -130,11 +130,11 @@ func TestRingOrder(t *testing.T) {
 
 // TestRingEmpty pins the degenerate cases.
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if _, ok := r.Pick("k", nil); ok {
 		t.Fatal("empty ring produced an assignment")
 	}
-	r = NewRing([]string{"only:1"}, 0)
+	r = NewRing([]string{"only:1"})
 	if b, ok := r.Pick("k", nil); !ok || b != "only:1" {
 		t.Fatalf("single-backend ring → %q, %v", b, ok)
 	}

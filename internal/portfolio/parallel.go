@@ -17,7 +17,7 @@ package portfolio
 //     sets depend on scheduling.
 //
 //   - Deterministic (Config.Deterministic = true): a FIXED ensemble of
-//     virtual workers advances in lockstep rounds of BarrierProps
+//     virtual workers advances in lockstep rounds of barrierProps
 //     propagations (pseudo-time, as in internal/sweep), with an all-to-all
 //     exchange merged in (worker, sequence) order at each barrier. The
 //     winner is the lowest-indexed worker decided in the earliest round.
@@ -59,16 +59,16 @@ const (
 	// count: large enough to cover both deletion policies under two
 	// restart schedules, small enough that a single-CPU run stays cheap.
 	DefaultEnsemble = 4
-	// DefaultBarrierProps is the deterministic exchange-round length in
+	// barrierProps is the deterministic exchange-round length in
 	// propagations (pseudo-time: 1 propagation ≡ 1µs, as in the
 	// experiment harness).
-	DefaultBarrierProps = 20000
-	// DefaultGlueLimit and DefaultSizeLimit gate the export filter:
-	// binaries always travel; longer clauses need glue ≤ GlueLimit and
-	// size ≤ SizeLimit ("Rethinking Clause Management": share the few
-	// clauses likely to be useful elsewhere, not the database).
-	DefaultGlueLimit = 4
-	DefaultSizeLimit = 12
+	barrierProps = 20000
+	// glueLimit and sizeLimit gate the export filter: binaries always
+	// travel; longer clauses need glue ≤ glueLimit and size ≤ sizeLimit
+	// ("Rethinking Clause Management": share the few clauses likely to be
+	// useful elsewhere, not the database).
+	glueLimit = 4
+	sizeLimit = 12
 	// DefaultQueueCap bounds each worker's export queue; overflow drops.
 	DefaultQueueCap = 4096
 )
@@ -89,14 +89,9 @@ type Config struct {
 	// Ensemble is the deterministic mode's virtual-worker count
 	// (<= 0 → DefaultEnsemble). Ignored in free-running mode.
 	Ensemble int
-	// BarrierProps is the deterministic exchange-round length in
-	// propagations (<= 0 → DefaultBarrierProps).
-	BarrierProps int64
-	// GlueLimit / SizeLimit / QueueCap tune the export filter and queue
-	// bound (<= 0 → the defaults above).
-	GlueLimit int
-	SizeLimit int
-	QueueCap  int
+	// QueueCap bounds each worker's export queue (<= 0 →
+	// DefaultQueueCap).
+	QueueCap int
 	// NoExchange disables clause sharing: workers race independently.
 	// The two-policy race uses this to preserve virtual-best semantics.
 	NoExchange bool
@@ -126,15 +121,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Ensemble <= 0 {
 		c.Ensemble = DefaultEnsemble
-	}
-	if c.BarrierProps <= 0 {
-		c.BarrierProps = DefaultBarrierProps
-	}
-	if c.GlueLimit <= 0 {
-		c.GlueLimit = DefaultGlueLimit
-	}
-	if c.SizeLimit <= 0 {
-		c.SizeLimit = DefaultSizeLimit
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = DefaultQueueCap
@@ -277,11 +263,11 @@ func PropFreqHash(freqs []uint64) uint64 {
 
 // shareable applies the export filter: binaries always travel, longer
 // clauses must be both low-glue and short.
-func (c *Config) shareable(lits []cnf.Lit, glue int) bool {
+func shareable(lits []cnf.Lit, glue int) bool {
 	if len(lits) <= 2 {
 		return true
 	}
-	return glue <= c.GlueLimit && len(lits) <= c.SizeLimit
+	return glue <= glueLimit && len(lits) <= sizeLimit
 }
 
 // hashClause folds one exported clause into a worker's exchange digest.
@@ -381,7 +367,7 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 						ex.Dropped++ // degraded exchange: the clause is lost, the search continues
 						return
 					}
-					if !cfg.shareable(lits, glue) {
+					if !shareable(lits, glue) {
 						ex.Filtered++
 						return
 					}
@@ -476,7 +462,7 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 }
 
 // solveLockstep is the deterministic mode: the fixed ensemble advances in
-// exchange rounds of BarrierProps propagations, executed across
+// exchange rounds of barrierProps propagations, executed across
 // Config.Workers OS threads by sweep.Map (whose index-ordered aggregation
 // guarantees the round outcome is scheduling-independent). All exchange
 // and winner selection happens on the coordinating goroutine between
@@ -503,7 +489,7 @@ func solveLockstep(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelRep
 					states[i].Dropped++
 					return
 				}
-				if !cfg.shareable(lits, glue) {
+				if !shareable(lits, glue) {
 					states[i].Filtered++
 					return
 				}
@@ -572,7 +558,7 @@ func solveLockstep(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelRep
 	}
 
 	for round := 1; ; round++ {
-		barrier := int64(round) * cfg.BarrierProps
+		barrier := int64(round) * barrierProps
 		_, errs := sweep.Map(ctx, sweep.Options{Workers: cfg.Workers}, n,
 			func(cellCtx context.Context, i int) (struct{}, error) {
 				if dead[i] != nil || status[i] != solver.Unknown {

@@ -7,10 +7,10 @@ package server
 // format (text or JSON) is the caller's choice via Config.AccessLog
 // (cmd/neuroselect-serve's -log-format flag).
 //
-// Under flood the log samples itself: the first LogSampleAfter requests
-// of each wall-clock second log normally, and beyond that only every
-// LogSampleEvery-th line is written, flagged sampled=true — a request
-// storm cannot turn the logger into the bottleneck or the disk filler.
+// Under flood the log samples itself: the first 200 requests of each
+// wall-clock second log normally, and beyond that only every 100th line
+// is written, flagged sampled=true — a request storm cannot turn the
+// logger into the bottleneck or the disk filler.
 
 import (
 	"log/slog"
@@ -30,7 +30,8 @@ type accessLogger struct {
 	n   atomic.Int64 // requests seen this window
 }
 
-// newAccessLogger returns nil when log is nil (logging off).
+// newAccessLogger returns nil when log is nil (logging off). limit and
+// every default (<=0) to 200 lines per second and every 100th beyond.
 func newAccessLogger(log *slog.Logger, limit, every int) *accessLogger {
 	if log == nil {
 		return nil

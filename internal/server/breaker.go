@@ -28,15 +28,15 @@ func (st breakerState) String() string {
 }
 
 // breaker protects the admission path from a wedged selector model. While
-// closed, every inference is allowed and consecutive failures (errors,
-// panics, timeouts, or latency above the configured ceiling) are counted;
-// at threshold the breaker opens and inference is skipped outright — the
-// server degrades to DefaultPolicy instantly instead of paying a failing
-// model call per request. After cooldown the breaker half-opens and admits
-// exactly one probe inference: success closes it, failure re-opens it for
-// another cooldown. This is the paper's degrade-to-default fallback
-// promoted from per-request to service-level: one bad model stops costing
-// anything after `threshold` requests.
+// closed, every inference is allowed and consecutive failures (errors or
+// panics) are counted; at threshold (default 5) the breaker opens and
+// inference is skipped outright — the server degrades to DefaultPolicy
+// instantly instead of paying a failing model call per request. After
+// cooldown (default 10s) the breaker half-opens and admits exactly one
+// probe inference: success closes it, failure re-opens it for another
+// cooldown. This is the paper's degrade-to-default fallback promoted from
+// per-request to service-level: one bad model stops costing anything
+// after `threshold` requests.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration

@@ -148,23 +148,3 @@ func TestBreakerTripsOnInferenceFaults(t *testing.T) {
 		t.Errorf("transition counter = %d, want 1", got)
 	}
 }
-
-// TestBreakerLatencyTrip: a healthy-but-slow model counts as failing when
-// BreakerMaxLatency is set.
-func TestBreakerLatencyTrip(t *testing.T) {
-	t.Cleanup(faultpoint.Reset)
-	sel := testSelector()
-	s, ts := newTestServer(t, Config{
-		Workers:           1,
-		CacheSize:         -1,
-		Selector:          sel,
-		BreakerThreshold:  1,
-		BreakerCooldown:   time.Hour,
-		BreakerMaxLatency: time.Nanosecond, // any real inference is "too slow"
-	})
-	resp := post(t, ts.URL+"/v1/solve", satCNF)
-	resp.Body.Close()
-	if st := s.brk.State(); st != breakerOpen {
-		t.Fatalf("breaker state = %v, want open after one latency spike", st)
-	}
-}

@@ -294,17 +294,25 @@ func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (upload, *ht
 	if err != nil {
 		return upload{}, &httpError{code: http.StatusUnsupportedMediaType, msg: err.Error()}
 	}
-	max := s.cfg.MaxBodyBytes
-	wire, err := io.ReadAll(http.MaxBytesReader(w, r.Body, max))
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		return upload{}, &httpError{code: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("body exceeds %d bytes", max)}
-	case err != nil:
+	wire, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		if herr := s.tooLarge(err); herr != nil {
+			return upload{}, herr
+		}
 		return upload{}, badRequest("read body: %v", err)
 	}
 	return upload{enc: enc, wire: wire}, nil
+}
+
+// tooLarge maps a read past Config.MaxBodyBytes (an upload or a session
+// step) to its 413, and any other error to nil.
+func (s *Server) tooLarge(err error) *httpError {
+	var tooBig *http.MaxBytesError
+	if !errors.As(err, &tooBig) {
+		return nil
+	}
+	return &httpError{code: http.StatusRequestEntityTooLarge,
+		msg: fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes)}
 }
 
 // decodeFormula decodes (DecodeUpload) and parses a buffered upload,

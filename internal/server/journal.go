@@ -67,7 +67,8 @@ type journal struct {
 
 // openJournal loads (or creates) the journal under dir, returning the
 // pending jobs found by replay, sorted by id. The returned journal has
-// already been compacted down to those pending submits.
+// already been compacted down to those pending submits, and compacts
+// again once compactEvery obsolete records accumulate (<=0 → 256).
 func openJournal(dir string, compactEvery int, onError func(op string)) (*journal, []*journalRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal dir: %w", err)

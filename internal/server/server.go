@@ -33,11 +33,10 @@
 //   - Retries: transient failures (contained solver panics,
 //     faultpoint-injected errors) re-admit async jobs with jittered
 //     exponential backoff up to Config.MaxRetries attempts.
-//   - Circuit breaker: consecutive selector-inference failures (or
-//     latency above Config.BreakerMaxLatency) trip the breaker; while
-//     open, requests skip inference and run DefaultPolicy outright, and a
-//     half-open probe re-tests the model after Config.BreakerCooldown
-//     (see breaker.go).
+//   - Circuit breaker: consecutive selector-inference failures (errors or
+//     panics) trip the breaker; while open, requests skip inference and
+//     run DefaultPolicy outright, and a half-open probe re-tests the model
+//     after Config.BreakerCooldown (see breaker.go).
 //   - Deadlines: every request runs under a per-request timeout
 //     (?timeout=, clamped by Config.MaxTimeout) and returns UNKNOWN with
 //     a stop reason rather than holding a worker.
@@ -92,9 +91,6 @@ type Config struct {
 	// the client sends none (<=0 → 30s). Every solve runs under some
 	// deadline: a worker is never held indefinitely.
 	MaxTimeout time.Duration
-	// MaxConflicts optionally bounds each solve's conflict count on top
-	// of the deadline (0 = unlimited).
-	MaxConflicts int64
 	// CacheSize is the result-cache capacity in entries (0 → 256;
 	// negative disables caching). It also bounds the upload-key memo,
 	// which a negative value disables with the cache.
@@ -107,10 +103,8 @@ type Config struct {
 	// JournalDir, when non-empty, enables the write-ahead job journal:
 	// async jobs are fsync'd there before they are acknowledged, and New
 	// replays jobs left pending by a crash. Empty disables journaling.
+	// The file is compacted in place once 256 obsolete records accumulate.
 	JournalDir string
-	// JournalCompactEvery bounds journal growth: once this many obsolete
-	// records accumulate the file is compacted in place (<=0 → 256).
-	JournalCompactEvery int
 	// MaxRetries is how many times a transiently-failed async job
 	// (contained panic, injected fault) is re-admitted before its failure
 	// becomes terminal (0 = no retries).
@@ -124,9 +118,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker waits before admitting
 	// a half-open probe inference (<=0 → 10s).
 	BreakerCooldown time.Duration
-	// BreakerMaxLatency, when >0, counts an inference slower than this as
-	// a failure even if it returned a policy (a latency-spike trip).
-	BreakerMaxLatency time.Duration
 	// SessionMax bounds concurrently-live warm sessions (and the parked-
 	// solver pool behind them); creating one past the bound evicts the
 	// least-recently-used idle session (<=0 → 64).
@@ -150,15 +141,10 @@ type Config struct {
 	SSEHeartbeat time.Duration
 	// AccessLog, when non-nil, receives one structured line per HTTP
 	// request: method, path, status, bytes, duration, request id, and the
-	// cache/dedup outcome. Under flood the log is sampled (LogSample*).
+	// cache/dedup outcome. Under flood the log is sampled: past 200 lines
+	// in one second, only every 100th request in that second is logged,
+	// flagged with sampled=true.
 	AccessLog *slog.Logger
-	// LogSampleAfter caps unsampled access-log lines per second; past it,
-	// only every LogSampleEvery-th request in that second is logged,
-	// flagged with sampled=true (<=0 → 200).
-	LogSampleAfter int
-	// LogSampleEvery is the sampling stride once LogSampleAfter is
-	// exceeded within one second (<=0 → 100).
-	LogSampleEvery int
 	// BackendName, when non-empty, runs the server in cluster backend
 	// mode: every response carries an X-Backend header naming this
 	// replica, and job/session ids are prefixed "<name>-" so they are
@@ -388,11 +374,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.m = newServerMetrics(cfg.Registry, s)
 	s.brk.onFlip = func(to breakerState) { s.m.breakerTo(to.String()).Inc() }
-	s.alog = newAccessLogger(cfg.AccessLog, cfg.LogSampleAfter, cfg.LogSampleEvery)
+	s.alog = newAccessLogger(cfg.AccessLog, 0, 0)
 
 	var pending []*journalRecord
 	if cfg.JournalDir != "" {
-		jnl, p, err := openJournal(cfg.JournalDir, cfg.JournalCompactEvery,
+		jnl, p, err := openJournal(cfg.JournalDir, 0,
 			func(op string) { s.m.journalErr(op).Inc() })
 		if err != nil {
 			cancel()
@@ -711,7 +697,7 @@ func (s *Server) executeJob(j *job) (transient bool) {
 	}
 
 	pol, polInfo := s.selectPolicy(j, mem)
-	opts := dataset.SolveOptions(pol, s.cfg.MaxConflicts)
+	opts := dataset.SolveOptions(pol, 0)
 	opts.Tracer = tracer
 	opts.Progress = j.progress
 
@@ -779,7 +765,6 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 	cfg := portfolio.Config{
 		Workers:       j.portfolio,
 		Deterministic: j.deterministic,
-		MaxConflicts:  s.cfg.MaxConflicts,
 		Selector:      s.cfg.Selector,
 		Obs:           s.m.reg,
 		Tracer:        tracer,
@@ -881,16 +866,11 @@ func (s *Server) selectPolicy(j *job, mem *memTracer) (deletion.Policy, policyIn
 
 // inferPolicy runs the selector the breaker admitted. A contained
 // inference failure (panic or error, which covers faults injected at the
-// model-inference site) or latency above BreakerMaxLatency feeds the
-// breaker as a failure.
+// model-inference site) feeds the breaker as a failure.
 func (s *Server) inferPolicy(j *job) portfolio.Choice {
 	ch := s.cfg.Selector.Choose(j.f)
-	failed := ch.Err != nil
-	if !failed && s.cfg.BreakerMaxLatency > 0 && ch.Inference > s.cfg.BreakerMaxLatency {
-		failed = true // latency spike: the model answered too slowly to trust
-	}
-	s.brk.Record(!failed)
-	if failed {
+	s.brk.Record(ch.Err == nil)
+	if ch.Err != nil {
 		s.m.inference("failure").Inc()
 	} else {
 		s.m.inference("ok").Inc()

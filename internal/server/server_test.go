@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"neuroselect/internal/cnf"
+	"neuroselect/internal/faultpoint"
 	"neuroselect/internal/gen"
 	"neuroselect/internal/obs"
 )
@@ -151,8 +153,45 @@ func TestTimeoutClampedByServerMax(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins what New fills into a zero Config: the values
+// a served process runs at for every setting it has no flag for.
+func TestConfigDefaults(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"queue depth", cap(s.queue), 64},
+		{"max timeout", s.cfg.MaxTimeout, 30 * time.Second},
+		{"cache size", s.cfg.CacheSize, 256},
+		{"max body", s.cfg.MaxBodyBytes, int64(64 << 20)},
+		{"job history", s.cfg.JobHistory, 1024},
+		{"max retries", s.cfg.MaxRetries, 0},
+		{"retry base", s.cfg.RetryBase, 100 * time.Millisecond},
+		{"breaker threshold", s.brk.threshold, 5},
+		{"breaker cooldown", s.brk.cooldown, 10 * time.Second},
+		{"session max", s.cfg.SessionMax, 64},
+		{"session ttl", s.cfg.SessionTTL, 5 * time.Minute},
+		{"session max mem", s.cfg.SessionMaxMem, int64(256 << 20)},
+		{"event ring", s.cfg.EventRing, 256},
+		{"event queue", s.cfg.EventQueue, 256},
+		{"sse heartbeat", s.cfg.SSEHeartbeat, 15 * time.Second},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{Workers: 1, MaxBodyBytes: 4096})
+	sess := createSession(t, ts.URL, chainCNF, "")
+	// A step whose JSON alone runs past the body cap.
+	bigStep := `{"assumptions":[` + strings.Repeat("1,", 4096) + `1]}`
 	cases := []struct {
 		name, path, body string
 		want             int
@@ -162,6 +201,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad timeout", "/v1/solve?timeout=banana", satCNF, 400},
 		{"bad policy", "/v1/solve?policy=banana", satCNF, 400},
 		{"bad trace", "/v1/solve?trace=banana", satCNF, 400},
+		{"oversize session step", "/v1/sessions/" + sess.ID + "/solve", bigStep, 413},
 	}
 	for _, tc := range cases {
 		resp := post(t, ts.URL+tc.path, tc.body)
@@ -169,10 +209,13 @@ func TestBadRequests(t *testing.T) {
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
+			t.Errorf("%s: status = %d (%q), want %d", tc.name, resp.StatusCode, e.Error, tc.want)
 		}
 		if e.Error == "" {
 			t.Errorf("%s: error body missing", tc.name)
+		}
+		if tc.want == 413 && e.Error != "body exceeds 4096 bytes" {
+			t.Errorf("%s: error %q, want the upload's %q", tc.name, e.Error, "body exceeds 4096 bytes")
 		}
 	}
 	// Wrong method and unknown route come from the mux.
@@ -316,8 +359,10 @@ func TestTraceCapture(t *testing.T) {
 // TestPolicyEventMatchesResponse pins, for each way selectPolicy decides
 // (a pinned policy, no model, an open breaker, inference), the response's
 // policy object and the ?trace=1 policy event that records the same
-// choice.
+// choice. The breaker opens on primed requests whose inference fails at
+// the model-inference faultpoint.
 func TestPolicyEventMatchesResponse(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
 	f, err := cnf.ParseDIMACS(strings.NewReader(satCNF))
 	if err != nil {
 		t.Fatal(err)
@@ -334,8 +379,7 @@ func TestPolicyEventMatchesResponse(t *testing.T) {
 			policyInfo{Name: "frequency", Prob: -1, Fallback: "requested"}},
 		{"no-model", Config{}, "", 0,
 			policyInfo{Name: "default", Prob: -1, Fallback: "no-model"}},
-		{"breaker-open", Config{Selector: testSelector(), BreakerThreshold: 1, BreakerCooldown: time.Hour,
-			BreakerMaxLatency: time.Nanosecond}, "", 1,
+		{"breaker-open", Config{Selector: testSelector(), BreakerThreshold: 1, BreakerCooldown: time.Hour}, "", 1,
 			policyInfo{Name: "default", Prob: -1, Fallback: FallbackBreakerOpen}},
 		{"inferred", Config{Selector: testSelector()}, "", 0,
 			policyInfo{Name: inferred.Policy.Name(), Prob: inferred.Prob}},
@@ -345,9 +389,11 @@ func TestPolicyEventMatchesResponse(t *testing.T) {
 			tc.cfg.Workers = 1
 			tc.cfg.CacheSize = -1
 			_, ts := newTestServer(t, tc.cfg)
+			faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
 			for i := 0; i < tc.prime; i++ {
 				post(t, ts.URL+"/v1/solve", satCNF).Body.Close()
 			}
+			faultpoint.Disarm(faultpoint.ModelInference)
 			sr, raw := decodeSolve(t, post(t, ts.URL+"/v1/solve?trace=1"+tc.query, satCNF))
 			got := sr.Policy
 			got.InferenceNS = 0

@@ -421,7 +421,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		slv = ps.slv
 	} else {
 		s.m.sessionEv("miss").Inc()
-		slv, err = solver.New(f, dataset.SolveOptions(pol, s.cfg.MaxConflicts))
+		slv, err = solver.New(f, dataset.SolveOptions(pol, 0))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "build solver: "+err.Error())
 			return
@@ -482,6 +482,10 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	var req sessionSolveRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+		if herr := s.tooLarge(err); herr != nil {
+			writeError(w, herr.code, herr.msg)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "parse request: "+err.Error())
 		return
 	}

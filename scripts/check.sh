@@ -24,8 +24,9 @@
 # must still complete), a cluster smoke (coordinator + 2 replicas:
 # sticky consistent-hash routing, a cache hit served through the proxy
 # and keyed from both tiers' upload-key memos, failover after killing the
-# owning replica, SIGTERM drain of the whole topology), three documentation gates (package comments, README flag
-# freshness, API.md metric freshness), a benchmark regression gate
+# owning replica, SIGTERM drain of the whole topology), four documentation gates (package comments, README flag
+# freshness, declared flags for every flag the docs name, API.md metric
+# freshness), a benchmark regression gate
 # against BENCH_solver.json (skip with BENCH_DELTA_SKIP=1), and coverage
 # gates on the experiments, portfolio and solver packages. Run from the
 # repo root via `make check` or `./scripts/check.sh`.
@@ -225,6 +226,26 @@ if [ "$fail" != 0 ]; then
 	exit 1
 fi
 echo "docs gate: every cmd flag documented"
+
+echo "== docs-freshness gate (every backticked -flag in the docs names a declared cmd/* flag)"
+# The reverse direction: a flag removed from every cmd/* must not leave
+# stale rows or prose behind. Subcommand FlagSets (fs.*) count as
+# declarations here.
+declared="$(grep -ohE '(flag|fs)\.(String|Bool|Int64|Int|Duration|Float64)\("[a-z][a-z0-9-]*"' cmd/*/*.go |
+	cut -d'"' -f2 | sort -u)"
+fail=0
+for doc in README.md OPERATIONS.md API.md DESIGN.md EXPERIMENTS.md; do
+	for fl in $(grep -oE '`-[a-z][a-z0-9-]*`' "$doc" | sed 's/^`-//; s/`$//' | sort -u); do
+		if ! echo "$declared" | grep -qx -- "$fl"; then
+			echo "docs gate: FAIL — $doc mentions \`-$fl\`, which no cmd/* declares"
+			fail=1
+		fi
+	done
+done
+if [ "$fail" != 0 ]; then
+	exit 1
+fi
+echo "docs gate: every documented flag is declared"
 
 echo "== docs-freshness gate (every registered metric name appears in API.md)"
 # Every metric-name string literal in the program's Go sources must be
