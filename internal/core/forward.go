@@ -3,17 +3,19 @@ package core
 import (
 	"sync"
 
+	"neuroselect/internal/cnf"
 	"neuroselect/internal/nn"
 	"neuroselect/internal/satgraph"
 	"neuroselect/internal/tensor"
 )
 
-// scratch is the working memory of one forward pass: the node features x,
-// three work buffers of at most N×Hidden, the N-vector of the attention
-// normaliser, and the Hidden-sized attention and head buffers. A pass
-// takes one from scratchPool, so concurrent passes never share one; the
-// buffers grow on demand and later passes reuse them.
+// scratch is the working memory of one forward pass: the graph Predict
+// builds, the node features x, three work buffers of at most N×Hidden, the
+// N-vector of the attention normaliser, and the Hidden-sized attention and
+// head buffers. A pass takes one from scratchPool, so concurrent passes
+// never share one; the buffers grow on demand and later passes reuse them.
 type scratch struct {
+	g          satgraph.VCG
 	x, a, b, c tensor.Matrix
 	vars       tensor.Matrix // view of x's variable rows
 	diag       tensor.Matrix
@@ -38,6 +40,17 @@ func shape(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 func linear(dst, x *tensor.Matrix, l *nn.Linear) {
 	tensor.MatMulInto(dst, x, l.W.M)
 	tensor.AddRowBroadcastInPlace(dst, l.B.M)
+}
+
+// Predict returns the probability that the frequency-guided deletion policy
+// (label 1) outperforms the default policy on the formula. It builds the
+// formula's graph into the pooled scratch, so once the scratch has grown to
+// the formula a call allocates nothing.
+func (m *Model) Predict(f *cnf.Formula) float64 {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.g.Build(f)
+	return sigmoid(m.forward(s, &s.g))
 }
 
 // PredictGraph is Predict for a pre-built graph. It evaluates Logit's

@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"neuroselect/internal/autodiff"
-	"neuroselect/internal/cnf"
 	"neuroselect/internal/nn"
 	"neuroselect/internal/satgraph"
 )
@@ -167,12 +166,6 @@ func (m *Model) linearAttention(t *autodiff.Tape, a *attnLayer, z *autodiff.Valu
 	kv := t.MatMul(t.Transpose(k), v)                    // K̃ᵀV, d×d
 	numer := t.Add(v, t.Scale(t.MatMul(q, kv), 1/n))     // V + (1/N)Q̃(K̃ᵀV)
 	return t.RowScale(numer, t.Reciprocal(d))            // D⁻¹ · numer
-}
-
-// Predict returns the probability that the frequency-guided deletion policy
-// (label 1) outperforms the default policy on the formula.
-func (m *Model) Predict(f *cnf.Formula) float64 {
-	return m.PredictGraph(satgraph.BuildVCG(f))
 }
 
 func sigmoid(x float64) float64 {

@@ -17,7 +17,6 @@ import (
 	"neuroselect/internal/deletion"
 	"neuroselect/internal/faultpoint"
 	"neuroselect/internal/obs"
-	"neuroselect/internal/satgraph"
 	"neuroselect/internal/solver"
 )
 
@@ -35,15 +34,19 @@ const (
 	FallbackPanic = "inference-panic"
 	// FallbackError: inference failed with an error.
 	FallbackError = "inference-error"
+	// FallbackNoReduction: the choice was deferred to the solve's first
+	// reduction and the solve ended before one ranked a learned clause, so
+	// no policy could have changed its search and inference was skipped.
+	FallbackNoReduction = "no-reduction"
 )
 
 // Selector chooses a deletion policy per instance using a trained
 // NeuroSelect model, at the decision threshold the model carries.
 type Selector struct {
 	Model *core.Model
-	// Obs, when non-nil, records every selection decision as metrics:
-	// neuroselect_portfolio_choices_total{policy,fallback} and the
-	// inference-latency histogram neuroselect_portfolio_inference_seconds.
+	// Obs, when non-nil, records every selection decision in
+	// neuroselect_portfolio_choices_total{policy,fallback}, and the latency
+	// of every model call in neuroselect_portfolio_inference_seconds.
 	Obs *obs.Registry
 }
 
@@ -61,11 +64,11 @@ type Choice struct {
 	// Inference is the wall-clock cost of the one-time model call.
 	Inference time.Duration
 	// Fallback names why the default policy was chosen without a model
-	// probability: FallbackNodeCap, FallbackPanic or FallbackError. Empty
-	// when inference drove the selection.
+	// probability: FallbackNodeCap, FallbackPanic, FallbackError or
+	// FallbackNoReduction. Empty when inference drove the selection.
 	Fallback string
 	// Err carries the contained inference failure behind a non-empty
-	// Fallback (nil for the node-cap skip).
+	// Fallback (nil for a skip).
 	Err error
 }
 
@@ -87,11 +90,16 @@ func (ch Choice) Event() *obs.Event {
 // (Kissat) policy with the fallback reason recorded in the Choice.
 func (s *Selector) Choose(f *cnf.Formula) Choice {
 	if f.NumVars+len(f.Clauses) > NodeCapDefault {
-		return s.record(Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: FallbackNodeCap})
+		return s.Skip(FallbackNodeCap)
 	}
 	start := time.Now()
 	prob, err := s.infer(f)
 	ch := Choice{Prob: prob, Inference: time.Since(start)}
+	if s.Obs != nil {
+		s.Obs.Histogram("neuroselect_portfolio_inference_seconds",
+			"Wall-clock latency of the one-time model inference.",
+			nil, nil).Observe(ch.Inference.Seconds())
+	}
 	if err != nil {
 		ch.Policy = deletion.DefaultPolicy{}
 		ch.Prob = -1
@@ -110,7 +118,13 @@ func (s *Selector) Choose(f *cnf.Formula) Choice {
 	return s.record(ch)
 }
 
-// record publishes one selection decision to the selector's registry (when
+// Skip returns the default-policy choice made without calling the model,
+// for the given fallback reason, and records it like every decision.
+func (s *Selector) Skip(fallback string) Choice {
+	return s.record(Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: fallback})
+}
+
+// record counts one selection decision in the selector's registry (when
 // set) and returns the choice unchanged.
 func (s *Selector) record(ch Choice) Choice {
 	if s.Obs != nil {
@@ -121,9 +135,6 @@ func (s *Selector) record(ch Choice) Choice {
 		s.Obs.Counter("neuroselect_portfolio_choices_total",
 			"Policy-selection decisions by chosen policy and fallback reason.",
 			obs.Labels{"policy": ch.Policy.Name(), "fallback": fb}).Inc()
-		s.Obs.Histogram("neuroselect_portfolio_inference_seconds",
-			"Wall-clock latency of the one-time model inference.",
-			nil, nil).Observe(ch.Inference.Seconds())
 	}
 	return ch
 }
@@ -141,7 +152,7 @@ func (s *Selector) infer(f *cnf.Formula) (prob float64, err error) {
 	if err := faultpoint.Hit(faultpoint.ModelInference); err != nil {
 		return 0, err
 	}
-	return s.Model.PredictGraph(satgraph.BuildVCG(f)), nil
+	return s.Model.Predict(f), nil
 }
 
 // Report is the outcome of one adaptive solve.

@@ -7,6 +7,7 @@ import (
 	"neuroselect/internal/core"
 	"neuroselect/internal/dataset"
 	"neuroselect/internal/gen"
+	"neuroselect/internal/obs"
 	"neuroselect/internal/solver"
 )
 
@@ -56,6 +57,53 @@ func TestNodeCapSkipsInference(t *testing.T) {
 	}
 	if ch.Inference != 0 {
 		t.Fatal("no inference time should accrue when skipped")
+	}
+}
+
+// TestChooseMetrics pins what the selector's registry counts: every
+// decision in choices_total, skips included, but an inference-latency
+// sample only for a choice that called the model.
+func TestChooseMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	sel := &Selector{Model: freshModel(), Obs: reg}
+	sel.Choose(cnf.New(NodeCapDefault + 1))
+	sel.Choose(gen.RandomKSAT(30, 120, 3, 2).F)
+	choices := func(fallback string) int64 {
+		var n int64
+		for _, pol := range []string{"default", "frequency"} {
+			n += reg.Counter("neuroselect_portfolio_choices_total", "",
+				obs.Labels{"policy": pol, "fallback": fallback}).Value()
+		}
+		return n
+	}
+	for _, fb := range []string{FallbackNodeCap, "none"} {
+		if got := choices(fb); got != 1 {
+			t.Errorf("choices_total{fallback=%q} = %d, want 1", fb, got)
+		}
+	}
+	if got := reg.Histogram("neuroselect_portfolio_inference_seconds", "", nil, nil).Count(); got != 1 {
+		t.Errorf("inference_seconds has %d samples, want 1: one choice called the model", got)
+	}
+}
+
+// TestChooseAllocs checks that a warmed selection allocates nothing: the
+// graph is built into the model's pooled scratch, not onto the heap, at
+// either size.
+func TestChooseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a random share of sync.Pool puts, so allocation counts vary")
+	}
+	sel := NewSelector(core.NewModel(quickScaleConfig))
+	small := gen.RandomKSAT(100, 426, 3, 1).F
+	large := gen.RandomKSAT(3000, 12780, 3, 2).F
+	sel.Choose(large)
+	for _, tc := range []struct {
+		name string
+		f    *cnf.Formula
+	}{{"100 variables", small}, {"3000 variables", large}} {
+		if a := testing.AllocsPerRun(20, func() { sel.Choose(tc.f) }); a != 0 {
+			t.Errorf("Choose on %s: %v allocations, want 0", tc.name, a)
+		}
 	}
 }
 

@@ -24,34 +24,47 @@ type VCG struct {
 	Adj *tensor.Sparse
 	// Degree[v] is |N(v)| for each node.
 	Degree []int
+
+	backing []tensor.SparseEntry // the array Adj's rows are carved from
 }
 
 // NumNodes returns |V1| + |V2|, the quantity the paper caps at 400,000.
 func (g *VCG) NumNodes() int { return g.NumVars + g.NumClauses }
 
-// BuildVCG constructs the bipartite graph of a formula in two passes: the
-// first counts every node's degree, the second fills the rows of Adj,
-// which are sized by those degrees. A variable occurring in both
-// polarities in one clause contributes two edges whose weights cancel in
-// aggregation, mirroring the tautological structure.
+// BuildVCG constructs the bipartite graph of a formula (see Build).
 func BuildVCG(f *cnf.Formula) *VCG {
+	g := new(VCG)
+	g.Build(f)
+	return g
+}
+
+// Build makes g the bipartite graph of f in two passes: the first counts
+// every node's degree, the second fills the rows of Adj, which are sized
+// by those degrees. It reuses the storage of g's previous graph wherever
+// it is large enough, so rebuilding for a formula no larger than an
+// earlier one allocates nothing. A variable occurring in both polarities
+// in one clause contributes two edges whose weights cancel in
+// aggregation, mirroring the tautological structure.
+func (g *VCG) Build(f *cnf.Formula) {
 	n, m := f.NumVars, len(f.Clauses)
-	g := &VCG{
-		NumVars:    n,
-		NumClauses: m,
-		Degree:     make([]int, n+m),
-	}
+	g.NumVars, g.NumClauses = n, m
+	g.Degree = resize(g.Degree, n+m)
+	clear(g.Degree)
 	for j, cl := range f.Clauses {
 		for _, l := range cl {
 			g.Degree[l.Var()-1]++
 		}
 		g.Degree[n+j] = len(cl)
 	}
-	g.Adj = tensor.NewSparse(n+m, n+m)
-	backing := make([]tensor.SparseEntry, 2*f.NumLiterals())
+	if g.Adj == nil {
+		g.Adj = new(tensor.Sparse)
+	}
+	g.Adj.Rows, g.Adj.Cols = n+m, n+m
+	g.Adj.Entries = resize(g.Adj.Entries, n+m)
+	g.backing = resize(g.backing, 2*f.NumLiterals())
 	off := 0
 	for i, d := range g.Degree {
-		g.Adj.Entries[i] = backing[off : off : off+d]
+		g.Adj.Entries[i] = g.backing[off : off : off+d]
 		off += d
 	}
 	for j, cl := range f.Clauses {
@@ -66,7 +79,15 @@ func BuildVCG(f *cnf.Formula) *VCG {
 			g.Adj.Entries[c] = append(g.Adj.Entries[c], tensor.SparseEntry{Col: v, W: w / float64(g.Degree[c])})
 		}
 	}
-	return g
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // InitialFeatures returns the §4.2 initial node embedding: dimension d with

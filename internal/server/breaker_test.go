@@ -97,11 +97,12 @@ func TestBreakerTripsOnInferenceFaults(t *testing.T) {
 		BreakerCooldown:  time.Hour, // never half-opens within the test
 	})
 	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
+	reducing := reducingSAT(t)
 
 	// Two failing inferences trip the breaker; both requests still answer
 	// (degraded to the default policy).
 	for i := 0; i < 2; i++ {
-		resp := post(t, ts.URL+"/v1/solve", satCNF)
+		resp := post(t, ts.URL+"/v1/solve", reducing)
 		sr, _ := decodeSolve(t, resp)
 		if resp.StatusCode != 200 || sr.Status != "SAT" {
 			t.Fatalf("request %d: status=%d solve=%q, want a degraded 200 SAT", i, resp.StatusCode, sr.Status)
@@ -117,7 +118,7 @@ func TestBreakerTripsOnInferenceFaults(t *testing.T) {
 	// The next request never reaches the (still armed) faultpoint: the
 	// open breaker skips inference outright.
 	before := faultpoint.Hits(faultpoint.ModelInference)
-	resp := post(t, ts.URL+"/v1/solve", satCNF)
+	resp := post(t, ts.URL+"/v1/solve", reducing)
 	sr, _ := decodeSolve(t, resp)
 	if sr.Policy.Fallback != FallbackBreakerOpen || sr.Policy.Name != "default" {
 		t.Fatalf("open-breaker policy = %+v, want default via %q", sr.Policy, FallbackBreakerOpen)

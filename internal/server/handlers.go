@@ -16,6 +16,7 @@ import (
 
 	"neuroselect/internal/cnf"
 	"neuroselect/internal/deletion"
+	"neuroselect/internal/solver"
 )
 
 // Handler returns the service mux:
@@ -331,7 +332,24 @@ func (s *Server) decodeFormula(up upload) (*cnf.Formula, *httpError) {
 	if err != nil {
 		return nil, badRequest("parse DIMACS: %v", err)
 	}
+	if herr := s.tooManyVars(f.NumVars); herr != nil {
+		return nil, herr
+	}
 	return f, nil
+}
+
+// tooManyVars maps a variable count whose footprint charge alone
+// (solver.VarFootprint) passes Config.SessionMaxMem to its 413, and any
+// other count to nil. A solver allocates per variable as it is built, and
+// a few bytes of DIMACS can declare millions, so every count is checked
+// before a solver sees it.
+func (s *Server) tooManyVars(n int) *httpError {
+	most := s.cfg.SessionMaxMem / solver.VarFootprint(1)
+	if int64(n) <= most {
+		return nil
+	}
+	return &httpError{code: http.StatusRequestEntityTooLarge,
+		msg: fmt.Sprintf("%d variables exceed the solver memory cap: at most %d fit in %d bytes", n, most, s.cfg.SessionMaxMem)}
 }
 
 // Upload decoding failures.

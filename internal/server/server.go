@@ -446,14 +446,18 @@ func (s *Server) replayJob(rec *journalRecord) *job {
 
 	f, err := cnf.Parse([]byte(rec.CNF))
 	if err != nil {
-		s.failReplayed(j, "journal replay: parse DIMACS: "+err.Error())
+		s.failReplayed(j, 500, "journal replay: parse DIMACS: "+err.Error())
+		return nil
+	}
+	if herr := s.tooManyVars(f.NumVars); herr != nil {
+		s.failReplayed(j, herr.code, "journal replay: "+herr.msg)
 		return nil
 	}
 	j.f = f
 	if rec.Policy != "" {
 		pol, err := deletion.ByName(rec.Policy)
 		if err != nil {
-			s.failReplayed(j, "journal replay: "+err.Error())
+			s.failReplayed(j, 500, "journal replay: "+err.Error())
 			return nil
 		}
 		j.policy = pol
@@ -475,16 +479,17 @@ func (s *Server) admitReplayed(j *job) {
 	for !s.enqueue(j) {
 		if s.closed.Load() || s.draining.Load() {
 			s.abortFlight(j, 503, "server stopped during journal replay")
-			s.failReplayed(j, "server stopped during journal replay")
+			s.failReplayed(j, 500, "server stopped during journal replay")
 			return
 		}
 		time.Sleep(2 * time.Millisecond) // queue full: workers are draining it
 	}
 }
 
-// failReplayed completes a replayed job with a 500 and journals it done.
-func (s *Server) failReplayed(j *job, msg string) {
-	j.fail(500, msg)
+// failReplayed completes a replayed job with an error and journals it
+// done.
+func (s *Server) failReplayed(j *job, code int, msg string) {
+	j.fail(code, msg)
 	j.finish()
 	s.jobs.NoteDone(j)
 	s.journalDone(j, "error")
@@ -696,14 +701,17 @@ func (s *Server) executeJob(j *job) (transient bool) {
 		return s.executePortfolio(j, ctx, wait, mem, tracer)
 	}
 
-	pol, polInfo := s.selectPolicy(j, mem)
-	opts := dataset.SolveOptions(pol, 0)
+	dec := s.newDecision(j, mem)
+	opts := dataset.SolveOptions(dec.solverPolicy(), 0)
 	opts.Tracer = tracer
 	opts.Progress = j.progress
 
 	solveStart := time.Now()
 	res, err := solver.SolveContext(ctx, j.f, opts)
-	solveNS := time.Since(solveStart).Nanoseconds()
+	ch := dec.result()
+	// A deferred choice runs inside the search; its inference is reported
+	// as its own stage, not as solve time.
+	solveNS := time.Since(solveStart).Nanoseconds() - ch.Inference.Nanoseconds()
 	s.observeSolveSeconds(float64(solveNS) / 1e9)
 	if err != nil && res.Status != solver.Unknown {
 		// Non-panic internal failure (e.g. model verification); panics and
@@ -719,6 +727,12 @@ func (s *Server) executeJob(j *job) (transient bool) {
 		return true
 	}
 
+	polInfo := policyInfo{
+		Name:        ch.Policy.Name(),
+		Prob:        ch.Prob,
+		Fallback:    ch.Fallback,
+		InferenceNS: ch.Inference.Nanoseconds(),
+	}
 	resp := &solveResponse{
 		Status: res.Status.String(),
 		Policy: polInfo,
@@ -835,40 +849,99 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 // inference circuit breaker is open and model calls are skipped outright.
 const FallbackBreakerOpen = "breaker-open"
 
-// selectPolicy resolves the deletion policy for one job: a client-pinned
-// ?policy= wins, then the model-driven selector (behind the circuit
-// breaker), then the default policy. When the job captures a trace, the
-// choice is recorded as its policy event.
-func (s *Server) selectPolicy(j *job, mem *memTracer) (deletion.Policy, policyInfo) {
-	var ch portfolio.Choice
+// decision is how a one-shot solve's deletion policy gets chosen. A
+// client-pinned ?policy=, or the default policy on a server without a
+// selector, is settled before the search starts. Otherwise the choice is
+// deferred: the decision itself is the policy the solver runs under, and
+// the solver consults its policy only when a reduction ranks learned
+// clauses. The first consultation runs the breaker-guarded selector, and
+// every later one delegates to its pick, so the search is the one an
+// up-front choice would have run. A solve that ends before its first
+// ranking builds no graph, runs no inference and takes no breaker probe;
+// result then settles it as portfolio.FallbackNoReduction.
+//
+// A decision belongs to one solve on one goroutine. When the job captures
+// a trace, the choice is recorded as its policy event at the moment it is
+// made.
+type decision struct {
+	s       *Server
+	f       *cnf.Formula
+	mem     *memTracer
+	ch      portfolio.Choice
+	settled bool
+}
+
+// newDecision starts the policy decision of one job.
+func (s *Server) newDecision(j *job, mem *memTracer) *decision {
+	d := &decision{s: s, f: j.f, mem: mem}
 	switch {
 	case j.policy != nil:
-		ch = portfolio.Choice{Policy: j.policy, Prob: -1, Fallback: "requested"}
+		d.settle(portfolio.Choice{Policy: j.policy, Prob: -1, Fallback: "requested"})
 	case s.cfg.Selector == nil:
-		ch = portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: "no-model"}
-	case !s.brk.Allow():
-		// An open breaker skips the model call entirely.
-		s.m.inference(FallbackBreakerOpen).Inc()
-		ch = portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: FallbackBreakerOpen}
-	default:
-		ch = s.inferPolicy(j)
+		d.settle(portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: "no-model"})
 	}
-	if mem != nil {
-		mem.Trace(ch.Event())
+	return d
+}
+
+// solverPolicy is the policy the solve runs under: the settled choice, or
+// the deferred decision itself.
+func (d *decision) solverPolicy() deletion.Policy {
+	if d.settled {
+		return d.ch.Policy
 	}
-	return ch.Policy, policyInfo{
-		Name:        ch.Policy.Name(),
-		Prob:        ch.Prob,
-		Fallback:    ch.Fallback,
-		InferenceNS: ch.Inference.Nanoseconds(),
+	return d
+}
+
+// Name implements deletion.Policy: "auto" while the choice is deferred
+// (the solve_start trace event reads it before the search), the chosen
+// policy's name after.
+func (d *decision) Name() string {
+	if !d.settled {
+		return "auto"
+	}
+	return d.ch.Policy.Name()
+}
+
+// NeedsFrequency implements deletion.Policy for the chosen policy.
+func (d *decision) NeedsFrequency() bool { return d.chosen().NeedsFrequency() }
+
+// Score implements deletion.Policy for the chosen policy.
+func (d *decision) Score(ci deletion.ClauseInfo) uint64 { return d.chosen().Score(ci) }
+
+// chosen makes a deferred choice on first use and returns its policy.
+func (d *decision) chosen() deletion.Policy {
+	if !d.settled {
+		d.settle(d.s.choosePolicy(d.f))
+	}
+	return d.ch.Policy
+}
+
+func (d *decision) settle(ch portfolio.Choice) {
+	d.ch, d.settled = ch, true
+	if d.mem != nil {
+		d.mem.Trace(ch.Event())
 	}
 }
 
-// inferPolicy runs the selector the breaker admitted. A contained
-// inference failure (panic or error, which covers faults injected at the
-// model-inference site) feeds the breaker as a failure.
-func (s *Server) inferPolicy(j *job) portfolio.Choice {
-	ch := s.cfg.Selector.Choose(j.f)
+// result returns the choice once the solve is over, settling one the
+// search never consulted as portfolio.FallbackNoReduction.
+func (d *decision) result() portfolio.Choice {
+	if !d.settled {
+		d.settle(d.s.cfg.Selector.Skip(portfolio.FallbackNoReduction))
+	}
+	return d.ch
+}
+
+// choosePolicy runs the selector behind the circuit breaker: an open
+// breaker skips the model call outright, and a contained inference failure
+// (panic or error, which covers faults injected at the model-inference
+// site) feeds the breaker as a failure.
+func (s *Server) choosePolicy(f *cnf.Formula) portfolio.Choice {
+	if !s.brk.Allow() {
+		s.m.inference(FallbackBreakerOpen).Inc()
+		return portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: FallbackBreakerOpen}
+	}
+	ch := s.cfg.Selector.Choose(f)
 	s.brk.Record(ch.Err == nil)
 	if ch.Err != nil {
 		s.m.inference("failure").Inc()

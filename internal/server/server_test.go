@@ -19,6 +19,7 @@ import (
 	"neuroselect/internal/faultpoint"
 	"neuroselect/internal/gen"
 	"neuroselect/internal/obs"
+	"neuroselect/internal/portfolio"
 )
 
 const (
@@ -26,15 +27,27 @@ const (
 	unsatCNF = "p cnf 1 2\n1 0\n-1 0\n"
 )
 
-// phpDIMACS renders an unsatisfiable pigeonhole instance; holes >= 8 keeps
-// a worker busy long enough to observe queueing and draining.
-func phpDIMACS(t *testing.T, holes int) string {
+// dimacsOf renders a formula as an upload body.
+func dimacsOf(t *testing.T, f *cnf.Formula) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := cnf.WriteDIMACS(&buf, gen.Pigeonhole(holes).F); err != nil {
+	if err := cnf.WriteDIMACS(&buf, f); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// reducingSAT renders a satisfiable random 3-SAT instance whose solve
+// reaches a reduction under the service's solve options, so a ?policy=auto
+// solve of it consults the selector. satCNF ends before any reduction.
+func reducingSAT(t *testing.T) string {
+	return dimacsOf(t, gen.RandomKSAT(80, 336, 3, 2).F)
+}
+
+// phpDIMACS renders an unsatisfiable pigeonhole instance; holes >= 8 keeps
+// a worker busy long enough to observe queueing and draining.
+func phpDIMACS(t *testing.T, holes int) string {
+	return dimacsOf(t, gen.Pigeonhole(holes).F)
 }
 
 // newTestServer starts a Server on an httptest listener and tears both
@@ -356,14 +369,16 @@ func TestTraceCapture(t *testing.T) {
 	}
 }
 
-// TestPolicyEventMatchesResponse pins, for each way selectPolicy decides
-// (a pinned policy, no model, an open breaker, inference), the response's
+// TestPolicyEventMatchesResponse pins, for each way a one-shot solve's
+// policy is decided (a pinned policy, no model, an open breaker,
+// inference, a deferred choice the search never needed), the response's
 // policy object and the ?trace=1 policy event that records the same
 // choice. The breaker opens on primed requests whose inference fails at
 // the model-inference faultpoint.
 func TestPolicyEventMatchesResponse(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	f, err := cnf.ParseDIMACS(strings.NewReader(satCNF))
+	reducing := reducingSAT(t)
+	f, err := cnf.ParseDIMACS(strings.NewReader(reducing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,18 +386,21 @@ func TestPolicyEventMatchesResponse(t *testing.T) {
 	cases := []struct {
 		name  string
 		cfg   Config
+		body  string
 		query string
 		prime int // requests sent first, to trip the breaker
 		want  policyInfo
 	}{
-		{"requested", Config{Selector: testSelector()}, "&policy=frequency", 0,
+		{"requested", Config{Selector: testSelector()}, reducing, "&policy=frequency", 0,
 			policyInfo{Name: "frequency", Prob: -1, Fallback: "requested"}},
-		{"no-model", Config{}, "", 0,
+		{"no-model", Config{}, reducing, "", 0,
 			policyInfo{Name: "default", Prob: -1, Fallback: "no-model"}},
-		{"breaker-open", Config{Selector: testSelector(), BreakerThreshold: 1, BreakerCooldown: time.Hour}, "", 1,
+		{"breaker-open", Config{Selector: testSelector(), BreakerThreshold: 1, BreakerCooldown: time.Hour}, reducing, "", 1,
 			policyInfo{Name: "default", Prob: -1, Fallback: FallbackBreakerOpen}},
-		{"inferred", Config{Selector: testSelector()}, "", 0,
+		{"inferred", Config{Selector: testSelector()}, reducing, "", 0,
 			policyInfo{Name: inferred.Policy.Name(), Prob: inferred.Prob}},
+		{"no-reduction", Config{Selector: testSelector()}, satCNF, "", 0,
+			policyInfo{Name: "default", Prob: -1, Fallback: portfolio.FallbackNoReduction}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -391,10 +409,10 @@ func TestPolicyEventMatchesResponse(t *testing.T) {
 			_, ts := newTestServer(t, tc.cfg)
 			faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
 			for i := 0; i < tc.prime; i++ {
-				post(t, ts.URL+"/v1/solve", satCNF).Body.Close()
+				post(t, ts.URL+"/v1/solve", tc.body).Body.Close()
 			}
 			faultpoint.Disarm(faultpoint.ModelInference)
-			sr, raw := decodeSolve(t, post(t, ts.URL+"/v1/solve?trace=1"+tc.query, satCNF))
+			sr, raw := decodeSolve(t, post(t, ts.URL+"/v1/solve?trace=1"+tc.query, tc.body))
 			got := sr.Policy
 			got.InferenceNS = 0
 			if got != tc.want {

@@ -493,6 +493,11 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "pop and push must be non-negative")
 		return
 	}
+	if herr := s.tooManyVars(req.Push); herr != nil {
+		// Each frame is a variable; the full count is checked under the lock.
+		writeError(w, herr.code, herr.msg)
+		return
+	}
 	timeout := s.cfg.MaxTimeout
 	if req.Timeout != "" {
 		d, err := time.ParseDuration(req.Timeout)
@@ -506,9 +511,9 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Validate everything that does not need solver state before taking the
-	// session lock, and the frame-depth bound right after taking it, so a
-	// rejected request mutates nothing: the step is all-or-nothing, never a
-	// committed prefix of its operations.
+	// session lock, and the frame-depth and variable-count bounds right
+	// after taking it, so a rejected request mutates nothing: the step is
+	// all-or-nothing, never a committed prefix of its operations.
 	add := make([]cnf.Clause, len(req.Add))
 	for i, raw := range req.Add {
 		if len(raw) > solver.MaxAddClauseLen {
@@ -549,6 +554,10 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	if req.Pop > sess.slv.FrameDepth() {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("pop %d with %d open frames", req.Pop, sess.slv.FrameDepth()))
+		return
+	}
+	if herr := s.tooManyVars(sess.slv.VarsAfter(req.Push, add)); herr != nil {
+		writeError(w, herr.code, herr.msg)
 		return
 	}
 

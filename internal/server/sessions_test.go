@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"neuroselect/internal/solver"
 )
 
 // chainCNF is an implication chain 1→2→3→4 with nothing else: under
@@ -247,7 +249,9 @@ func TestSessionLRUEviction(t *testing.T) {
 // TestSessionMemoryCap forces an absurdly small footprint budget and
 // checks the session is closed after answering.
 func TestSessionMemoryCap(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, SessionMaxMem: 1})
+	// The smallest cap that admits the chain's 4 variables at create; the
+	// solve's clause arena then pushes the footprint past it.
+	_, ts := newTestServer(t, Config{Workers: 1, SessionMaxMem: solver.VarFootprint(4)})
 	cr := createSession(t, ts.URL, chainCNF, "")
 	sr, code := sessionSolve(t, ts.URL, cr.ID, sessionSolveRequest{})
 	if code != http.StatusOK || sr.Status != "SAT" {

@@ -241,6 +241,46 @@ func (s *Solver) SetDeadline(d time.Time) {
 	s.budget = nil
 }
 
+// VarsAfter bounds how many variables the solver would number after
+// opening push frames and then adding the clauses cs, without changing
+// anything: the larger of the internal count (one activation variable per
+// frame, plus the user variables cs introduces) and the user-visible count
+// (the variable map grows to the highest user variable). The bound is
+// exact unless the solver is or becomes unsatisfiable, after which adds
+// allocate nothing. A caller can refuse a step that would grow the solver
+// too far before any of it runs.
+func (s *Solver) VarsAfter(push int, cs []cnf.Clause) int {
+	n, users := s.numVars+push, s.uvars
+	// Before the first Push the maps are the identity: user variable u is
+	// internal variable u, and adding it allocates every variable below.
+	identity := s.u2i == nil && push == 0
+	mapped := func(u int) bool { return u < s.uvars }
+	if s.u2i != nil {
+		mapped = func(u int) bool { return u < len(s.u2i) && s.u2i[u] >= 0 }
+	}
+	added := map[int]bool{}
+	for _, c := range cs {
+		for _, l := range c {
+			u := l.Var() - 1
+			users = max(users, u+1)
+			switch {
+			case identity:
+				n = max(n, u+1)
+			case !mapped(u) && !added[u]:
+				added[u] = true
+				n++
+			}
+		}
+	}
+	return max(n, users)
+}
+
+// VarFootprint is Footprint's charge for n variables alone: what a solver
+// over n variables and no clauses reports.
+func VarFootprint(n int) int64 {
+	return int64(n)*100 + int64(2*n)*24
+}
+
 // Footprint estimates the solver's resident memory in bytes: the clause
 // arena, clause activities, watch lists, and roughly 100 bytes per
 // variable of assignment/heap/analysis state. Warm-session memory caps

@@ -574,3 +574,82 @@ func TestSolveHonorsOpenFrames(t *testing.T) {
 		t.Fatalf("model %v violates the frame clause {1} or the chain 1→2", m)
 	}
 }
+
+// TestVarsAfterPredictsGrowth drives random session-like steps (pops,
+// pushes, clause adds over old, new and far-off variables) and checks that
+// VarsAfter, asked before each step, bounds the larger of the internal and
+// the user-visible variable count the step then leaves, and names it
+// exactly while the solver stays satisfiable.
+func TestVarsAfterPredictsGrowth(t *testing.T) {
+	rng := uint64(7)
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	exact := 0
+	for run := 0; run < 20; run++ {
+		s, err := New(gen.RandomKSAT(8, 20, 3, int64(run)).F, incrementalOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 12; step++ {
+			for pop := next(2); pop > 0 && s.FrameDepth() > 0; pop-- {
+				s.Pop()
+			}
+			push := 0
+			if run%3 != 0 { // every third run stays on the identity map
+				push = next(3)
+			}
+			var add []cnf.Clause
+			for k := next(3); k > 0; k-- {
+				var c cnf.Clause
+				for j := 1 + next(3); j > 0; j-- {
+					v := 1 + next(s.UserVars()+4)
+					if next(8) == 0 {
+						v += 20 + next(30)
+					}
+					if next(2) == 0 {
+						v = -v
+					}
+					c = append(c, cnf.Lit(v))
+				}
+				add = append(add, c)
+			}
+			want := s.VarsAfter(push, add)
+			for i := 0; i < push; i++ {
+				s.Push()
+			}
+			for _, c := range add {
+				if err := s.AddClause(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := max(s.NumVars(), s.UserVars()); got > want || (s.ok && got != want) {
+				t.Fatalf("run %d step %d: VarsAfter(%d, %v) = %d, step left %d internal and %d user variables",
+					run, step, push, add, want, s.NumVars(), s.UserVars())
+			}
+			if s.ok {
+				exact++
+			}
+		}
+	}
+	if exact < 100 {
+		t.Errorf("only %d of 240 steps left the solver satisfiable; the exact case is barely exercised", exact)
+	}
+}
+
+// TestVarFootprintIsFootprintOfEmptySolver pins VarFootprint to what
+// Footprint charges a solver over n variables and no clauses.
+func TestVarFootprintIsFootprintOfEmptySolver(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000} {
+		s, err := New(cnf.New(n), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := VarFootprint(n), s.Footprint(); got != want {
+			t.Errorf("VarFootprint(%d) = %d, Footprint of an empty solver = %d", n, got, want)
+		}
+	}
+}

@@ -14,7 +14,8 @@
 # drain), a trained-model
 # smoke (neuroselect train writes a threshold into the model file, and
 # neuroselect predict and neuroselect-serve -model choose the same policy
-# for php-7, the server with no fallback), an incremental
+# for php-7, the server with no fallback; a formula solved before its
+# first reduction answers no-reduction without an inference), an incremental
 # warm-session smoke (a session's steps must answer exactly like cold
 # solves of the equivalent accumulated formulas, and an idle session
 # must expire after -session-ttl), an SSE telemetry smoke (live window
@@ -393,7 +394,10 @@ echo "serve smoke: concurrent solves, cache hit, 429 shedding, SIGTERM drain all
 echo "== trained-model smoke (train, predict, serve -model decide alike)"
 # The model file is the selector artifact: train writes the calibrated
 # threshold into it, and predict and a server started with -model must
-# make the same choice from it, with inference actually running.
+# make the same choice from it, with inference actually running for php-7,
+# which reaches a reduction. The served choice waits for a solve's first
+# reduction, so a formula decided before one must answer no-reduction and
+# leave the inference counter where it was.
 go build -o "$SMOKE_DIR/neuroselect" ./cmd/neuroselect
 "$SMOKE_DIR/neuroselect" train -scale quick -out "$SMOKE_DIR/model.json" 2> "$SMOKE_DIR/train.txt"
 th="$(sed -n 's/.*"threshold":\([0-9.eE+-]*\).*/\1/p' "$SMOKE_DIR/model.json")"
@@ -407,7 +411,7 @@ if [ -z "$want" ]; then
 	echo "model smoke: FAIL — predict named no policy for php-7"
 	exit 1
 fi
-"$SMOKE_DIR/neuroselect-serve" -addr 127.0.0.1:0 -workers 1 \
+"$SMOKE_DIR/neuroselect-serve" -addr 127.0.0.1:0 -workers 1 -metrics-addr 127.0.0.1:0 \
 	-model "$SMOKE_DIR/model.json" > "$SMOKE_DIR/serve_model.txt" 2>&1 &
 SERVE_PID=$!
 api=""
@@ -438,6 +442,29 @@ case "$pol" in
 	exit 1
 	;;
 esac
+maddr="$(sed -n 's/^metrics listening on //p' "$SMOKE_DIR/serve_model.txt")"
+# inferences: every neuroselect_server_inference_total sample, summed.
+inferences() {
+	curl -fsS "http://$maddr/metrics" | awk '
+		$1 ~ /^neuroselect_server_inference_total/ { n += $2 }
+		END { print n + 0 }'
+}
+before="$(inferences)"
+printf 'p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n' > "$SMOKE_DIR/tiny.cnf"
+pol="$(curl -fsS --data-binary @"$SMOKE_DIR/tiny.cnf" "http://$api/v1/solve?policy=auto" |
+	grep -o '"policy":{[^}]*}')"
+case "$pol" in
+*'"fallback":"no-reduction"'*) : ;;
+*)
+	echo "model smoke: FAIL — a formula solved before any reduction answered $pol"
+	exit 1
+	;;
+esac
+after="$(inferences)"
+if [ "$before" -lt 1 ] || [ "$after" != "$before" ]; then
+	echo "model smoke: FAIL — inference_total read $before after php-7 and $after after a no-reduction solve"
+	exit 1
+fi
 kill -TERM "$SERVE_PID"
 rc=0
 wait "$SERVE_PID" || rc=$?
@@ -446,7 +473,7 @@ if [ "$rc" != 0 ]; then
 	echo "model smoke: FAIL — server exited $rc after drain"
 	exit 1
 fi
-echo "model smoke: threshold $th in the file, served and predicted policy $want"
+echo "model smoke: threshold $th in the file, served and predicted policy $want; no-reduction skipped inference"
 
 echo "== incremental-session smoke (warm steps match cold solves, idle TTL expiry)"
 # An implication chain 1->2->3->4: under the assumptions below every
