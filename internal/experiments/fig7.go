@@ -18,7 +18,8 @@ import (
 // improvement. Table 3 is derived from the same run.
 type Fig7Result struct {
 	Scatter ScatterResult
-	// InferenceMS collects the per-instance one-time inference cost.
+	// InferenceMS collects the per-instance one-time inference cost: 0 for
+	// an instance whose search ended before a reduction needed a choice.
 	InferenceMS []float64
 	// ImprovementProps collects X−Y propagation savings for instances
 	// where NeuroSelect-Kissat improved (the paper plots improvements
@@ -27,7 +28,8 @@ type Fig7Result struct {
 	// FreqChosen counts instances routed to the frequency policy.
 	FreqChosen int
 	// Fallbacks counts instances where the selector bypassed inference
-	// (node cap, contained inference panic or error).
+	// (node cap, contained inference panic or error). An instance whose
+	// search never needed a choice is not a fallback.
 	Fallbacks int
 	// Failures lists instances whose solves failed; they are excluded
 	// from the scatter and summaries but recorded as failure rows.
@@ -110,7 +112,7 @@ func (r *Runner) Fig7() (Fig7Result, error) {
 		if rep.Choice.Policy.Name() == "frequency" {
 			out.FreqChosen++
 		}
-		if rep.Choice.Fallback != "" {
+		if fb := rep.Choice.Fallback; fb != "" && fb != portfolio.FallbackNoReduction {
 			out.Fallbacks++
 		}
 		out.InferenceMS = append(out.InferenceMS, float64(rep.Choice.Inference.Microseconds())/1000)

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"neuroselect/internal/dataset"
+	"neuroselect/internal/deletion"
 	"neuroselect/internal/faultpoint"
+	"neuroselect/internal/solver"
 )
 
 func TestFig7IsolatesFailingInstance(t *testing.T) {
@@ -64,8 +67,9 @@ func TestFig7WithSelectorInferencePanic(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	// Inference panics on every instance: the selector must degrade to
 	// the default policy for the whole run and the table must still come
-	// out, with every instance falling back (the paper's degrade-to-
-	// Kissat behaviour).
+	// out, with every instance that reaches a reduction falling back (the
+	// paper's degrade-to-Kissat behaviour). An instance decided before its
+	// first reduction never needed a choice, so it is not a fallback.
 	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{PanicValue: "inference broken"})
 	r := quickRunner()
 	res, err := r.Fig7()
@@ -78,7 +82,24 @@ func TestFig7WithSelectorInferencePanic(t *testing.T) {
 	if res.FreqChosen != 0 {
 		t.Fatalf("with inference down no instance can be routed to frequency, got %d", res.FreqChosen)
 	}
-	if res.Fallbacks != r.Scale.Corpus.TestSize {
-		t.Fatalf("want %d fallbacks, got %d", r.Scale.Corpus.TestSize, res.Fallbacks)
+	c, err := r.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reducing := 0
+	for _, it := range c.Test.Items {
+		res, err := solver.Solve(it.Inst.F, dataset.SolveOptions(deletion.DefaultPolicy{}, r.Scale.ScatterBudget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Reductions > 0 {
+			reducing++
+		}
+	}
+	if reducing == 0 || reducing == len(c.Test.Items) {
+		t.Fatalf("%d of %d test instances reduce; the stratum must cover both", reducing, len(c.Test.Items))
+	}
+	if res.Fallbacks != reducing {
+		t.Fatalf("want %d fallbacks, one per instance that reaches a reduction, got %d", reducing, res.Fallbacks)
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -99,9 +100,9 @@ type Config struct {
 	// (policies still alternate). Used by the two-policy race.
 	NoDiversify bool
 	// Selector, when non-nil, chooses worker 0's deletion policy via
-	// model inference (the remaining workers stay pinned). Inference is a
-	// pure function of the model and formula, so deterministic mode stays
-	// deterministic.
+	// model inference, deferred to that worker's first reduction (the
+	// remaining workers stay pinned). Inference is a pure function of the
+	// model and formula, so deterministic mode stays deterministic.
 	Selector *Selector
 	// Obs, when non-nil, receives per-worker exchange counters
 	// (neuroselect_portfolio_exchange_clauses_total{worker,event}) and the
@@ -194,10 +195,21 @@ func SolveParallelContext(ctx context.Context, f *cnf.Formula, cfg Config) (Para
 	return solveFree(ctx, f, cfg)
 }
 
-// workerConfig is one diversified solver configuration.
+// workerConfig is one diversified solver configuration. A worker under a
+// Deferred choice is named "auto" in place of its policy until settle
+// completes the name.
 type workerConfig struct {
 	name string
 	opts solver.Options
+}
+
+// settle completes a deferred worker's name with its settled choice: the
+// pick, or "default" when its search never needed one. Call it only once
+// the worker has stopped.
+func (w *workerConfig) settle() {
+	if d, ok := w.opts.Policy.(*Deferred); ok {
+		w.name = strings.Replace(w.name, "auto", d.Result().Policy.Name(), 1)
+	}
 }
 
 // makeConfigs builds the ensemble: policies alternate default/frequency
@@ -216,7 +228,7 @@ func makeConfigs(f *cnf.Formula, cfg *Config, n int) []workerConfig {
 			pol = deletion.FrequencyPolicy{}
 		}
 		if i == 0 && cfg.Selector != nil {
-			pol = cfg.Selector.Choose(f).Policy
+			pol = cfg.Selector.Defer(f, nil, nil)
 		}
 		o := dataset.SolveOptions(pol, cfg.MaxConflicts)
 		name := fmt.Sprintf("w%d:%s", i, pol.Name())
@@ -280,9 +292,15 @@ func hashClause(h uint64, lits []cnf.Lit, glue int) uint64 {
 	return h
 }
 
-// publish pushes the final exchange ledgers into the registry and tracer.
-// round is the last completed exchange round (0 for free-running mode).
-func publish(cfg *Config, round int, states []ExchangeStats) {
+// publish settles every worker's name into its exchange ledger, then
+// pushes the final ledgers into the registry and tracer. round is the last
+// completed exchange round (0 for free-running mode). Call it only once
+// every worker has stopped.
+func publish(cfg *Config, round int, configs []workerConfig, states []ExchangeStats) {
+	for i := range configs {
+		configs[i].settle()
+		states[i].Config = configs[i].name
+	}
 	if cfg.Obs != nil {
 		for i := range states {
 			w := strconv.Itoa(i)
@@ -349,12 +367,12 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 			o := outcome{idx: i}
 			defer func() {
 				if r := recover(); r != nil {
-					o.err = fmt.Errorf("portfolio: worker %s: panic: %v", configs[i].name, r)
+					o.err = fmt.Errorf("panic: %v", r)
 				}
 				results <- o
 			}()
 			if err := faultpoint.Hit(faultpoint.PortfolioWorker); err != nil {
-				o.err = fmt.Errorf("portfolio: worker %s: %w", configs[i].name, err)
+				o.err = err
 				return
 			}
 			opts := configs[i].opts
@@ -409,7 +427,7 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 			// deferred recover above provides the same panic containment.
 			s, err := solver.New(f, opts)
 			if err != nil {
-				o.err = fmt.Errorf("portfolio: worker %s: %w", configs[i].name, err)
+				o.err = err
 				return
 			}
 			st := s.SolveContext(ctx)
@@ -418,7 +436,7 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 			if st == solver.Sat {
 				o.res.Model = s.Model()
 				if !o.res.Model.Satisfies(f) {
-					o.err = fmt.Errorf("portfolio: worker %s: model does not satisfy formula", configs[i].name)
+					o.err = errors.New("model does not satisfy formula")
 				}
 			}
 		}(i)
@@ -433,7 +451,10 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 	for range configs {
 		o := <-results
 		if o.err != nil {
-			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: %v", configs[o.idx].name, o.err))
+			configs[o.idx].settle()
+			name := configs[o.idx].name
+			o.err = fmt.Errorf("portfolio: worker %s: %w", name, o.err)
+			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: %v", name, o.err))
 			failed = append(failed, o.err)
 			continue
 		}
@@ -447,7 +468,7 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 		}
 	}
 	rep.WallTime = time.Since(start)
-	publish(&cfg, 0, states)
+	publish(&cfg, 0, configs, states)
 	if chosen == nil {
 		return rep, fmt.Errorf("portfolio: all %d workers failed: %w", n, errors.Join(failed...))
 	}
@@ -524,7 +545,7 @@ func solveLockstep(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelRep
 	finish := func(win int, round int) (ParallelReport, error) {
 		rep.Rounds = round
 		rep.WallTime = time.Since(start)
-		publish(&cfg, round, states)
+		publish(&cfg, round, configs, states)
 		if win < 0 {
 			// Undecided: report the lowest-indexed survivor's outcome, or
 			// error when every worker is dead.
@@ -581,7 +602,7 @@ func solveLockstep(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelRep
 			// path — the barrier a worker reached depends on timing).
 			rep.Rounds = round - 1
 			rep.WallTime = time.Since(start)
-			publish(&cfg, round-1, states)
+			publish(&cfg, round-1, configs, states)
 			stop := solver.ErrCanceled
 			if errors.Is(err, context.DeadlineExceeded) {
 				stop = solver.ErrDeadline
@@ -598,6 +619,7 @@ func solveLockstep(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelRep
 		for i, err := range errs {
 			if err != nil && dead[i] == nil {
 				dead[i] = err
+				configs[i].settle()
 				rep.Failures = append(rep.Failures, fmt.Sprintf("%s: %v", configs[i].name, err))
 				outbox[i] = nil // a failed round's partial exports do not travel
 			}

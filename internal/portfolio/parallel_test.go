@@ -1,11 +1,14 @@
 package portfolio
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
+	"neuroselect/internal/faultpoint"
 	"neuroselect/internal/gen"
+	"neuroselect/internal/obs"
 	"neuroselect/internal/solver"
 )
 
@@ -172,15 +175,47 @@ func TestRaceDeterministicReproduces(t *testing.T) {
 }
 
 // TestSelectorDrivesWorkerZero checks that a selector-equipped portfolio
-// consults the model exactly once and worker 0 carries its choice.
+// consults the model exactly once and worker 0 carries its choice, on a
+// formula whose worker 0 reaches a reduction.
 func TestSelectorDrivesWorkerZero(t *testing.T) {
 	m := freshModel()
 	m.Threshold = 0 // always pick frequency if inference runs
-	rep, err := SolveParallel(gen.NQueens(6).F, Config{Workers: 2, Selector: NewSelector(m), Deterministic: true})
+	reg := obs.NewRegistry()
+	sel := &Selector{Model: m, Obs: reg}
+	rep, err := SolveParallel(gen.RandomKSAT(80, 336, 3, 2).F, Config{Workers: 2, Selector: sel, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.Exchange[0].Config; got != "w0:frequency:r128" {
 		t.Fatalf("worker 0 config = %q, want the selector-chosen frequency policy", got)
+	}
+	if got := reg.Counter("neuroselect_portfolio_choices_total", "",
+		obs.Labels{"policy": "frequency", "fallback": "none"}).Value(); got != 1 {
+		t.Fatalf("choices_total{policy=frequency,fallback=none} = %d, want 1", got)
+	}
+}
+
+// TestWorkerZeroWithoutReductionSkipsInference checks that worker 0 of a
+// portfolio whose search never reduces names the default policy and never
+// reaches the model.
+func TestWorkerZeroWithoutReductionSkipsInference(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model down")})
+	m := freshModel()
+	m.Threshold = 0
+	for _, det := range []bool{false, true} {
+		rep, err := SolveParallel(gen.NQueens(6).F, Config{Workers: 2, Selector: NewSelector(m), Deterministic: det})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Exchange[0].Config; got != "w0:default:r128" {
+			t.Errorf("deterministic=%v: worker 0 config = %q, want w0:default:r128", det, got)
+		}
+		if rep.WinnerIndex == 0 && rep.Winner != "w0:default:r128" {
+			t.Errorf("deterministic=%v: winner %q", det, rep.Winner)
+		}
+	}
+	if got := faultpoint.Hits(faultpoint.ModelInference); got != 0 {
+		t.Errorf("model-inference faultpoint hit %d times by searches that never reduced", got)
 	}
 }

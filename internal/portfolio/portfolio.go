@@ -1,8 +1,9 @@
 // Package portfolio implements the NeuroSelect-Kissat flow of §5.4: a
 // one-time model inference selects the clause-deletion policy for an
-// instance, then the CDCL solver runs under the chosen policy. Inference
-// time is accounted separately so the Figure 7(b) breakdown can be
-// reproduced.
+// instance, and the CDCL solver runs under the chosen policy. The choice
+// waits for the search's first reduction, the only place a deletion
+// policy acts (see Deferred). Inference time is accounted separately so
+// the Figure 7(b) breakdown can be reproduced.
 package portfolio
 
 import (
@@ -155,33 +156,89 @@ func (s *Selector) infer(f *cnf.Formula) (prob float64, err error) {
 	return s.Model.Predict(f), nil
 }
 
+// Deferred is the deletion policy of one solve, choosing when the search
+// first needs a choice. The solver consults its policy only where a
+// reduction ranks learned clauses, so the first NeedsFrequency or Score
+// call chooses and every later one delegates to the pick: the search is
+// the one an up-front choice would have run. A solve that ends before then
+// runs no inference, and Result settles it as FallbackNoReduction. A
+// Deferred serves one solve on one goroutine.
+type Deferred struct {
+	sel    *Selector
+	f      *cnf.Formula
+	choose func(*cnf.Formula) Choice
+	tracer obs.Tracer
+	ch     Choice // ch.Policy is nil until the choice is made
+}
+
+// Defer starts the deferred choice of one solve of f. choose makes the
+// choice; nil means s.Choose. The tracer, when non-nil, receives the
+// choice as its policy event at the moment it is made.
+func (s *Selector) Defer(f *cnf.Formula, choose func(*cnf.Formula) Choice, tracer obs.Tracer) *Deferred {
+	if choose == nil {
+		choose = s.Choose
+	}
+	return &Deferred{sel: s, f: f, choose: choose, tracer: tracer}
+}
+
+// Name implements deletion.Policy: "auto" until the choice is made, the
+// chosen policy's name after.
+func (d *Deferred) Name() string {
+	if d.ch.Policy == nil {
+		return "auto"
+	}
+	return d.ch.Policy.Name()
+}
+
+// NeedsFrequency implements deletion.Policy for the chosen policy.
+func (d *Deferred) NeedsFrequency() bool { return d.chosen().NeedsFrequency() }
+
+// Score implements deletion.Policy for the chosen policy.
+func (d *Deferred) Score(ci deletion.ClauseInfo) uint64 { return d.chosen().Score(ci) }
+
+func (d *Deferred) chosen() deletion.Policy {
+	if d.ch.Policy == nil {
+		d.settle(d.choose(d.f))
+	}
+	return d.ch.Policy
+}
+
+func (d *Deferred) settle(ch Choice) {
+	d.ch = ch
+	if d.tracer != nil {
+		d.tracer.Trace(ch.Event())
+	}
+}
+
+// Result returns the choice once the solve is over, settling one the
+// search never needed as FallbackNoReduction.
+func (d *Deferred) Result() Choice {
+	if d.ch.Policy == nil {
+		d.settle(d.sel.Skip(FallbackNoReduction))
+	}
+	return d.ch
+}
+
 // Report is the outcome of one adaptive solve.
 type Report struct {
-	Choice    Choice
-	Result    solver.Result
+	Choice Choice
+	Result solver.Result
+	// SolveTime is the search's wall clock less Choice.Inference.
 	SolveTime time.Duration
 }
 
-// Solve chooses a policy and solves under it with the experiment-standard
-// options and the given conflict budget.
-func (s *Selector) Solve(f *cnf.Formula, maxConflicts int64) (Report, error) {
-	return s.SolveContext(context.Background(), f, maxConflicts)
-}
-
-// SolveContext is Solve under a context: cancellation and deadlines abort
-// the underlying search with Unknown (see solver.SolveContext). A
+// SolveContext solves f under a Deferred choice with the experiment-
+// standard options and the given conflict budget: cancellation and
+// deadlines abort the search with Unknown (see solver.SolveContext). A
 // contained solver panic is returned as both an error and an
 // error-carrying Unknown report, so callers can either fail or record the
 // instance and continue.
 func (s *Selector) SolveContext(ctx context.Context, f *cnf.Formula, maxConflicts int64) (Report, error) {
-	ch := s.Choose(f)
+	d := s.Defer(f, nil, nil)
 	start := time.Now()
-	res, err := solver.SolveContext(ctx, f, dataset.SolveOptions(ch.Policy, maxConflicts))
-	rep := Report{Choice: ch, Result: res, SolveTime: time.Since(start)}
-	if err != nil {
-		return rep, err
-	}
-	return rep, nil
+	res, err := solver.SolveContext(ctx, f, dataset.SolveOptions(d, maxConflicts))
+	ch := d.Result()
+	return Report{Choice: ch, Result: res, SolveTime: time.Since(start) - ch.Inference}, err
 }
 
 // CalibrateThreshold grid-searches the decision threshold that maximizes

@@ -1,11 +1,13 @@
 package portfolio
 
 import (
+	"context"
 	"testing"
 
 	"neuroselect/internal/cnf"
 	"neuroselect/internal/core"
 	"neuroselect/internal/dataset"
+	"neuroselect/internal/deletion"
 	"neuroselect/internal/gen"
 	"neuroselect/internal/obs"
 	"neuroselect/internal/solver"
@@ -110,7 +112,7 @@ func TestChooseAllocs(t *testing.T) {
 func TestSolveProducesVerifiedResult(t *testing.T) {
 	sel := NewSelector(freshModel())
 	inst := gen.Pigeonhole(5)
-	rep, err := sel.Solve(inst.F, 50000)
+	rep, err := sel.SolveContext(context.Background(), inst.F, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestSolveProducesVerifiedResult(t *testing.T) {
 	}
 
 	sat := gen.NQueens(6)
-	rep2, err := sel.Solve(sat.F, 50000)
+	rep2, err := sel.SolveContext(context.Background(), sat.F, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +132,86 @@ func TestSolveProducesVerifiedResult(t *testing.T) {
 		t.Fatal("queens-6 model must verify")
 	}
 }
+
+// TestSolveContextMatchesEagerSearch pins that Selector.SolveContext,
+// whose choice waits for the first reduction, runs the search an
+// up-front choice would have run: for a model forced to pick frequency
+// (threshold 0) and one that never does (threshold 1.1), each solve over
+// draws of the training mixture reports exactly the stats of a solve run
+// from the start under the policy the model picks, including the solves
+// that end before any reduction.
+func TestSolveContextMatchesEagerSearch(t *testing.T) {
+	for _, tc := range []struct {
+		threshold float64
+		picks     deletion.Policy
+	}{{0, deletion.FrequencyPolicy{}}, {1.1, deletion.DefaultPolicy{}}} {
+		m := freshModel()
+		m.Threshold = tc.threshold
+		sel := NewSelector(m)
+		moot, chosen := 0, 0
+		for seed := int64(1); seed <= 24; seed++ {
+			f := dataset.Generate(seed, 0.75).F
+			rep, err := sel.SolveContext(context.Background(), f, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := solver.Solve(f, dataset.SolveOptions(tc.picks, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Result.Status != want.Status || rep.Result.Stats != want.Stats {
+				t.Errorf("threshold %v, draw %d: deferred solve %v %+v; eager %s solve %v %+v",
+					tc.threshold, seed, rep.Result.Status, rep.Result.Stats, tc.picks.Name(), want.Status, want.Stats)
+			}
+			ch := rep.Choice
+			switch {
+			case ch.Fallback == FallbackNoReduction && ch.Policy.Name() == "default" && ch.Inference == 0:
+				moot++
+			case ch.Fallback == "" && ch.Policy.Name() == tc.picks.Name() && ch.Inference > 0:
+				chosen++
+			default:
+				t.Errorf("draw %d: choice %+v, want %s or %s", seed, ch, tc.picks.Name(), FallbackNoReduction)
+			}
+		}
+		if moot == 0 || chosen == 0 {
+			t.Errorf("threshold %v: %d solves never reduced and %d chose; the draws must cover both",
+				tc.threshold, moot, chosen)
+		}
+	}
+}
+
+// TestDeferredTracesChoiceWhenMade pins the Deferred contract: it names
+// itself auto until the search first ranks learned clauses, traces its
+// policy event at that moment, and delegates to its pick after.
+func TestDeferredTracesChoiceWhenMade(t *testing.T) {
+	m := freshModel()
+	m.Threshold = 0
+	var events []obs.Event
+	tracer := tracerFunc(func(ev *obs.Event) { events = append(events, *ev) })
+	d := NewSelector(m).Defer(gen.RandomKSAT(80, 336, 3, 2).F, nil, tracer)
+	if d.Name() != "auto" || len(events) != 0 {
+		t.Fatalf("unsettled Deferred: name %q, %d events", d.Name(), len(events))
+	}
+	if !d.NeedsFrequency() || d.Name() != "frequency" || len(events) != 1 ||
+		events[0].Type != obs.EventPolicy || events[0].Policy != "frequency" {
+		t.Fatalf("first consultation: name %q, events %+v", d.Name(), events)
+	}
+	if ch := d.Result(); ch.Policy.Name() != "frequency" || ch.Fallback != "" || len(events) != 1 {
+		t.Fatalf("result %+v after %d events, want the traced frequency pick", ch, len(events))
+	}
+
+	events = nil
+	d = NewSelector(m).Defer(gen.RandomKSAT(80, 336, 3, 2).F, nil, tracer)
+	if ch := d.Result(); ch.Fallback != FallbackNoReduction || d.Name() != "default" ||
+		len(events) != 1 || events[0].Fallback != FallbackNoReduction {
+		t.Fatalf("unconsulted Deferred settled as %+v (name %q), events %+v", ch, d.Name(), events)
+	}
+}
+
+// tracerFunc adapts a function to obs.Tracer.
+type tracerFunc func(*obs.Event)
+
+func (f tracerFunc) Trace(ev *obs.Event) { f(ev) }
 
 // probLookup is a deterministic predictor keyed by formula identity,
 // letting the calibration tests control the probability landscape exactly.

@@ -111,14 +111,16 @@ func TestChooseFallsBackOnInferencePanic(t *testing.T) {
 	}
 }
 
+// TestSolveCompletesDespiteInferencePanic solves a formula that reaches
+// a reduction, so the deferred choice calls the panicking model.
 func TestSolveCompletesDespiteInferencePanic(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{PanicValue: "model file corrupted"})
 	sel := NewSelector(freshModel())
-	inst := gen.NQueens(6)
-	rep, err := sel.Solve(inst.F, 100000)
+	inst := gen.RandomKSAT(80, 336, 3, 2)
+	rep, err := sel.SolveContext(context.Background(), inst.F, 100000)
 	if err != nil {
-		t.Fatalf("Solve must complete normally under inference fallback: %v", err)
+		t.Fatalf("SolveContext must complete normally under inference fallback: %v", err)
 	}
 	if rep.Choice.Fallback != FallbackPanic {
 		t.Fatalf("fallback = %q, want %q", rep.Choice.Fallback, FallbackPanic)

@@ -149,3 +149,36 @@ func TestBreakerTripsOnInferenceFaults(t *testing.T) {
 		t.Errorf("transition counter = %d, want 1", got)
 	}
 }
+
+// TestBreakerOpenChoiceCounted pins that a choice the open breaker skips
+// is counted in the selector's choices_total like every other skip, under
+// fallback="breaker-open".
+func TestBreakerOpenChoiceCounted(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	reg := obs.NewRegistry()
+	sel := testSelector()
+	sel.Obs = reg
+	s, ts := newTestServer(t, Config{
+		Workers:          1,
+		CacheSize:        -1,
+		Selector:         sel,
+		Registry:         reg,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
+	reducing := reducingSAT(t)
+	decodeSolve(t, post(t, ts.URL+"/v1/solve", reducing))
+	if st := s.brk.State(); st != breakerOpen {
+		t.Fatalf("breaker state = %v after a failed inference, want open", st)
+	}
+	for i := 0; i < 2; i++ {
+		if sr, raw := decodeSolve(t, post(t, ts.URL+"/v1/solve", reducing)); sr.Policy.Fallback != FallbackBreakerOpen {
+			t.Fatalf("request %d under an open breaker: %s", i, raw)
+		}
+	}
+	if got := reg.Counter("neuroselect_portfolio_choices_total", "",
+		obs.Labels{"policy": "default", "fallback": FallbackBreakerOpen}).Value(); got != 2 {
+		t.Errorf("choices_total{fallback=%q} = %d, want 2", FallbackBreakerOpen, got)
+	}
+}

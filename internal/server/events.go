@@ -29,10 +29,55 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"neuroselect/internal/obs"
 )
+
+// progress is the latest conflict-window rollup of a running solve: the
+// cumulative counters plus the window-local rates of the trace's window
+// events. The JSON tags are the schema of the live `progress` object in
+// job-poll bodies (API.md) and are append-only.
+type progress struct {
+	Conflicts       int64   `json:"conflicts"`
+	Decisions       int64   `json:"decisions"`
+	Propagations    int64   `json:"propagations"`
+	Restarts        int64   `json:"restarts"`
+	Learned         int64   `json:"learned"`
+	WindowConflicts int64   `json:"window_conflicts"`
+	PropsPerSec     float64 `json:"props_per_sec"`
+	MeanGlue        float64 `json:"mean_glue"`
+	TrailDepth      int     `json:"trail_depth"`
+	TimeNS          int64   `json:"t_ns"` // nanoseconds since the solve started
+}
+
+// progressTracer keeps the last window event an async job's tracer chain
+// saw, for its poll body. It sits beside the job's broadcaster, so polls
+// and the event stream read one telemetry channel out of the solver. The
+// solve's goroutine stores; any goroutine loads.
+type progressTracer struct {
+	last atomic.Pointer[progress]
+}
+
+// Trace implements obs.Tracer, keeping window events only.
+func (t *progressTracer) Trace(ev *obs.Event) {
+	if ev.Type != obs.EventWindow {
+		return
+	}
+	t.last.Store(&progress{
+		Conflicts:       ev.Conflicts,
+		Decisions:       ev.Decisions,
+		Propagations:    ev.Propagations,
+		Restarts:        ev.Restarts,
+		Learned:         ev.Learned,
+		WindowConflicts: ev.WindowConflicts,
+		PropsPerSec:     ev.PropsPerSec,
+		MeanGlue:        ev.MeanGlue,
+		TrailDepth:      ev.TrailDepth,
+		TimeNS:          ev.TimeNS,
+	})
+}
 
 // handleJobEvents is GET /v1/jobs/{id}/events.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {

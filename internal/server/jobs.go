@@ -54,9 +54,9 @@ type job struct {
 	// (async jobs only; see events.go). Closed exactly once when the job
 	// reaches its terminal state, which is what ends every open stream.
 	bcast *obs.Broadcaster
-	// progress receives the solver's conflict-window rollups for the live
+	// progress keeps the solve's last conflict-window rollup for the live
 	// `progress` object in poll bodies (async jobs only).
-	progress *solver.ProgressSink
+	progress *progressTracer
 
 	// followers are identical keyed jobs riding this one (guarded by the
 	// server's flight-table mutex, not j.mu — see flight.go).
@@ -179,9 +179,7 @@ func (j *job) view() jobView {
 		return v
 	}
 	if j.progress != nil {
-		if p, ok := j.progress.Load(); ok {
-			v.Progress = &p
-		}
+		v.Progress = j.progress.last.Load()
 	}
 	return v
 }
@@ -249,7 +247,7 @@ type jobView struct {
 	// Progress is the latest conflict-window rollup of a running solve
 	// (absent once done, before the first window, and for shared
 	// followers, whose solve runs on the leader).
-	Progress *solver.Progress `json:"progress,omitempty"`
+	Progress *progress `json:"progress,omitempty"`
 }
 
 // errorResponse is the JSON body of every non-2xx answer.

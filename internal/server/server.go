@@ -5,8 +5,9 @@
 //
 // The request path is built from the pieces the repo already has:
 // solves run under solver.SolveContext (deadline-aware, panic-contained),
-// policy selection is portfolio.Selector.Choose (model-driven with
-// degrade-to-default fallbacks), the worker pool follows the
+// policy selection is a portfolio.Deferred choice made at the solve's
+// first reduction (model-driven with degrade-to-default fallbacks), the
+// worker pool follows the
 // internal/sweep feeder pattern (bounded jobs channel, per-job panic
 // containment, drain-on-shutdown with no goroutine leaks), and every
 // stage reports into an obs.Registry.
@@ -413,11 +414,11 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 
 // initJobStream attaches the live-telemetry plumbing to an async job:
-// the broadcaster behind GET /v1/jobs/{id}/events and the progress sink
-// behind the poll body's progress object. Call before the job becomes
-// findable in the job store.
+// the broadcaster behind GET /v1/jobs/{id}/events and the tracer behind
+// the poll body's progress object. Call before the job becomes findable
+// in the job store.
 func (s *Server) initJobStream(j *job) {
-	j.progress = &solver.ProgressSink{}
+	j.progress = &progressTracer{}
 	j.bcast = obs.NewBroadcaster(obs.BroadcastOpts{
 		Ring:     s.cfg.EventRing,
 		ReqID:    j.reqID,
@@ -683,17 +684,21 @@ func (s *Server) executeJob(j *job) (transient bool) {
 		return true
 	}
 
-	// The solve's tracer chain: the ?trace=1 response buffer and the job's
-	// live SSE broadcaster, either or both possibly absent. Both sinks are
-	// non-blocking, so neither perturbs the search trajectory.
+	// The solve's tracer chain: the ?trace=1 response buffer, and an async
+	// job's live SSE broadcaster and poll-progress tracer, any of them
+	// possibly absent. Every sink is non-blocking, so none perturbs the
+	// search trajectory. The policy choice is traced to the response
+	// buffer alone.
 	var mem *memTracer
+	var choiceTracer obs.Tracer
 	var sinks []obs.Tracer
 	if j.trace {
 		mem = &memTracer{}
+		choiceTracer = mem
 		sinks = append(sinks, mem)
 	}
 	if j.bcast != nil {
-		sinks = append(sinks, j.bcast)
+		sinks = append(sinks, j.bcast, j.progress)
 	}
 	tracer := obs.Multi(sinks...)
 
@@ -701,14 +706,32 @@ func (s *Server) executeJob(j *job) (transient bool) {
 		return s.executePortfolio(j, ctx, wait, mem, tracer)
 	}
 
-	dec := s.newDecision(j, mem)
-	opts := dataset.SolveOptions(dec.solverPolicy(), 0)
+	// A pinned ?policy=, or the default policy on a server without a
+	// selector, is settled before the search starts. Otherwise the choice
+	// waits for the first reduction (portfolio.Deferred) and runs behind
+	// the inference breaker.
+	var ch portfolio.Choice
+	var auto *portfolio.Deferred
+	switch {
+	case j.policy != nil:
+		ch = portfolio.Choice{Policy: j.policy, Prob: -1, Fallback: "requested"}
+	case s.cfg.Selector == nil:
+		ch = portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: "no-model"}
+	default:
+		auto = s.cfg.Selector.Defer(j.f, s.choosePolicy, choiceTracer)
+		ch.Policy = auto
+	}
+	if auto == nil && mem != nil {
+		mem.Trace(ch.Event())
+	}
+	opts := dataset.SolveOptions(ch.Policy, 0)
 	opts.Tracer = tracer
-	opts.Progress = j.progress
 
 	solveStart := time.Now()
 	res, err := solver.SolveContext(ctx, j.f, opts)
-	ch := dec.result()
+	if auto != nil {
+		ch = auto.Result()
+	}
 	// A deferred choice runs inside the search; its inference is reported
 	// as its own stage, not as solve time.
 	solveNS := time.Since(solveStart).Nanoseconds() - ch.Inference.Nanoseconds()
@@ -727,22 +750,31 @@ func (s *Server) executeJob(j *job) (transient bool) {
 		return true
 	}
 
-	polInfo := policyInfo{
-		Name:        ch.Policy.Name(),
-		Prob:        ch.Prob,
-		Fallback:    ch.Fallback,
-		InferenceNS: ch.Inference.Nanoseconds(),
-	}
 	resp := &solveResponse{
-		Status: res.Status.String(),
-		Policy: polInfo,
-		Stats:  res.Stats,
+		Policy: policyInfo{
+			Name:        ch.Policy.Name(),
+			Prob:        ch.Prob,
+			Fallback:    ch.Fallback,
+			InferenceNS: ch.Inference.Nanoseconds(),
+		},
 		Timings: timings{
 			QueueNS: wait.Nanoseconds(),
 			SolveNS: solveNS,
 			TotalNS: time.Since(j.enqueued).Nanoseconds(),
 		},
 	}
+	s.finishSolve(j, res, resp, mem, resp.Policy.Name)
+	return false
+}
+
+// finishSolve ends a one-shot solve attempt with its result: it completes
+// resp with the outcome, a SAT answer's model, the stop cause and the
+// captured trace, counts the solve under the policy label, encodes the
+// body once, fills the cache, and attaches the body to the job. Only
+// decided, untraced results are cached: UNKNOWN depends on the request's
+// own deadline, and trace payloads are per-request.
+func (s *Server) finishSolve(j *job, res solver.Result, resp *solveResponse, mem *memTracer, policy string) {
+	resp.Status, resp.Stats = res.Status.String(), res.Stats
 	if res.Status == solver.Sat {
 		resp.Model = modelLits(res.Model, j.f.NumVars)
 	}
@@ -752,20 +784,16 @@ func (s *Server) executeJob(j *job) (transient bool) {
 	if mem != nil {
 		resp.Trace = mem.events
 	}
-	s.m.solves(polInfo.Name, resp.Status).Inc()
-
-	body, merr := marshalBody(resp)
-	if merr != nil {
-		j.fail(500, "encode response: "+merr.Error())
-		return false
+	s.m.solves(policy, resp.Status).Inc()
+	body, err := marshalBody(resp)
+	if err != nil {
+		j.fail(500, "encode response: "+err.Error())
+		return
 	}
-	// Cache only decided, untraced results: UNKNOWN depends on the
-	// request's own deadline, and trace payloads are per-request.
 	if j.key != "" && !j.trace && (res.Status == solver.Sat || res.Status == solver.Unsat) {
-		s.cachePut(j.key, body, polInfo.Name)
+		s.cachePut(j.key, body, policy)
 	}
 	j.succeed(body)
-	return false
 }
 
 // executePortfolio runs one ?portfolio= solve attempt: an N-worker
@@ -800,9 +828,7 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 		polName = rep.Winner
 	}
 	resp := &solveResponse{
-		Status: rep.Result.Status.String(),
 		Policy: policyInfo{Name: polName, Prob: -1, Fallback: "portfolio"},
-		Stats:  rep.Result.Stats,
 		Timings: timings{
 			QueueNS: wait.Nanoseconds(),
 			SolveNS: solveNS,
@@ -822,26 +848,7 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 	if rep.WinnerIndex >= 0 {
 		resp.Portfolio.PropFreqHash = fmt.Sprintf("%016x", rep.PropFreqHash)
 	}
-	if rep.Result.Status == solver.Sat {
-		resp.Model = modelLits(rep.Result.Model, j.f.NumVars)
-	}
-	if rep.Result.Stop != nil {
-		resp.Stop = stopReason(rep.Result.Stop)
-	}
-	if mem != nil {
-		resp.Trace = mem.events
-	}
-	s.m.solves("portfolio", resp.Status).Inc()
-
-	body, merr := marshalBody(resp)
-	if merr != nil {
-		j.fail(500, "encode response: "+merr.Error())
-		return false
-	}
-	if j.key != "" && !j.trace && (rep.Result.Status == solver.Sat || rep.Result.Status == solver.Unsat) {
-		s.cachePut(j.key, body, "portfolio")
-	}
-	j.succeed(body)
+	s.finishSolve(j, rep.Result, resp, mem, "portfolio")
 	return false
 }
 
@@ -849,97 +856,15 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 // inference circuit breaker is open and model calls are skipped outright.
 const FallbackBreakerOpen = "breaker-open"
 
-// decision is how a one-shot solve's deletion policy gets chosen. A
-// client-pinned ?policy=, or the default policy on a server without a
-// selector, is settled before the search starts. Otherwise the choice is
-// deferred: the decision itself is the policy the solver runs under, and
-// the solver consults its policy only when a reduction ranks learned
-// clauses. The first consultation runs the breaker-guarded selector, and
-// every later one delegates to its pick, so the search is the one an
-// up-front choice would have run. A solve that ends before its first
-// ranking builds no graph, runs no inference and takes no breaker probe;
-// result then settles it as portfolio.FallbackNoReduction.
-//
-// A decision belongs to one solve on one goroutine. When the job captures
-// a trace, the choice is recorded as its policy event at the moment it is
-// made.
-type decision struct {
-	s       *Server
-	f       *cnf.Formula
-	mem     *memTracer
-	ch      portfolio.Choice
-	settled bool
-}
-
-// newDecision starts the policy decision of one job.
-func (s *Server) newDecision(j *job, mem *memTracer) *decision {
-	d := &decision{s: s, f: j.f, mem: mem}
-	switch {
-	case j.policy != nil:
-		d.settle(portfolio.Choice{Policy: j.policy, Prob: -1, Fallback: "requested"})
-	case s.cfg.Selector == nil:
-		d.settle(portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: "no-model"})
-	}
-	return d
-}
-
-// solverPolicy is the policy the solve runs under: the settled choice, or
-// the deferred decision itself.
-func (d *decision) solverPolicy() deletion.Policy {
-	if d.settled {
-		return d.ch.Policy
-	}
-	return d
-}
-
-// Name implements deletion.Policy: "auto" while the choice is deferred
-// (the solve_start trace event reads it before the search), the chosen
-// policy's name after.
-func (d *decision) Name() string {
-	if !d.settled {
-		return "auto"
-	}
-	return d.ch.Policy.Name()
-}
-
-// NeedsFrequency implements deletion.Policy for the chosen policy.
-func (d *decision) NeedsFrequency() bool { return d.chosen().NeedsFrequency() }
-
-// Score implements deletion.Policy for the chosen policy.
-func (d *decision) Score(ci deletion.ClauseInfo) uint64 { return d.chosen().Score(ci) }
-
-// chosen makes a deferred choice on first use and returns its policy.
-func (d *decision) chosen() deletion.Policy {
-	if !d.settled {
-		d.settle(d.s.choosePolicy(d.f))
-	}
-	return d.ch.Policy
-}
-
-func (d *decision) settle(ch portfolio.Choice) {
-	d.ch, d.settled = ch, true
-	if d.mem != nil {
-		d.mem.Trace(ch.Event())
-	}
-}
-
-// result returns the choice once the solve is over, settling one the
-// search never consulted as portfolio.FallbackNoReduction.
-func (d *decision) result() portfolio.Choice {
-	if !d.settled {
-		d.settle(d.s.cfg.Selector.Skip(portfolio.FallbackNoReduction))
-	}
-	return d.ch
-}
-
 // choosePolicy runs the selector behind the circuit breaker: an open
-// breaker skips the model call outright, and a contained inference failure
-// (panic or error, which covers faults injected at the model-inference
-// site) feeds the breaker as a failure.
+// breaker skips the model call outright, a skip the selector records like
+// any other, and a contained inference failure (panic or error, which
+// covers faults injected at the model-inference site) feeds the breaker
+// as a failure.
 func (s *Server) choosePolicy(f *cnf.Formula) portfolio.Choice {
 	if !s.brk.Allow() {
 		s.m.inference(FallbackBreakerOpen).Inc()
-		return portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: FallbackBreakerOpen}
+		return s.cfg.Selector.Skip(FallbackBreakerOpen)
 	}
 	ch := s.cfg.Selector.Choose(f)
 	s.brk.Record(ch.Err == nil)

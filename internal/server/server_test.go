@@ -667,3 +667,28 @@ func TestConcurrentClients(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestProgressKeepsLastWindowEvent pins the poll body's progress object
+// to the last window trace event of the job's tracer chain: other event
+// types leave it alone, and its JSON carries the window's counters and
+// rates under the API.md field names, zeros included.
+func TestProgressKeepsLastWindowEvent(t *testing.T) {
+	var pt progressTracer
+	if pt.last.Load() != nil {
+		t.Fatal("progress before the first window")
+	}
+	pt.Trace(&obs.Event{Type: obs.EventWindow, TimeNS: 5, Conflicts: 256, Decisions: 300,
+		Propagations: 9000, Learned: 250, WindowConflicts: 256,
+		PropsPerSec: 1.5e6, MeanGlue: 4.25, TrailDepth: 17, Reductions: 1, MaxTrail: 40})
+	pt.Trace(&obs.Event{Type: obs.EventRestart, Conflicts: 300})
+	pt.Trace(&obs.Event{Type: obs.EventSolveEnd, Conflicts: 310, Status: "SAT"})
+	b, err := json.Marshal(pt.last.Load())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"conflicts":256,"decisions":300,"propagations":9000,"restarts":0,"learned":250,` +
+		`"window_conflicts":256,"props_per_sec":1500000,"mean_glue":4.25,"trail_depth":17,"t_ns":5}`
+	if string(b) != want {
+		t.Errorf("progress %s\nwant     %s", b, want)
+	}
+}

@@ -109,14 +109,8 @@ type Options struct {
 	// maintained, and the search trajectory is bit-identical either way.
 	Tracer obs.Tracer
 	// TraceWindow is the conflict count per rollup window (default 256;
-	// meaningful only with Tracer or Progress set).
+	// meaningful only with Tracer set).
 	TraceWindow int64
-	// Progress, when non-nil, receives the latest conflict-window rollup
-	// as an atomically swapped snapshot at every TraceWindow boundary, so
-	// other goroutines (the serving layer's job polls) can read live
-	// props/sec, restarts, and mean glue while the solve runs. Works with
-	// or without a Tracer; a nil Progress costs nothing.
-	Progress *ProgressSink
 	// Export, when non-nil, receives every learned clause (DIMACS literals
 	// plus its glue) synchronously from the learn path. The slice is a
 	// reusable solver-owned scratch buffer, valid only for the duration of
@@ -315,8 +309,8 @@ type Solver struct {
 
 	reduceLimit int64
 
-	// Conflict-window trace state, touched only when opts.Tracer or
-	// opts.Progress is non-nil (the zero-cost-when-nil contract).
+	// Conflict-window trace state, touched only when opts.Tracer is
+	// non-nil (the zero-cost-when-nil contract).
 	traceStart time.Time // solve start; event timestamps are relative to it
 	winStart   time.Time // wall clock at the last window boundary
 	winGlue    int64     // summed glue of clauses learned this window
@@ -641,8 +635,7 @@ func (s *Solver) SolveContext(ctx context.Context) Status {
 // solve is the restart driver behind every entry point: each cycle drains
 // Options.Import at decision level zero, then runs search under the
 // prefix and the next Luby conflict limit, counting and tracing every
-// restart. It also opens the first conflict window for the tracer and
-// progress sink.
+// restart. It also opens the first conflict window for the tracer.
 //
 // scoped selects one of two call disciplines:
 //   - resumable (false; SolveContext with no frame open): the Luby
@@ -653,7 +646,7 @@ func (s *Solver) SolveContext(ctx context.Context) Status {
 //     open): the call backtracks to level zero on entry and exit, and the
 //     Luby schedule starts over at every call.
 func (s *Solver) solve(prefix []lit, scoped bool) (Status, []cnf.Lit) {
-	if s.opts.Tracer != nil || s.opts.Progress != nil {
+	if s.opts.Tracer != nil {
 		now := time.Now()
 		s.traceStart, s.winStart = now, now
 		s.winGlue = 0
@@ -719,10 +712,8 @@ func (s *Solver) traceEvent(typ string) *obs.Event {
 }
 
 // traceWindow closes the current conflict window: emits the rollup event
-// (propagation rate, mean learned glue, trail depth), publishes the
-// snapshot to the Progress sink, and opens the next window. Only called
-// with a tracer or progress sink installed; t may be nil when only the
-// sink is.
+// (propagation rate, mean learned glue, trail depth) and opens the next
+// window. Only called with a tracer installed.
 func (s *Solver) traceWindow(t obs.Tracer) {
 	now := time.Now()
 	confs := s.stats.Conflicts - s.winConfs
@@ -737,23 +728,7 @@ func (s *Solver) traceWindow(t obs.Tracer) {
 	}
 	ev.TrailDepth = len(s.trail)
 	ev.MaxTrail = s.stats.MaxTrail
-	if t != nil {
-		t.Trace(ev)
-	}
-	if ps := s.opts.Progress; ps != nil {
-		ps.publish(Progress{
-			Conflicts:       ev.Conflicts,
-			Decisions:       ev.Decisions,
-			Propagations:    ev.Propagations,
-			Restarts:        ev.Restarts,
-			Learned:         ev.Learned,
-			WindowConflicts: ev.WindowConflicts,
-			PropsPerSec:     ev.PropsPerSec,
-			MeanGlue:        ev.MeanGlue,
-			TrailDepth:      ev.TrailDepth,
-			TimeNS:          ev.TimeNS,
-		})
-	}
+	t.Trace(ev)
 	s.winStart = now
 	s.winGlue = 0
 	s.winConfs = s.stats.Conflicts
@@ -816,7 +791,7 @@ func (s *Solver) search(prefix []lit, conflictLimit int64) (Status, []cnf.Lit) {
 			s.install(learnt, glue)
 			s.decayVar()
 			s.decayClause()
-			if t := s.opts.Tracer; t != nil || s.opts.Progress != nil {
+			if t := s.opts.Tracer; t != nil {
 				s.winGlue += int64(glue)
 				if s.stats.Conflicts >= s.nextWindow {
 					s.traceWindow(t)

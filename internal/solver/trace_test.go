@@ -79,7 +79,6 @@ func TestBroadcastStalledSubscriberNeutral(t *testing.T) {
 		streamedOpts := goldenOptions(nil)
 		streamedOpts.Tracer = b
 		streamedOpts.TraceWindow = 64
-		streamedOpts.Progress = &ProgressSink{}
 		streamed, err := New(in.F, streamedOpts)
 		if err != nil {
 			t.Fatal(err)
@@ -112,62 +111,6 @@ func TestBroadcastStalledSubscriberNeutral(t *testing.T) {
 	}
 	if totalDropped == 0 {
 		t.Fatal("no events were dropped across the suite; the stall never engaged and the test is vacuous")
-	}
-}
-
-// TestProgressSink checks the poll-side half of live telemetry: a solve
-// with only a ProgressSink installed (no tracer) publishes window rollups
-// that track the final stats, and a sink-only solve stays bit-identical
-// to an untraced one.
-func TestProgressSink(t *testing.T) {
-	var sink ProgressSink
-	if _, ok := sink.Load(); ok {
-		t.Fatal("fresh sink reported a snapshot")
-	}
-	inst := gen.Pigeonhole(7)
-	plain, err := New(inst.F, goldenOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := goldenOptions(nil)
-	opts.Progress = &sink
-	opts.TraceWindow = 128
-	s, err := New(inst.F, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Solve(); st != Unsat {
-		t.Fatalf("php-7 must be UNSAT, got %v", st)
-	}
-	if plain.Solve() != Unsat {
-		t.Fatal("plain php-7 must be UNSAT")
-	}
-	if plain.Stats() != s.Stats() {
-		t.Fatalf("stats diverge with a progress sink\nplain: %+v\nsink:  %+v",
-			plain.Stats(), s.Stats())
-	}
-	p, ok := sink.Load()
-	if !ok {
-		t.Fatal("no progress snapshot published for a ~7k-conflict solve")
-	}
-	st := s.Stats()
-	if p.Conflicts > st.Conflicts || p.Conflicts < opts.TraceWindow {
-		t.Errorf("snapshot conflicts %d outside [%d, %d]", p.Conflicts, opts.TraceWindow, st.Conflicts)
-	}
-	if p.Propagations > st.Propagations || p.Propagations <= 0 {
-		t.Errorf("snapshot propagations %d outside (0, %d]", p.Propagations, st.Propagations)
-	}
-	if p.WindowConflicts < opts.TraceWindow {
-		t.Errorf("window closed after %d conflicts, stride is %d", p.WindowConflicts, opts.TraceWindow)
-	}
-	if p.MeanGlue <= 0 {
-		t.Errorf("mean glue %v, want > 0", p.MeanGlue)
-	}
-	if p.PropsPerSec <= 0 {
-		t.Errorf("props/sec %v, want > 0", p.PropsPerSec)
-	}
-	if p.TimeNS <= 0 {
-		t.Errorf("t_ns %d, want > 0", p.TimeNS)
 	}
 }
 
@@ -259,13 +202,12 @@ func TestTraceEventStream(t *testing.T) {
 
 // TestOpenFrameSolveTelemetry checks that a solve with a Push frame open
 // reports the same telemetry a frame-free solve does: one restart event
-// per counted restart, one window rollup per TraceWindow conflicts, and a
-// published Progress snapshot. (Open-frame solves used to run a separate
-// search loop that emitted neither restarts nor windows.)
+// per counted restart and one window rollup per TraceWindow conflicts.
+// (Open-frame solves used to run a separate search loop that emitted
+// neither restarts nor windows.)
 func TestOpenFrameSolveTelemetry(t *testing.T) {
 	rec := &recordingTracer{}
-	var sink ProgressSink
-	s, err := New(gen.Pigeonhole(7).F, Options{Tracer: rec, Progress: &sink})
+	s, err := New(gen.Pigeonhole(7).F, Options{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +229,6 @@ func TestOpenFrameSolveTelemetry(t *testing.T) {
 	if want := st.Conflicts / s.opts.TraceWindow; counts[obs.EventWindow] != want {
 		t.Errorf("%d window events for %d conflicts at stride %d, want %d",
 			counts[obs.EventWindow], st.Conflicts, s.opts.TraceWindow, want)
-	}
-	if _, ok := sink.Load(); !ok {
-		t.Error("no progress snapshot published")
 	}
 }
 

@@ -23,8 +23,9 @@
 //     deadline-aware SolveContext, panic containment). Solve, SolveContext
 //     and SolveAssuming here wrap it.
 //   - internal/portfolio is the paper's NeuroSelect-Kissat flow: one model
-//     inference selects the deletion policy, with degrade-to-default
-//     fallbacks. SolveAdaptive wraps it.
+//     inference, made at the search's first reduction, selects the
+//     deletion policy, with degrade-to-default fallbacks. SolveAdaptive
+//     wraps it.
 //   - internal/server turns the solver into an HTTP service — admission
 //     control, a canonical-hash result cache, async jobs, graceful drain —
 //     run via cmd/neuroselect-serve. The wire contract is API.md.
@@ -159,6 +160,12 @@ func SolveContext(ctx context.Context, f *Formula, cfg SolveConfig) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
+	return solveWith(ctx, f, pol, cfg)
+}
+
+// solveWith is SolveContext under a resolved deletion policy; cfg.Policy
+// is ignored.
+func solveWith(ctx context.Context, f *Formula, pol deletion.Policy, cfg SolveConfig) (Result, error) {
 	opts := dataset.SolveOptions(pol, cfg.MaxConflicts)
 	opts.Tracer = cfg.Tracer
 	if cfg.Timeout > 0 {
@@ -226,18 +233,18 @@ func SolveAssuming(f *Formula, assumptions []Lit, cfg SolveConfig) (Result, erro
 }
 
 // SolveAdaptive runs the NeuroSelect-Kissat flow: a one-time model
-// inference picks the deletion policy at the model's threshold, then the
+// inference picks the deletion policy at the model's threshold, and the
 // formula is solved exactly as Solve would under that policy, so Timeout,
 // Tracer, Preprocess and Proof apply as they do there. The model's choice
-// overrides cfg.Policy; with a Tracer set, the choice is traced as a
-// policy event ahead of the solve's own events.
+// overrides cfg.Policy. The choice waits for the search's first reduction,
+// the only place a policy acts, so a solve that ends before one runs no
+// inference (see portfolio.Deferred). With a Tracer set, solve_start names
+// the policy "auto" and the choice is traced as one policy event at the
+// moment it is made.
 func SolveAdaptive(f *Formula, m *Model, cfg SolveConfig) (Result, error) {
-	ch := portfolio.NewSelector(m).Choose(f)
-	if cfg.Tracer != nil {
-		cfg.Tracer.Trace(ch.Event())
-	}
-	cfg.Policy = ch.Policy.Name()
-	return Solve(f, cfg)
+	d := portfolio.NewSelector(m).Defer(f, nil, cfg.Tracer)
+	defer d.Result() // settles a choice the search never needed
+	return solveWith(context.Background(), f, d, cfg)
 }
 
 // TrainerConfig sizes selector training. The zero value uses the quick
@@ -271,11 +278,12 @@ func SaveModel(w io.Writer, m *Model) error { return m.SaveFile(w) }
 func LoadModel(r io.Reader) (*Model, error) { return core.LoadModelFile(r) }
 
 // PredictPolicy makes the model's one-time policy choice for the formula,
-// as SolveAdaptive does. It returns the model's probability that the
-// frequency-guided deletion policy beats the default, and the policy name
-// chosen at the model's threshold. When inference was skipped (the
-// formula is over the node cap, or inference failed) the probability is
-// -1 and the policy is "default".
+// the one SolveAdaptive makes once its search reaches a reduction. It
+// returns the model's probability that the frequency-guided deletion
+// policy beats the default, and the policy name chosen at the model's
+// threshold. When inference was skipped (the formula is over the node
+// cap, or inference failed) the probability is -1 and the policy is
+// "default".
 func PredictPolicy(f *Formula, m *Model) (prob float64, policy string) {
 	ch := portfolio.NewSelector(m).Choose(f)
 	return ch.Prob, ch.Policy.Name()

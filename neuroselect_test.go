@@ -9,8 +9,10 @@ import (
 
 	"neuroselect"
 	"neuroselect/internal/core"
+	"neuroselect/internal/dataset"
 	"neuroselect/internal/gen"
 	"neuroselect/internal/obs"
+	"neuroselect/internal/portfolio"
 )
 
 func TestFacadeSolve(t *testing.T) {
@@ -115,7 +117,9 @@ func (l *eventLog) Trace(ev *neuroselect.TraceEvent) { l.events = append(l.event
 // SolveConfig: the model's policy replaces cfg.Policy, and Timeout,
 // Tracer, and the Proof/Preprocess conflict apply as they do for Solve.
 // (SolveAdaptive used to honor MaxConflicts alone: a 20 ms timeout on
-// php-10 ran to the full conflict budget and traced nothing.)
+// php-10 ran to the full conflict budget and traced nothing.) The choice
+// waits for the first reduction, so solve_start names the policy "auto"
+// and the one policy event names the model's pick.
 func TestSolveAdaptiveHonorsConfig(t *testing.T) {
 	m := core.NewModel(core.DefaultConfig()) // untrained: any policy will do
 	f := gen.Pigeonhole(10).F
@@ -137,8 +141,11 @@ func TestSolveAdaptiveHonorsConfig(t *testing.T) {
 	types := map[string]int{}
 	for _, ev := range log.events {
 		types[ev.Type]++
-		if ev.Type == obs.EventSolveStart && ev.Policy != want {
-			t.Errorf("solve ran under %q, model chose %q", ev.Policy, want)
+		if ev.Type == obs.EventSolveStart && ev.Policy != "auto" {
+			t.Errorf("solve started under %q, want the deferred choice auto", ev.Policy)
+		}
+		if ev.Type == obs.EventPolicy && (ev.Policy != want || ev.Fallback != "") {
+			t.Errorf("policy event %q (fallback %q), model chose %q", ev.Policy, ev.Fallback, want)
 		}
 	}
 	for _, typ := range []string{obs.EventPolicy, obs.EventSolveStart, obs.EventSolveEnd} {
@@ -149,6 +156,59 @@ func TestSolveAdaptiveHonorsConfig(t *testing.T) {
 	proof := neuroselect.NewProofWriter(io.Discard)
 	if _, err := neuroselect.SolveAdaptive(f, m, neuroselect.SolveConfig{Preprocess: true, Proof: proof}); err == nil {
 		t.Error("Proof with Preprocess accepted; Solve rejects the combination")
+	}
+}
+
+// TestSolveAdaptiveMatchesEagerSearch pins that SolveAdaptive, whose
+// choice waits for the first reduction, runs the search an up-front
+// choice would have run: for a model forced to pick frequency (threshold
+// 0) and one that never does (threshold 1.1), each solve over draws of
+// the training mixture reports exactly the stats of Solve under the
+// model's pick, including the solves that end before any reduction.
+func TestSolveAdaptiveMatchesEagerSearch(t *testing.T) {
+	for _, tc := range []struct {
+		threshold float64
+		picks     string
+	}{{0, "frequency"}, {1.1, "default"}} {
+		m := core.NewModel(core.Config{Hidden: 8, HGTLayers: 1, MPLayers: 1, Attention: true, Seed: 1})
+		m.Threshold = tc.threshold
+		moot, chosen := 0, 0
+		for seed := int64(1); seed <= 24; seed++ {
+			f := dataset.Generate(seed, 0.75).F
+			log := &eventLog{}
+			res, err := neuroselect.SolveAdaptive(f, m, neuroselect.SolveConfig{Tracer: log})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := neuroselect.Solve(f, neuroselect.SolveConfig{Policy: tc.picks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status != want.Status || res.Stats != want.Stats {
+				t.Errorf("threshold %v, draw %d: adaptive solve %v %+v; eager %s solve %v %+v",
+					tc.threshold, seed, res.Status, res.Stats, tc.picks, want.Status, want.Stats)
+			}
+			var choice []neuroselect.TraceEvent
+			for _, ev := range log.events {
+				if ev.Type == obs.EventPolicy {
+					choice = append(choice, ev)
+				}
+			}
+			switch {
+			case len(choice) != 1:
+				t.Errorf("draw %d: %d policy events, want 1", seed, len(choice))
+			case choice[0].Fallback == portfolio.FallbackNoReduction && choice[0].Policy == "default":
+				moot++
+			case choice[0].Fallback == "" && choice[0].Policy == tc.picks:
+				chosen++
+			default:
+				t.Errorf("draw %d: policy event %+v, want %s or %s", seed, choice[0], tc.picks, portfolio.FallbackNoReduction)
+			}
+		}
+		if moot == 0 || chosen == 0 {
+			t.Errorf("threshold %v: %d solves never reduced and %d chose; the draws must cover both",
+				tc.threshold, moot, chosen)
+		}
 	}
 }
 

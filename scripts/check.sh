@@ -14,8 +14,9 @@
 # drain), a trained-model
 # smoke (neuroselect train writes a threshold into the model file, and
 # neuroselect predict and neuroselect-serve -model choose the same policy
-# for php-7, the server with no fallback; a formula solved before its
-# first reduction answers no-reduction without an inference), an incremental
+# for php-7, the server with no fallback; neuroselect solve -model runs
+# the served auto solve's search; a formula solved before its first
+# reduction answers no-reduction without an inference), an incremental
 # warm-session smoke (a session's steps must answer exactly like cold
 # solves of the equivalent accumulated formulas, and an idle session
 # must expire after -session-ttl), an SSE telemetry smoke (live window
@@ -395,7 +396,9 @@ echo "== trained-model smoke (train, predict, serve -model decide alike)"
 # The model file is the selector artifact: train writes the calibrated
 # threshold into it, and predict and a server started with -model must
 # make the same choice from it, with inference actually running for php-7,
-# which reaches a reduction. The served choice waits for a solve's first
+# which reaches a reduction. neuroselect solve -model and the served auto
+# solve share one selection path, so they run one search: equal
+# propagation counts. The served choice waits for a solve's first
 # reduction, so a formula decided before one must answer no-reduction and
 # leave the inference counter where it was.
 go build -o "$SMOKE_DIR/neuroselect" ./cmd/neuroselect
@@ -429,8 +432,8 @@ grep -qxF "selector model loaded from $SMOKE_DIR/model.json (threshold $th)" "$S
 	echo "model smoke: FAIL — load line does not name threshold $th: $(head -1 "$SMOKE_DIR/serve_model.txt")"
 	exit 1
 }
-pol="$(curl -fsS --data-binary @"$SMOKE_DIR/php7.cnf" "http://$api/v1/solve?policy=auto" |
-	grep -o '"policy":{[^}]*}')"
+curl -fsS --data-binary @"$SMOKE_DIR/php7.cnf" "http://$api/v1/solve?policy=auto" > "$SMOKE_DIR/auto7.json"
+pol="$(grep -o '"policy":{[^}]*}' "$SMOKE_DIR/auto7.json")"
 case "$pol" in
 *'"fallback"'*)
 	echo "model smoke: FAIL — served choice fell back: $pol"
@@ -442,6 +445,13 @@ case "$pol" in
 	exit 1
 	;;
 esac
+served="$(grep -o '"propagations":[0-9]*' "$SMOKE_DIR/auto7.json" | head -1 | cut -d: -f2)"
+cli="$("$SMOKE_DIR/neuroselect" solve -model "$SMOKE_DIR/model.json" "$SMOKE_DIR/php7.cnf" |
+	sed -n 's/^c propagations=\([0-9]*\) .*/\1/p')"
+if [ -z "$served" ] || [ "$cli" != "$served" ]; then
+	echo "model smoke: FAIL — neuroselect solve -model propagated $cli times, the served auto solve $served"
+	exit 1
+fi
 maddr="$(sed -n 's/^metrics listening on //p' "$SMOKE_DIR/serve_model.txt")"
 # inferences: every neuroselect_server_inference_total sample, summed.
 inferences() {
@@ -473,7 +483,7 @@ if [ "$rc" != 0 ]; then
 	echo "model smoke: FAIL — server exited $rc after drain"
 	exit 1
 fi
-echo "model smoke: threshold $th in the file, served and predicted policy $want; no-reduction skipped inference"
+echo "model smoke: threshold $th in the file, served and predicted policy $want; CLI and served solve both propagated $served times; no-reduction skipped inference"
 
 echo "== incremental-session smoke (warm steps match cold solves, idle TTL expiry)"
 # An implication chain 1->2->3->4: under the assumptions below every
