@@ -64,8 +64,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "wall-clock timeout, e.g. 30s or 5m (0 = unlimited)")
 	stats := flag.Bool("stats", false, "print solver statistics")
 	model := flag.Bool("model", true, "print the satisfying assignment (v lines)")
-	simplify := flag.Bool("simplify", false, "preprocess with unit propagation, pure literals, subsumption")
-	proofPath := flag.String("proof", "", "write a DRAT proof to this file (incompatible with -simplify)")
+	proofPath := flag.String("proof", "", "write a DRAT proof to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /healthz and /debug/pprof on this address during the solve (e.g. 127.0.0.1:9090; :0 picks a port, printed as a comment)")
@@ -77,15 +76,13 @@ func run() int {
 	flag.Parse()
 
 	if *portfolioN > 0 {
-		// The portfolio carries its own per-worker policies, and neither the
-		// DRAT writer nor the preprocessor is threaded through it.
+		// The portfolio carries its own per-worker policies, and the DRAT
+		// writer is not threaded through it.
 		switch {
 		case *policy != "default":
 			return fail(errors.New("-policy cannot be combined with -portfolio (workers carry their own policies)"))
 		case *proofPath != "":
 			return fail(errors.New("-proof cannot be combined with -portfolio"))
-		case *simplify:
-			return fail(errors.New("-simplify cannot be combined with -portfolio"))
 		}
 	}
 	if *deterministic && *portfolioN <= 0 {
@@ -177,7 +174,6 @@ func run() int {
 	cfg := neuroselect.SolveConfig{
 		Policy:       *policy,
 		MaxConflicts: *conflicts,
-		Preprocess:   *simplify,
 		Timeout:      *timeout,
 		Tracer:       obs.Multi(tracers...),
 	}

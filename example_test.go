@@ -53,23 +53,6 @@ func ExampleCheckProof() {
 	// proof accepted: true
 }
 
-// ExamplePreprocess shows SatELite-style simplification with model
-// reconstruction data.
-func ExamplePreprocess() {
-	f := neuroselect.NewFormula(3)
-	f.MustAddClause(1)     // unit
-	f.MustAddClause(-1, 2) // propagates x2
-	f.MustAddClause(-2, 3) // propagates x3
-	g, units, unsat := neuroselect.Preprocess(f)
-	fmt.Println("unsat:", unsat)
-	fmt.Println("residual clauses:", len(g.Clauses))
-	fmt.Println("fixed literals:", len(units))
-	// Output:
-	// unsat: false
-	// residual clauses: 0
-	// fixed literals: 3
-}
-
 // ExampleSolveAssuming answers an incremental-style query.
 func ExampleSolveAssuming() {
 	f := neuroselect.NewFormula(2)

@@ -22,7 +22,6 @@ type Unroller struct {
 	nIn       int
 	state     []cnf.Lit
 	nextVar   int
-	depth     int
 }
 
 // NewUnroller prepares the transition template. The template CNF is built
@@ -57,7 +56,6 @@ func (u *Unroller) Init(init uint64) []cnf.Clause {
 			cls[b] = cnf.Clause{-v}
 		}
 	}
-	u.depth = 0
 	return cls
 }
 
@@ -100,11 +98,11 @@ func (u *Unroller) Step() (clauses []cnf.Clause, free []cnf.Lit) {
 		next[b] = rename(cnf.Lit(w))
 	}
 	u.state = next
-	u.depth++
 	return clauses, free
 }
 
-// State returns the current-state literals (frame u.Depth()).
+// State returns the current-state literals: the initial state after Init,
+// the state after the latest frame once Step has run.
 func (u *Unroller) State() []cnf.Lit { return u.state }
 
 // StateEquals returns assumption literals asserting the current state holds
@@ -120,9 +118,6 @@ func (u *Unroller) StateEquals(value uint64) []cnf.Lit {
 	}
 	return as
 }
-
-// Depth returns the number of steps stamped so far.
-func (u *Unroller) Depth() int { return u.depth }
 
 // NumVars returns the highest global variable allocated so far.
 func (u *Unroller) NumVars() int { return u.nextVar }

@@ -191,29 +191,3 @@ func TestLogisticUntrainedIsNeutral(t *testing.T) {
 		t.Fatalf("untrained prediction %v", p)
 	}
 }
-
-func TestNeuroSATGRUVariant(t *testing.T) {
-	m := NewNeuroSATGRU(8, 3, 1)
-	p := m.Predict(tinyFormula())
-	if p <= 0 || p >= 1 {
-		t.Fatalf("probability %v", p)
-	}
-	var fs []*cnf.Formula
-	var labels []int
-	for s := int64(0); s < 6; s++ {
-		fs = append(fs, gen.RandomKSAT(20, 85, 3, s).F)
-		labels = append(labels, 0)
-		fs = append(fs, gen.GraphColoring(6, 12, 3, s).F)
-		labels = append(labels, 1)
-	}
-	m.Fit(fs, labels, 30, 1e-2, 1)
-	correct := 0
-	for i, f := range fs {
-		if (m.Predict(f) >= 0.5) == (labels[i] == 1) {
-			correct++
-		}
-	}
-	if correct < len(fs)*3/4 {
-		t.Fatalf("GRU NeuroSAT separable accuracy %d/%d", correct, len(fs))
-	}
-}

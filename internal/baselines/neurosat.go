@@ -24,45 +24,27 @@ import (
 type NeuroSAT struct {
 	Hidden int
 	Rounds int
-	// UseGRU switches the recurrent cells from LSTM (the original
-	// NeuroSAT) to GRU, an ablation axis over the update unit.
-	UseGRU bool
 	Params *nn.Params
 
 	litInit, clInit *nn.Param
 	litMsg, clMsg   *nn.Linear
 	litLSTM, clLSTM *nn.LSTMCell
-	litGRU, clGRU   *nn.GRUCell
 	head            *nn.MLP
 }
 
 // NewNeuroSAT constructs the baseline with the given hidden size and
 // message-passing rounds, using LSTM update cells as in the original.
 func NewNeuroSAT(hidden, rounds int, seed int64) *NeuroSAT {
-	return newNeuroSAT(hidden, rounds, seed, false)
-}
-
-// NewNeuroSATGRU constructs the GRU-cell variant.
-func NewNeuroSATGRU(hidden, rounds int, seed int64) *NeuroSAT {
-	return newNeuroSAT(hidden, rounds, seed, true)
-}
-
-func newNeuroSAT(hidden, rounds int, seed int64, gru bool) *NeuroSAT {
 	rng := rand.New(rand.NewSource(seed))
 	p := nn.NewParams()
-	m := &NeuroSAT{Hidden: hidden, Rounds: rounds, UseGRU: gru, Params: p}
+	m := &NeuroSAT{Hidden: hidden, Rounds: rounds, Params: p}
 	m.litInit = p.New("lit_init", 1, hidden, "xavier", rng)
 	m.clInit = p.New("cl_init", 1, hidden, "xavier", rng)
 	m.litMsg = nn.NewLinear(p, "lit_msg", hidden, hidden, rng)
 	m.clMsg = nn.NewLinear(p, "cl_msg", hidden, hidden, rng)
 	// Literal update sees [clause message | flipped literal state].
-	if gru {
-		m.litGRU = nn.NewGRUCell(p, "lit_gru", 2*hidden, hidden, rng)
-		m.clGRU = nn.NewGRUCell(p, "cl_gru", hidden, hidden, rng)
-	} else {
-		m.litLSTM = nn.NewLSTMCell(p, "lit_lstm", 2*hidden, hidden, rng)
-		m.clLSTM = nn.NewLSTMCell(p, "cl_lstm", hidden, hidden, rng)
-	}
+	m.litLSTM = nn.NewLSTMCell(p, "lit_lstm", 2*hidden, hidden, rng)
+	m.clLSTM = nn.NewLSTMCell(p, "cl_lstm", hidden, hidden, rng)
 	m.head = nn.NewMLP(p, "head", []int{hidden, hidden, 1}, rng)
 	return m
 }
@@ -84,20 +66,12 @@ func (m *NeuroSAT) Logit(t *autodiff.Tape, g *satgraph.LCG) *autodiff.Value {
 	for r := 0; r < m.Rounds; r++ {
 		// Literals → clauses.
 		cMsg := t.SpMM(g.LitToClause, m.litMsg.Apply(m.Params, t, litH))
-		if m.UseGRU {
-			clH = m.clGRU.Apply(m.Params, t, cMsg, clH)
-		} else {
-			clH, clC = m.clLSTM.Apply(m.Params, t, cMsg, clH, clC)
-		}
+		clH, clC = m.clLSTM.Apply(m.Params, t, cMsg, clH, clC)
 		// Clauses → literals, with the complementary literal's state.
 		lMsg := t.SpMM(g.ClauseToLit, m.clMsg.Apply(m.Params, t, clH))
 		flipped := t.PermuteRows(litH, flip)
 		litIn := t.ConcatCols(lMsg, flipped)
-		if m.UseGRU {
-			litH = m.litGRU.Apply(m.Params, t, litIn, litH)
-		} else {
-			litH, litC = m.litLSTM.Apply(m.Params, t, litIn, litH, litC)
-		}
+		litH, litC = m.litLSTM.Apply(m.Params, t, litIn, litH, litC)
 	}
 	return m.head.Apply(m.Params, t, t.RowMean(litH))
 }

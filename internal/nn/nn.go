@@ -179,39 +179,6 @@ func (l *LSTMCell) Apply(p *Params, t *autodiff.Tape, x, h, c *autodiff.Value) (
 	return hNew, cNew
 }
 
-// GRUCell is a gated recurrent unit over row-vector states: a lighter
-// alternative to the LSTM with a single hidden state.
-type GRUCell struct {
-	Wr, Wz, Wh *Linear
-	Hidden     int
-}
-
-// NewGRUCell registers a GRU cell with the given input and hidden sizes.
-func NewGRUCell(p *Params, name string, in, hidden int, rng *rand.Rand) *GRUCell {
-	return &GRUCell{
-		Wr:     NewLinear(p, name+".r", in+hidden, hidden, rng),
-		Wz:     NewLinear(p, name+".z", in+hidden, hidden, rng),
-		Wh:     NewLinear(p, name+".h", in+hidden, hidden, rng),
-		Hidden: hidden,
-	}
-}
-
-// Apply advances the cell one step for a batch of rows: x is N×in, h is
-// N×hidden; it returns the new hidden state
-//
-//	r = σ([x|h]·Wr)   z = σ([x|h]·Wz)
-//	h̃ = tanh([x | r⊙h]·Wh)
-//	h' = (1−z)⊙h + z⊙h̃
-func (g *GRUCell) Apply(p *Params, t *autodiff.Tape, x, h *autodiff.Value) *autodiff.Value {
-	xh := t.ConcatCols(x, h)
-	r := t.Sigmoid(g.Wr.Apply(p, t, xh))
-	z := t.Sigmoid(g.Wz.Apply(p, t, xh))
-	xrh := t.ConcatCols(x, t.Hadamard(r, h))
-	hTilde := t.Tanh(g.Wh.Apply(p, t, xrh))
-	keep := t.AddScalar(t.Scale(z, -1), 1) // 1 − z
-	return t.Add(t.Hadamard(keep, h), t.Hadamard(z, hTilde))
-}
-
 // Adam is the Adam optimizer with bias correction.
 type Adam struct {
 	LR      float64

@@ -274,64 +274,3 @@ func TestSharedParamAccumulatesGrad(t *testing.T) {
 		t.Fatalf("shared-use grad = %v, want 2", g)
 	}
 }
-
-// TestGRULearnsLastElement trains a GRU to output the final element of a
-// short sequence, exercising its gating path.
-func TestGRULearnsLastElement(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	p := NewParams()
-	cell := NewGRUCell(p, "gru", 1, 6, rng)
-	head := NewLinear(p, "head", 6, 1, rng)
-	opt := NewAdam(0.02)
-
-	seqs := make([][]float64, 40)
-	targets := make([]float64, 40)
-	for i := range seqs {
-		seqs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		targets[i] = seqs[i][2]
-	}
-	var lastLoss float64
-	for epoch := 0; epoch < 80; epoch++ {
-		total := 0.0
-		for i, seq := range seqs {
-			tp := autodiff.NewTape()
-			p.Bind(tp)
-			h := tp.Leaf(tensor.New(1, 6))
-			for _, x := range seq {
-				xv := tp.Leaf(tensor.FromSlice(1, 1, []float64{x}))
-				h = cell.Apply(p, tp, xv, h)
-			}
-			out := head.Apply(p, tp, h)
-			diff := tp.AddScalar(out, -targets[i])
-			loss := tp.MeanScalar(tp.Hadamard(diff, diff))
-			tp.Backward(loss)
-			opt.Step(p)
-			total += loss.M.Data[0]
-		}
-		lastLoss = total / float64(len(seqs))
-	}
-	if lastLoss > 0.01 {
-		t.Fatalf("GRU failed to fit last-element task: loss %v", lastLoss)
-	}
-}
-
-func TestGRUShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	p := NewParams()
-	cell := NewGRUCell(p, "gru", 3, 5, rng)
-	tp := autodiff.NewTape()
-	p.Bind(tp)
-	x := tp.Leaf(tensor.New(7, 3))
-	h := tp.Leaf(tensor.New(7, 5))
-	out := cell.Apply(p, tp, x, h)
-	if out.M.Rows != 7 || out.M.Cols != 5 {
-		t.Fatalf("gru out %dx%d", out.M.Rows, out.M.Cols)
-	}
-	// Zero input and zero state give zero update gates ≈ 0.5 each; the
-	// output must stay finite and bounded by tanh range.
-	for _, v := range out.M.Data {
-		if v < -1 || v > 1 || math.IsNaN(v) {
-			t.Fatalf("gru output out of range: %v", v)
-		}
-	}
-}

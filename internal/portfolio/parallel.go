@@ -99,11 +99,13 @@ type Config struct {
 	// NoDiversify keeps every worker on the experiment-standard options
 	// (policies still alternate). Used by the two-policy race.
 	NoDiversify bool
-	// Selector, when non-nil, chooses worker 0's deletion policy via
-	// model inference, deferred to that worker's first reduction (the
-	// remaining workers stay pinned). Inference is a pure function of the
-	// model and formula, so deterministic mode stays deterministic.
-	Selector *Selector
+	// Auto, when non-nil, is worker 0's deletion policy: a model choice
+	// deferred to that worker's first reduction, built by Selector.Defer
+	// for this one solve (the remaining workers stay pinned). The caller
+	// picks its choose function, so a server can put the model call behind
+	// its own breaker. Inference is a pure function of the model and
+	// formula, so deterministic mode stays deterministic.
+	Auto *Deferred
 	// Obs, when non-nil, receives per-worker exchange counters
 	// (neuroselect_portfolio_exchange_clauses_total{worker,event}) and the
 	// round counter neuroselect_portfolio_rounds_total.
@@ -213,11 +215,11 @@ func (w *workerConfig) settle() {
 }
 
 // makeConfigs builds the ensemble: policies alternate default/frequency
-// (worker 0 selector-chosen when a Selector is set), restart bases rotate
+// (worker 0 under cfg.Auto when it is set), restart bases rotate
 // through {128, 64, 256, 512}, initial phases flip every second pair, and
 // workers past 0 get distinct activity seeds. NoDiversify keeps everyone
 // on the experiment-standard options so only the policy differs.
-func makeConfigs(f *cnf.Formula, cfg *Config, n int) []workerConfig {
+func makeConfigs(cfg *Config, n int) []workerConfig {
 	restartBases := []int64{128, 64, 256, 512}
 	out := make([]workerConfig, n)
 	for i := range out {
@@ -227,8 +229,8 @@ func makeConfigs(f *cnf.Formula, cfg *Config, n int) []workerConfig {
 		} else {
 			pol = deletion.FrequencyPolicy{}
 		}
-		if i == 0 && cfg.Selector != nil {
-			pol = cfg.Selector.Defer(f, nil, nil)
+		if i == 0 && cfg.Auto != nil {
+			pol = cfg.Auto
 		}
 		o := dataset.SolveOptions(pol, cfg.MaxConflicts)
 		name := fmt.Sprintf("w%d:%s", i, pol.Name())
@@ -343,7 +345,7 @@ func exchangeEvent(round int, st *ExchangeStats) *obs.Event {
 // interrupts the rest. Race is its 2-worker, no-exchange special case.
 func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport, error) {
 	n := cfg.Workers
-	configs := makeConfigs(f, &cfg, n)
+	configs := makeConfigs(&cfg, n)
 	states := make([]ExchangeStats, n)
 	for i := range states {
 		states[i] = ExchangeStats{Worker: i, Config: configs[i].name, Hash: fnvOffset}
@@ -490,7 +492,7 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 // rounds, merged in worker order.
 func solveLockstep(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport, error) {
 	n := cfg.Ensemble
-	configs := makeConfigs(f, &cfg, n)
+	configs := makeConfigs(&cfg, n)
 	states := make([]ExchangeStats, n)
 	solvers := make([]*solver.Solver, n)
 	status := make([]solver.Status, n)

@@ -182,7 +182,8 @@ func TestSelectorDrivesWorkerZero(t *testing.T) {
 	m.Threshold = 0 // always pick frequency if inference runs
 	reg := obs.NewRegistry()
 	sel := &Selector{Model: m, Obs: reg}
-	rep, err := SolveParallel(gen.RandomKSAT(80, 336, 3, 2).F, Config{Workers: 2, Selector: sel, Deterministic: true})
+	f := gen.RandomKSAT(80, 336, 3, 2).F
+	rep, err := SolveParallel(f, Config{Workers: 2, Auto: sel.Defer(f, nil, nil), Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,8 @@ func TestWorkerZeroWithoutReductionSkipsInference(t *testing.T) {
 	m := freshModel()
 	m.Threshold = 0
 	for _, det := range []bool{false, true} {
-		rep, err := SolveParallel(gen.NQueens(6).F, Config{Workers: 2, Selector: NewSelector(m), Deterministic: det})
+		f := gen.NQueens(6).F
+		rep, err := SolveParallel(f, Config{Workers: 2, Auto: NewSelector(m).Defer(f, nil, nil), Deterministic: det})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,3 +182,39 @@ func TestBreakerOpenChoiceCounted(t *testing.T) {
 		t.Errorf("choices_total{fallback=%q} = %d, want 2", FallbackBreakerOpen, got)
 	}
 }
+
+// TestBreakerGuardsPortfolioWorkerZero pins that worker 0 of a ?portfolio=
+// solve makes its deferred choice behind the inference breaker, as a
+// one-shot auto solve does: under an open breaker it never reaches the
+// model, and the skip is counted as breaker-open.
+func TestBreakerGuardsPortfolioWorkerZero(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	s, ts := newTestServer(t, Config{
+		Workers:          1,
+		CacheSize:        -1,
+		Selector:         testSelector(),
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
+	reducing := reducingSAT(t)
+	decodeSolve(t, post(t, ts.URL+"/v1/solve", reducing))
+	if st := s.brk.State(); st != breakerOpen {
+		t.Fatalf("breaker state = %v after a failed inference, want open", st)
+	}
+	before := faultpoint.Hits(faultpoint.ModelInference)
+	sr, raw := decodeSolve(t, post(t, ts.URL+"/v1/solve?portfolio=2&deterministic=1", reducing))
+	if sr.Status != "SAT" || sr.Portfolio == nil {
+		t.Fatalf("portfolio solve under an open breaker: %s", raw)
+	}
+	if got := sr.Portfolio.Exchange[0].Config; got != "w0:default:r128" {
+		t.Errorf("worker 0 config = %q, want the breaker's default w0:default:r128", got)
+	}
+	if got := faultpoint.Hits(faultpoint.ModelInference); got != before {
+		t.Errorf("open breaker let portfolio worker 0 reach the model (hits %d -> %d)", before, got)
+	}
+	if got := s.Registry().Counter("neuroselect_server_inference_total", "",
+		obs.Labels{"outcome": FallbackBreakerOpen}).Value(); got != 1 {
+		t.Errorf("inference_total{outcome=%q} = %d, want 1", FallbackBreakerOpen, got)
+	}
+}

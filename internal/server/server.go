@@ -798,18 +798,20 @@ func (s *Server) finishSolve(j *job, res solver.Result, resp *solveResponse, mem
 
 // executePortfolio runs one ?portfolio= solve attempt: an N-worker
 // shared-clause portfolio (free-running, or lockstep rounds under
-// ?deterministic=1) in place of the single-solver path. Policy selection
-// happens per worker inside the portfolio — worker 0 consults the
-// configured selector, the rest stay pinned — so the inference circuit
-// breaker is not on this path. The response carries the standard
-// solveResponse fields plus the append-only portfolio block.
+// ?deterministic=1) in place of the single-solver path. On a server with a
+// selector, worker 0 defers its choice to its first reduction and makes it
+// through choosePolicy, as a one-shot auto solve does; the rest stay
+// pinned. The response carries the standard solveResponse fields plus the
+// append-only portfolio block.
 func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duration, mem *memTracer, tracer obs.Tracer) (transient bool) {
 	cfg := portfolio.Config{
 		Workers:       j.portfolio,
 		Deterministic: j.deterministic,
-		Selector:      s.cfg.Selector,
 		Obs:           s.m.reg,
 		Tracer:        tracer,
+	}
+	if s.cfg.Selector != nil {
+		cfg.Auto = s.cfg.Selector.Defer(j.f, s.choosePolicy, nil)
 	}
 	solveStart := time.Now()
 	rep, err := portfolio.SolveParallelContext(ctx, j.f, cfg)

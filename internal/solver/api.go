@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"neuroselect/internal/cnf"
 )
@@ -58,15 +57,6 @@ func SolveContext(ctx context.Context, f *cnf.Formula, opts Options) (res Result
 		}
 	}
 	return res, nil
-}
-
-// SolveWithTimeout is SolveContext with a fresh deadline of now+timeout
-// (no bound when timeout <= 0).
-func SolveWithTimeout(f *cnf.Formula, opts Options, timeout time.Duration) (Result, error) {
-	if timeout > 0 {
-		opts.Deadline = time.Now().Add(timeout)
-	}
-	return SolveContext(context.Background(), f, opts)
 }
 
 // SolveAssuming solves the formula under the given assumption literals by

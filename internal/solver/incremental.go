@@ -181,16 +181,6 @@ func (s *Solver) AddClause(c cnf.Clause) error {
 	return err
 }
 
-// AddFormula adds every clause of f through AddClause.
-func (s *Solver) AddFormula(f *cnf.Formula) error {
-	for _, c := range f.Clauses {
-		if err := s.AddClause(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Push opens an assumption frame (IPASIR-incremental push): clauses added
 // until the matching Pop are retractable as a unit.
 func (s *Solver) Push() {

@@ -42,7 +42,6 @@ package neuroselect
 
 import (
 	"context"
-	"errors"
 	"io"
 	"time"
 
@@ -54,7 +53,6 @@ import (
 	"neuroselect/internal/experiments"
 	"neuroselect/internal/obs"
 	"neuroselect/internal/portfolio"
-	"neuroselect/internal/simp"
 	"neuroselect/internal/solver"
 )
 
@@ -124,13 +122,8 @@ type SolveConfig struct {
 	Policy string
 	// MaxConflicts bounds the search (0 = unlimited).
 	MaxConflicts int64
-	// Preprocess runs SatELite-style simplification (unit propagation,
-	// pure literals, subsumption, strengthening) before the CDCL search;
-	// SAT models are extended back to the original variables.
-	Preprocess bool
 	// Proof, when non-nil, receives a DRAT proof stream certifying UNSAT
-	// answers (written via drat.NewWriter). Incompatible with Preprocess,
-	// whose eliminations are not proof-logged.
+	// answers (written via drat.NewWriter).
 	Proof *drat.Writer
 	// Timeout bounds wall-clock solve time; expiry returns Unknown with
 	// Result.Stop = ErrDeadline (0 = unbounded). The analogue of the
@@ -171,38 +164,10 @@ func solveWith(ctx context.Context, f *Formula, pol deletion.Policy, cfg SolveCo
 	if cfg.Timeout > 0 {
 		opts.Deadline = time.Now().Add(cfg.Timeout)
 	}
-	if cfg.Proof != nil {
-		if cfg.Preprocess {
-			return Result{}, errors.New("neuroselect: Proof and Preprocess cannot be combined")
-		}
+	if cfg.Proof != nil { // a nil *drat.Writer must stay a nil ProofLogger
 		opts.Proof = cfg.Proof
 	}
-	if !cfg.Preprocess {
-		return solver.SolveContext(ctx, f, opts)
-	}
-	pre := simp.Simplify(f, simp.Options{})
-	if pre.ProvenUnsat {
-		return Result{Status: Unsat}, nil
-	}
-	res, err := solver.SolveContext(ctx, pre.F, opts)
-	if err != nil {
-		return res, err
-	}
-	if res.Status == Sat {
-		res.Model = simp.ExtendModel(res.Model, pre.Units)
-		if !res.Model.Satisfies(f) {
-			return res, errors.New("neuroselect: internal error: extended model does not satisfy original formula")
-		}
-	}
-	return res, nil
-}
-
-// Preprocess exposes the simplifier directly: it returns an
-// equisatisfiable formula, the fixed top-level literals (for
-// simp.ExtendModel), and whether preprocessing alone refuted the input.
-func Preprocess(f *Formula) (*Formula, []Lit, bool) {
-	res := simp.Simplify(f, simp.Options{})
-	return res.F, res.Units, res.ProvenUnsat
+	return solver.SolveContext(ctx, f, opts)
 }
 
 // CheckProof validates a DRAT proof (as produced via SolveConfig.Proof)
@@ -235,7 +200,7 @@ func SolveAssuming(f *Formula, assumptions []Lit, cfg SolveConfig) (Result, erro
 // SolveAdaptive runs the NeuroSelect-Kissat flow: a one-time model
 // inference picks the deletion policy at the model's threshold, and the
 // formula is solved exactly as Solve would under that policy, so Timeout,
-// Tracer, Preprocess and Proof apply as they do there. The model's choice
+// Tracer and Proof apply as they do there. The model's choice
 // overrides cfg.Policy. The choice waits for the search's first reduction,
 // the only place a policy acts, so a solve that ends before one runs no
 // inference (see portfolio.Deferred). With a Tracer set, solve_start names

@@ -2,7 +2,6 @@ package neuroselect_test
 
 import (
 	"errors"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -115,7 +114,7 @@ func (l *eventLog) Trace(ev *neuroselect.TraceEvent) { l.events = append(l.event
 
 // TestSolveAdaptiveHonorsConfig pins SolveAdaptive to Solve's handling of
 // SolveConfig: the model's policy replaces cfg.Policy, and Timeout,
-// Tracer, and the Proof/Preprocess conflict apply as they do for Solve.
+// Tracer and Proof apply as they do for Solve.
 // (SolveAdaptive used to honor MaxConflicts alone: a 20 ms timeout on
 // php-10 ran to the full conflict budget and traced nothing.) The choice
 // waits for the first reduction, so solve_start names the policy "auto"
@@ -153,9 +152,25 @@ func TestSolveAdaptiveHonorsConfig(t *testing.T) {
 			t.Errorf("%d %s events, want 1 (all: %v)", types[typ], typ, types)
 		}
 	}
-	proof := neuroselect.NewProofWriter(io.Discard)
-	if _, err := neuroselect.SolveAdaptive(f, m, neuroselect.SolveConfig{Preprocess: true, Proof: proof}); err == nil {
-		t.Error("Proof with Preprocess accepted; Solve rejects the combination")
+
+	// php-5 reduces before it is refuted, so the proof spans the deferred
+	// choice and the deletions it drives.
+	php := gen.Pigeonhole(5).F
+	var proof strings.Builder
+	w := neuroselect.NewProofWriter(&proof)
+	res, err = neuroselect.SolveAdaptive(php, m, neuroselect.SolveConfig{Proof: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != neuroselect.Unsat || res.Stats.Reductions == 0 {
+		t.Fatalf("php-5 under Proof: %v after %d reductions, want UNSAT after at least one",
+			res.Status, res.Stats.Reductions)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := neuroselect.CheckProof(php, strings.NewReader(proof.String())); err != nil {
+		t.Fatalf("SolveAdaptive's proof rejected: %v", err)
 	}
 }
 
@@ -212,30 +227,6 @@ func TestSolveAdaptiveMatchesEagerSearch(t *testing.T) {
 	}
 }
 
-func TestFacadePreprocessSolve(t *testing.T) {
-	f := neuroselect.NewFormula(4)
-	f.MustAddClause(1)
-	f.MustAddClause(-1, 2)
-	f.MustAddClause(-2, 3, 4)
-	res, err := neuroselect.Solve(f, neuroselect.SolveConfig{Preprocess: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != neuroselect.Sat || !res.Model.Satisfies(f) {
-		t.Fatalf("preprocessed solve: %v", res.Status)
-	}
-	g, units, unsat := neuroselect.Preprocess(f)
-	if unsat {
-		t.Fatal("satisfiable formula refuted")
-	}
-	if len(units) < 2 {
-		t.Fatalf("expected propagated units, got %v", units)
-	}
-	if len(g.Clauses) >= len(f.Clauses) {
-		t.Fatal("preprocessing should shrink this formula")
-	}
-}
-
 func TestFacadeProofRoundTrip(t *testing.T) {
 	f, err := neuroselect.ParseDIMACS(strings.NewReader("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"))
 	if err != nil {
@@ -255,19 +246,6 @@ func TestFacadeProofRoundTrip(t *testing.T) {
 	}
 	if err := neuroselect.CheckProof(f, strings.NewReader(proof.String())); err != nil {
 		t.Fatalf("proof rejected: %v", err)
-	}
-}
-
-func TestFacadeProofPreprocessConflict(t *testing.T) {
-	f := neuroselect.NewFormula(1)
-	f.MustAddClause(1)
-	var sb strings.Builder
-	_, err := neuroselect.Solve(f, neuroselect.SolveConfig{
-		Preprocess: true,
-		Proof:      neuroselect.NewProofWriter(&sb),
-	})
-	if err == nil {
-		t.Fatal("Proof+Preprocess must be rejected")
 	}
 }
 

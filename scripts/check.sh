@@ -9,7 +9,8 @@
 # differential fuzz of the coordinator's route key against the replica's
 # decode and hash, a live metrics-endpoint smoke test,
 # a portfolio determinism smoke (php-9 under -portfolio -deterministic
-# must be byte-identical across runs and worker counts), an end-to-end
+# must be byte-identical across runs and worker counts), a DRAT round
+# trip (satsolve -proof on php-6, verified by dratcheck), an end-to-end
 # smoke of the solving service (cache hit, queue shedding, SIGTERM
 # drain), a trained-model
 # smoke (neuroselect train writes a threshold into the model file, and
@@ -194,6 +195,24 @@ cmp -s "$SMOKE_DIR/det1.txt" "$SMOKE_DIR/det3.txt" || {
 	exit 1
 }
 echo "portfolio smoke: php-9 byte-identical across runs and worker counts"
+
+echo "== DRAT round trip (satsolve -proof, dratcheck)"
+# An UNSAT answer from the command line must carry a proof that the
+# independent checker accepts.
+go run ./cmd/satgen -family pigeonhole -n 6 > "$SMOKE_DIR/php6.cnf"
+go build -o "$SMOKE_DIR/dratcheck" ./cmd/dratcheck
+rc=0
+"$SMOKE_DIR/satsolve" -proof "$SMOKE_DIR/php6.drat" "$SMOKE_DIR/php6.cnf" > /dev/null || rc=$?
+if [ "$rc" != 20 ]; then
+	echo "proof smoke: FAIL — satsolve -proof on php-6 exited $rc, want 20 (UNSAT)"
+	exit 1
+fi
+verdict="$("$SMOKE_DIR/dratcheck" "$SMOKE_DIR/php6.cnf" "$SMOKE_DIR/php6.drat" 2>&1)" || true
+if [ "$verdict" != "s VERIFIED" ]; then
+	echo "proof smoke: FAIL — dratcheck said: $verdict"
+	exit 1
+fi
+echo "proof smoke: php-6 UNSAT proof verified by dratcheck"
 
 echo "== package-doc gate (every package states its role)"
 fail=0
