@@ -46,9 +46,9 @@ const (
 	// errors are escalated to panics (a failing reduction is an internal
 	// invariant violation) and contained by solver.SolveContext.
 	SolverReduce Site = "solver.reduce"
-	// SolverPropagate fires at every interrupt poll inside BCP (once per
-	// Options.InterruptEvery propagations). A Delay fault simulates a slow
-	// propagation chain for deadline tests.
+	// SolverPropagate fires at every context poll inside BCP (once per
+	// 2048 propagations, the solver's constant stride). A Delay fault
+	// simulates a slow propagation chain for deadline tests.
 	SolverPropagate Site = "solver.propagate"
 	// PortfolioWorker fires at the start of each parallel-portfolio worker
 	// (free-running mode: once per worker goroutine; deterministic mode:

@@ -13,7 +13,7 @@ package portfolio
 //
 //   - Free-running (Config.Deterministic = false): one goroutine per
 //     worker, non-blocking channel queues, first decisive finisher
-//     interrupts the rest. Maximum throughput; answers, stats, and shared
+//     cancels the rest. Maximum throughput; answers, stats, and shared
 //     sets depend on scheduling.
 //
 //   - Deterministic (Config.Deterministic = true): a FIXED ensemble of
@@ -40,7 +40,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"neuroselect/internal/cnf"
@@ -342,7 +341,7 @@ func exchangeEvent(round int, st *ExchangeStats) *obs.Event {
 
 // solveFree is the free-running mode: one goroutine per worker, buffered
 // inbox channels, non-blocking export fan-out, first decisive finisher
-// interrupts the rest. Race is its 2-worker, no-exchange special case.
+// cancels the rest. Race is its 2-worker, no-exchange special case.
 func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport, error) {
 	n := cfg.Workers
 	configs := makeConfigs(&cfg, n)
@@ -361,7 +360,10 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 		pf  uint64 // PropFreqHash of this worker's search
 		err error
 	}
-	var stop atomic.Bool
+	// The first decisive finisher stops the rest by canceling the context
+	// they all solve under.
+	race, stopLosers := context.WithCancel(ctx)
+	defer stopLosers()
 	results := make(chan outcome, n)
 	start := time.Now()
 	for i := range configs {
@@ -378,7 +380,6 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 				return
 			}
 			opts := configs[i].opts
-			opts.Interrupt = stop.Load
 			ex := &states[i]
 			if !cfg.NoExchange {
 				var scratch []solver.SharedClause
@@ -432,7 +433,7 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 				o.err = err
 				return
 			}
-			st := s.SolveContext(ctx)
+			st := s.SolveContext(race)
 			o.res = solver.Result{Status: st, Stats: s.Stats(), Stop: s.BudgetExhausted()}
 			o.pf = PropFreqHash(s.PropagationFrequencies())
 			if st == solver.Sat {
@@ -445,7 +446,7 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 	}
 
 	// Drain every worker unconditionally: the no-leak guarantee. The first
-	// decisive finisher wins and interrupts the rest; an Unknown first
+	// decisive finisher wins and cancels the rest; an Unknown first
 	// finisher is displaced by a later decisive one.
 	rep := ParallelReport{Workers: n, WinnerIndex: -1, Exchange: states}
 	var chosen *outcome
@@ -461,7 +462,7 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 			continue
 		}
 		if o.res.Status != solver.Unknown && (chosen == nil || chosen.res.Status == solver.Unknown) {
-			stop.Store(true)
+			stopLosers()
 			c := o
 			chosen = &c
 		} else if chosen == nil {

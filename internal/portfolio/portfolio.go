@@ -25,6 +25,10 @@ import (
 // graph exceeds the cap skip inference and use the default policy.
 const NodeCapDefault = 400000
 
+// OverNodeCap reports whether f's graph exceeds NodeCapDefault, so that
+// Choose skips the model for it.
+func OverNodeCap(f *cnf.Formula) bool { return f.NumVars+len(f.Clauses) > NodeCapDefault }
+
 // Fallback reasons recorded in Choice.Fallback. An empty string means
 // inference ran and its probability drove the selection.
 const (
@@ -90,7 +94,7 @@ func (ch Choice) Event() *obs.Event {
 // propagate: a panicking or erroring model call degrades to the default
 // (Kissat) policy with the fallback reason recorded in the Choice.
 func (s *Selector) Choose(f *cnf.Formula) Choice {
-	if f.NumVars+len(f.Clauses) > NodeCapDefault {
+	if OverNodeCap(f) {
 		return s.Skip(FallbackNodeCap)
 	}
 	start := time.Now()

@@ -194,17 +194,25 @@ func (s *Server) loadFormula(j *job, up upload) *httpError {
 	return nil
 }
 
+// solveTimeout is the one rule for a client's solve timeout, ?timeout=
+// or a session step's "timeout": a positive Go duration, clamped to
+// Config.MaxTimeout, which is also the default when v is empty.
+func (s *Server) solveTimeout(v string) (time.Duration, *httpError) {
+	if v == "" {
+		return s.cfg.MaxTimeout, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d <= 0 {
+		return 0, badRequest("bad timeout %q: want a positive Go duration like 5s or 500ms", v)
+	}
+	return min(d, s.cfg.MaxTimeout), nil
+}
+
 // parseParams sets a job's request parameters from its query string.
 func (s *Server) parseParams(j *job, q url.Values) *httpError {
-	j.timeout = s.cfg.MaxTimeout
-	if v := q.Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return badRequest("bad timeout %q: want a positive Go duration like 5s or 500ms", v)
-		}
-		if d < j.timeout {
-			j.timeout = d
-		}
+	var herr *httpError
+	if j.timeout, herr = s.solveTimeout(q.Get("timeout")); herr != nil {
+		return herr
 	}
 	switch v := q.Get("policy"); v {
 	case "", "auto":

@@ -18,9 +18,11 @@ import (
 // needed to re-create the job — id, cache/dedup key, pinned policy,
 // timeout, and the DIMACS body — and is fsync'd before the client receives
 // its 202, so a crash (or kill -9) at any later point leaves the job
-// recoverable. "start" records mark solve attempts and "done" records mark
-// terminal states; a submit without a matching done is a pending job that
-// startup replay re-admits through the normal admission queue.
+// recoverable. A "done" record marks the terminal state; a submit without
+// a matching done is a pending job that startup replay re-admits through
+// the normal admission queue. Replay reads nothing else: it skips any
+// other record type, such as the "start" records older versions wrote
+// per solve attempt.
 //
 // The file only grows while the process runs, so a compaction pass
 // rewrites it down to just the pending submits: at startup (after replay),
@@ -37,17 +39,16 @@ import (
 // "done" means replay may re-admit a completed job, so journaled serving
 // is exactly-once under crashes and at-least-once under storage faults.
 
-// journalRecord is one line of the job journal. The schema is append-only:
-// fields may be added, never renamed or removed.
+// journalRecord is one line of the job journal. Fields are never renamed,
+// so a file an older version wrote still replays.
 type journalRecord struct {
-	Type      string `json:"type"`                 // "submit" | "start" | "done"
+	Type      string `json:"type"`                 // "submit" | "done"
 	ID        string `json:"id"`                   // job id, stable across restarts
 	Key       string `json:"key,omitempty"`        // cache/singleflight key (submit)
 	Policy    string `json:"policy,omitempty"`     // pinned policy name; "" = auto (submit)
 	TimeoutNS int64  `json:"timeout_ns,omitempty"` // per-job solve deadline (submit)
 	Trace     bool   `json:"trace,omitempty"`      // ?trace=1 job (submit)
 	CNF       string `json:"cnf,omitempty"`        // DIMACS body (submit)
-	Attempt   int    `json:"attempt,omitempty"`    // retry attempt number (start)
 	Status    string `json:"status,omitempty"`     // "ok" | "error" | "shed" (done)
 	ReqID     string `json:"req_id,omitempty"`     // X-Request-ID of the submit (submit)
 }
@@ -181,7 +182,7 @@ func (j *journal) append(rec *journalRecord) {
 		} else {
 			j.obsolete++
 		}
-	default: // start and future record types are compaction fodder
+	default: // any other record type is compaction fodder
 		j.obsolete++
 	}
 	if j.obsolete >= j.compactEvery {

@@ -70,7 +70,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("fresh journal reported %d pending jobs", len(pending))
 	}
 	j.append(&journalRecord{Type: "submit", ID: "j00000001", Key: "auto:abc", CNF: satCNF, TimeoutNS: int64(time.Second)})
-	j.append(&journalRecord{Type: "start", ID: "j00000001", Attempt: 0})
+	j.append(&journalRecord{Type: "start", ID: "j00000001"}) // as older versions wrote
 	j.append(&journalRecord{Type: "done", ID: "j00000001", Status: "ok"})
 	j.Close()
 

@@ -144,6 +144,63 @@ func TestNoReductionSkipsInference(t *testing.T) {
 	}
 }
 
+// TestNodeCapSkipTakesNoProbe pins that a choice over the node cap, which
+// never calls the model, is not an inference: it leaves a half-open
+// breaker's single probe unspent, records no breaker outcome and adds
+// nothing to inference_total.
+func TestNodeCapSkipTakesNoProbe(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	reg := obs.NewRegistry()
+	s, ts := newTestServer(t, Config{
+		Workers:          1,
+		CacheSize:        -1,
+		Selector:         testSelector(),
+		Registry:         reg,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
+	decodeSolve(t, post(t, ts.URL+"/v1/solve", reducingSAT(t)))
+	if st := s.brk.State(); st != breakerOpen {
+		t.Fatalf("breaker %v after a failed inference, want open", st)
+	}
+	faultpoint.Disarm(faultpoint.ModelInference)
+	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{}) // counts model calls
+	// Past the cooldown: the next choice that calls the model is the probe.
+	s.brk.mu.Lock()
+	s.brk.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
+	s.brk.mu.Unlock()
+
+	ch := s.choosePolicy(cnf.New(portfolio.NodeCapDefault + 1))
+	if ch.Fallback != portfolio.FallbackNodeCap {
+		t.Fatalf("over-cap choice: fallback %q, want %q", ch.Fallback, portfolio.FallbackNodeCap)
+	}
+	if got := faultpoint.Hits(faultpoint.ModelInference); got != 0 {
+		t.Errorf("over-cap choice called the model %d times", got)
+	}
+	if st := s.brk.State(); st != breakerOpen {
+		t.Errorf("breaker %v after an over-cap choice, want still open with its probe unspent", st)
+	}
+	for _, o := range []string{"ok", "failure", FallbackBreakerOpen} {
+		want := int64(0)
+		if o == "failure" {
+			want = 1 // the priming solve
+		}
+		if got := reg.Counter("neuroselect_server_inference_total", "", obs.Labels{"outcome": o}).Value(); got != want {
+			t.Errorf("inference_total{outcome=%q} = %d, want %d", o, got, want)
+		}
+	}
+
+	sr, _ := decodeSolve(t, post(t, ts.URL+"/v1/solve", reducingSAT(t)))
+	if sr.Policy.Fallback != "" || s.brk.State() != breakerClosed {
+		t.Errorf("probe solve: fallback %q, breaker %v; want an inferred choice closing the breaker",
+			sr.Policy.Fallback, s.brk.State())
+	}
+	if got := faultpoint.Hits(faultpoint.ModelInference); got != 1 {
+		t.Errorf("model calls = %d, want the one probe", got)
+	}
+}
+
 // TestDeferredPolicyEventPrecedesFirstReduce pins where a traced auto
 // solve records its choice: solve_start names the deferred policy "auto",
 // and the one policy event comes right before the first reduce event, the

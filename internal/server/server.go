@@ -667,7 +667,6 @@ func (s *Server) executeJob(j *job) (transient bool) {
 	wait := time.Since(j.enqueued)
 	s.m.queueWait.Observe(wait.Seconds())
 	j.setRunning()
-	s.journalStart(j)
 
 	ctx := j.ctx
 	if err := ctx.Err(); err != nil {
@@ -862,8 +861,12 @@ const FallbackBreakerOpen = "breaker-open"
 // breaker skips the model call outright, a skip the selector records like
 // any other, and a contained inference failure (panic or error, which
 // covers faults injected at the model-inference site) feeds the breaker
-// as a failure.
+// as a failure. A formula over the node cap never reaches the model, so
+// it takes no probe and records no breaker outcome or inference.
 func (s *Server) choosePolicy(f *cnf.Formula) portfolio.Choice {
+	if portfolio.OverNodeCap(f) {
+		return s.cfg.Selector.Skip(portfolio.FallbackNodeCap)
+	}
 	if !s.brk.Allow() {
 		s.m.inference(FallbackBreakerOpen).Inc()
 		return s.cfg.Selector.Skip(FallbackBreakerOpen)
@@ -921,14 +924,6 @@ func (s *Server) journalSubmit(j *job) {
 	}
 	rec.CNF = buf.String()
 	s.jnl.append(rec)
-}
-
-// journalStart records one solve attempt of an async job.
-func (s *Server) journalStart(j *job) {
-	if s.jnl == nil || j.id == "" {
-		return
-	}
-	s.jnl.append(&journalRecord{Type: "start", ID: j.id, Attempt: j.attempt})
 }
 
 // journalDone records an async job's terminal state.

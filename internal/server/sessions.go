@@ -33,6 +33,7 @@ package server
 
 import (
 	"container/list"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -326,7 +327,6 @@ func (s *Server) closeSession(sess *session, mayPark bool) {
 	for sess.slv.FrameDepth() > 0 {
 		sess.slv.Pop()
 	}
-	sess.slv.SetDeadline(time.Time{})
 	s.m.sessionEv("park").Inc()
 	if n := s.pool.Park(&pooledSolver{key: sess.key, policy: sess.policy, slv: sess.slv, parked: time.Now()}); n > 0 {
 		s.m.sessionEv("drop").Add(int64(n))
@@ -498,17 +498,10 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr.code, herr.msg)
 		return
 	}
-	timeout := s.cfg.MaxTimeout
-	if req.Timeout != "" {
-		d, err := time.ParseDuration(req.Timeout)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("bad timeout %q: want a positive Go duration like 5s or 500ms", req.Timeout))
-			return
-		}
-		if d < timeout {
-			timeout = d
-		}
+	timeout, herr := s.solveTimeout(req.Timeout)
+	if herr != nil {
+		writeError(w, herr.code, herr.msg)
+		return
 	}
 	// Validate everything that does not need solver state before taking the
 	// session lock, and the frame-depth and variable-count bounds right
@@ -579,12 +572,16 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		sess.extended = true
 	}
 
+	// The step's context ends at its timeout, when the client goes away,
+	// or when the server closes, so none of them holds the session past a
+	// poll stride.
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	defer context.AfterFunc(s.baseCtx, cancel)()
 	solveStart := time.Now()
-	sess.slv.SetDeadline(solveStart.Add(timeout))
-	st, core := sess.slv.SolveUnderAssumptions(assumptions)
+	st, core := sess.slv.SolveUnderAssumptionsContext(ctx, assumptions)
 	solveNS := time.Since(solveStart).Nanoseconds()
 	stop := sess.slv.BudgetExhausted()
-	sess.slv.SetDeadline(time.Time{}) // also clears the budget latch
 	sess.solves++
 	s.m.sessionSec("incremental").Observe(float64(solveNS) / 1e9)
 	s.m.solves(sess.policy, st.String()).Inc()

@@ -366,6 +366,116 @@ func TestSessionTimeoutReturnsUnknown(t *testing.T) {
 	}
 }
 
+// waitSessionBusy polls the session's info endpoint until it answers 409,
+// i.e. until a step holds the session.
+func waitSessionBusy(t *testing.T, url, id string) {
+	t.Helper()
+	for start := time.Now(); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(url + "/v1/sessions/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusConflict {
+			return
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("session never became busy (info status %d)", resp.StatusCode)
+		}
+	}
+}
+
+// stepAsync posts one session step on its own goroutine under ctx. It
+// delivers nil when the step answers UNKNOWN with stop canceled, and an
+// error otherwise, a transport error included.
+func stepAsync(ctx context.Context, url, id string, req sessionSolveRequest) <-chan error {
+	out := make(chan error, 1)
+	go func() {
+		body, _ := json.Marshal(req)
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/sessions/"+id+"/solve", bytes.NewReader(body))
+		if err != nil {
+			out <- err
+			return
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			out <- err
+			return
+		}
+		defer resp.Body.Close()
+		var sr sessionSolveResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			out <- err
+			return
+		}
+		if resp.StatusCode != http.StatusOK || sr.Status != "UNKNOWN" || sr.Stop != "canceled" {
+			out <- fmt.Errorf("status %d %s stop %q, want 200 UNKNOWN stop canceled", resp.StatusCode, sr.Status, sr.Stop)
+			return
+		}
+		out <- nil
+	}()
+	return out
+}
+
+// TestSessionStepEndsWhenClientLeaves pins that a step solves under its
+// request's context: a client that disconnects mid-step frees the session
+// within a poll stride instead of leaving it busy (409) until the step's
+// timeout.
+func TestSessionStepEndsWhenClientLeaves(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	cr := createSession(t, ts.URL, phpDIMACS(t, 10), "")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := stepAsync(ctx, ts.URL, cr.ID, sessionSolveRequest{Timeout: "6s"})
+	waitSessionBusy(t, ts.URL, cr.ID)
+	time.Sleep(300 * time.Millisecond)
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("the canceled client still received an answer")
+	}
+	left := time.Now()
+	for {
+		resp, err := http.Get(ts.URL + "/v1/sessions/" + cr.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("session info: status %d", resp.StatusCode)
+		}
+		if time.Since(left) > time.Second {
+			t.Fatal("session still busy 1s after its client left")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, code := sessionSolve(t, ts.URL, cr.ID, sessionSolveRequest{Assumptions: []int{1}, Timeout: "50ms"}); code != http.StatusOK {
+		t.Fatalf("next step: status %d, want 200", code)
+	}
+}
+
+// TestSessionStepEndsWhenServerCloses pins that Server.Close cancels an
+// in-flight session step, as it does every other solve: the step answers
+// UNKNOWN with stop canceled instead of running on to its timeout.
+func TestSessionStepEndsWhenServerCloses(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	cr := createSession(t, ts.URL, phpDIMACS(t, 10), "")
+	done := stepAsync(context.Background(), ts.URL, cr.ID, sessionSolveRequest{Timeout: "4s"})
+	waitSessionBusy(t, ts.URL, cr.ID)
+	time.Sleep(300 * time.Millisecond)
+	s.Close()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("step after Server.Close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("step still running 1s after Server.Close")
+	}
+}
+
 // TestSessionMetrics spot-checks the sessions_active gauge wiring and the
 // event counters through a create/hit/park cycle.
 func TestSessionMetrics(t *testing.T) {

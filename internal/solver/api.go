@@ -13,8 +13,8 @@ type Result struct {
 	Model  cnf.Assignment // valid when Status == Sat
 	Stats  Stats
 	// Stop records why an Unknown search stopped: ErrConflictBudget,
-	// ErrPropagationBudget, ErrDeadline, ErrCanceled, ErrInterrupted, or
-	// a recovered panic wrapping ErrSolvePanic. Nil for decided results.
+	// ErrPropagationBudget, ErrDeadline, ErrCanceled, or a recovered
+	// panic wrapping ErrSolvePanic. Nil for decided results.
 	Stop error
 }
 
@@ -24,10 +24,9 @@ func Solve(f *cnf.Formula, opts Options) (Result, error) {
 	return SolveContext(context.Background(), f, opts)
 }
 
-// SolveContext is Solve under a context. Cancellation and deadlines (the
-// context's or Options.Deadline, whichever is earlier) abort the search
-// with Unknown within a bounded number of propagations
-// (Options.InterruptEvery), and Result.Stop identifies the cause. A panic
+// SolveContext is Solve under a context. Its cancellation or deadline
+// aborts the search with Unknown within one poll stride (see
+// Solver.SolveContext), and Result.Stop identifies the cause. A panic
 // during the search — e.g. an injected fault or an internal invariant
 // failure — is recovered and converted into an error-carrying Unknown
 // result instead of crashing the caller.
@@ -39,11 +38,6 @@ func SolveContext(ctx context.Context, f *cnf.Formula, opts Options) (res Result
 			err = stop
 		}
 	}()
-	if opts.Deadline.IsZero() {
-		if d, ok := ctx.Deadline(); ok {
-			opts.Deadline = d
-		}
-	}
 	s, err := New(f, opts)
 	if err != nil {
 		return Result{}, err

@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"context"
+
 	"neuroselect/internal/cnf"
 )
 
@@ -16,7 +18,13 @@ import (
 // clauses reports an empty core. The returned core aliases solver-owned
 // scratch and is valid until the next solve or AddClause call.
 func (s *Solver) SolveUnderAssumptions(assumptions []cnf.Lit) (Status, []cnf.Lit) {
-	return s.solve(s.assumptionPrefix(assumptions), true)
+	return s.SolveUnderAssumptionsContext(context.Background(), assumptions)
+}
+
+// SolveUnderAssumptionsContext is SolveUnderAssumptions under a context,
+// which stops the search as it does for SolveContext.
+func (s *Solver) SolveUnderAssumptionsContext(ctx context.Context, assumptions []cnf.Lit) (Status, []cnf.Lit) {
+	return s.solve(ctx, s.assumptionPrefix(assumptions), true)
 }
 
 // assumptionPrefix builds the search prefix in solver-owned scratch: the

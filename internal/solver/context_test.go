@@ -27,34 +27,50 @@ func chainFormula(n int) *cnf.Formula {
 // chainOptions makes the solver decide x1 positively so the whole chain
 // propagates in one call.
 func chainOptions() Options {
-	return Options{InitialPhase: true, InterruptEvery: 256}
+	return Options{InitialPhase: true}
+}
+
+// cancelAtPoll wraps a cancelable context and cancels it at the nth call
+// of Done. The solver calls Done once per stop poll, so the cancellation
+// lands at a known poll: in a conflict-free chain, mid-chain.
+type cancelAtPoll struct {
+	context.Context
+	cancel   context.CancelFunc
+	polls, n int
+}
+
+func (c *cancelAtPoll) Done() <-chan struct{} {
+	c.polls++
+	if c.polls == c.n {
+		c.cancel()
+	}
+	return c.Context.Done()
 }
 
 func TestInterruptLatencyBoundedInsideBCP(t *testing.T) {
 	const n = 20000
-	opts := chainOptions()
-	// Raise the stop signal at the second poll, i.e. mid-chain: the old
-	// once-per-conflict poll would never fire (the chain is conflict-free)
-	// and the solver would run all n−1 propagations to fixpoint.
-	polls := 0
-	opts.Interrupt = func() bool { polls++; return polls >= 2 }
-	res, err := Solve(chainFormula(n), opts)
+	// Cancel at the second poll, i.e. mid-chain: a once-per-conflict poll
+	// would never fire (the chain is conflict-free) and the solver would
+	// run all n−1 propagations to fixpoint.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := SolveContext(&cancelAtPoll{Context: ctx, cancel: cancel, n: 2}, chainFormula(n), chainOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Unknown {
-		t.Fatalf("interrupted solve must be Unknown, got %v", res.Status)
+		t.Fatalf("canceled solve must be Unknown, got %v", res.Status)
 	}
-	if !errors.Is(res.Stop, ErrInterrupted) {
-		t.Fatalf("stop cause = %v, want ErrInterrupted", res.Stop)
+	if !errors.Is(res.Stop, ErrCanceled) {
+		t.Fatalf("stop cause = %v, want ErrCanceled", res.Stop)
 	}
 	if res.Stats.Propagations == 0 {
 		t.Fatal("the stop signal was raised mid-chain; some propagations must have run")
 	}
 	// The poll fires within one stride of the signal being raised.
-	if res.Stats.Propagations > 2*opts.InterruptEvery+16 {
+	if res.Stats.Propagations > 2*pollStride+16 {
 		t.Fatalf("interrupt latency: %d propagations past the stop signal (stride %d)",
-			res.Stats.Propagations, opts.InterruptEvery)
+			res.Stats.Propagations, pollStride)
 	}
 }
 
@@ -63,12 +79,12 @@ func TestDeadlineStopsSlowPropagationChain(t *testing.T) {
 	// Each stride poll sleeps 2 ms: a deterministic stand-in for a slow
 	// propagation chain. With a 20 ms deadline the search must stop after
 	// a bounded number of polls, i.e. a bounded number of propagations.
-	faultpoint.Arm(faultpoint.SolverPropagate, faultpoint.Fault{Delay: 2 * time.Millisecond})
-	const n = 50000
-	opts := chainOptions()
-	opts.InterruptEvery = 64
-	opts.Deadline = time.Now().Add(20 * time.Millisecond)
-	res, err := Solve(chainFormula(n), opts)
+	const delay, deadline = 2 * time.Millisecond, 20 * time.Millisecond
+	faultpoint.Arm(faultpoint.SolverPropagate, faultpoint.Fault{Delay: delay})
+	const n = 100000
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	res, err := SolveContext(ctx, chainFormula(n), chainOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +97,11 @@ func TestDeadlineStopsSlowPropagationChain(t *testing.T) {
 	if errors.Is(res.Stop, ErrConflictBudget) || errors.Is(res.Stop, ErrPropagationBudget) {
 		t.Fatalf("stop cause %v must not be a conflict/propagation budget", res.Stop)
 	}
-	// ~10 polls fit in the deadline; far fewer than the full chain.
-	if res.Stats.Propagations >= n-1 {
-		t.Fatalf("deadline did not bound the propagation chain: %d propagations", res.Stats.Propagations)
+	// At most deadline/delay polls fit before the deadline, and the stop
+	// lands within one stride after them.
+	if limit := int64(deadline/delay+1) * pollStride; res.Stats.Propagations > limit {
+		t.Fatalf("deadline latency: %d propagations, want at most %d (stride %d)",
+			res.Stats.Propagations, limit, pollStride)
 	}
 }
 
@@ -92,9 +110,7 @@ func TestContextDeadlineReportsDeadline(t *testing.T) {
 	faultpoint.Arm(faultpoint.SolverPropagate, faultpoint.Fault{Delay: 2 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	opts := chainOptions()
-	opts.InterruptEvery = 64
-	res, err := SolveContext(ctx, chainFormula(50000), opts)
+	res, err := SolveContext(ctx, chainFormula(50000), chainOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +131,48 @@ func TestContextCancellationReportsCanceled(t *testing.T) {
 	}
 	if !errors.Is(res.Stop, ErrBudget) {
 		t.Fatal("stop causes must wrap ErrBudget")
+	}
+}
+
+// TestContextStopEndsWithItsCall pins the latch discipline: a stop that
+// one call's context raised does not carry into the next call on the same
+// solver, for either entry point, whereas a spent conflict budget stays
+// latched until ExtendBudget.
+func TestContextStopEndsWithItsCall(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	s, err := New(chainFormula(5000), chainOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.SolveContext(canceled); st != Unknown || !errors.Is(s.BudgetExhausted(), ErrCanceled) {
+		t.Fatalf("canceled solve: %v/%v, want Unknown/ErrCanceled", st, s.BudgetExhausted())
+	}
+	if st := s.Solve(); st != Sat || s.BudgetExhausted() != nil {
+		t.Fatalf("solve after a canceled one: %v/%v, want Sat/nil", st, s.BudgetExhausted())
+	}
+	if st, _ := s.SolveUnderAssumptionsContext(canceled, []cnf.Lit{-1}); st != Unknown || !errors.Is(s.BudgetExhausted(), ErrCanceled) {
+		t.Fatalf("canceled assumption solve: %v/%v, want Unknown/ErrCanceled", st, s.BudgetExhausted())
+	}
+	if st, _ := s.SolveUnderAssumptions([]cnf.Lit{-1}); st != Sat {
+		t.Fatalf("assumption solve after a canceled one: %v, want Sat", st)
+	}
+
+	b, err := New(hardFormulaForBudget(t), Options{MaxConflicts: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if st := b.Solve(); st != Unknown || !errors.Is(b.BudgetExhausted(), ErrConflictBudget) {
+			t.Fatalf("call %d: %v/%v, want Unknown/ErrConflictBudget", i, st, b.BudgetExhausted())
+		}
+	}
+	if c := b.Stats().Conflicts; c != 5 {
+		t.Fatalf("a latched budget must not search on: %d conflicts, want 5", c)
+	}
+	b.ExtendBudget(0, 0)
+	if st := b.Solve(); st != Unsat {
+		t.Fatalf("after ExtendBudget: %v, want Unsat", st)
 	}
 }
 

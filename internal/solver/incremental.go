@@ -10,7 +10,7 @@ package solver
 // decision level zero with the same normalization as a problem clause but
 // allocated as a glue-1 *learned* clause: the arena's learned region
 // assumes the 2-word learned header layout during GC compaction, and
-// glue 1 sits at or below every Tier1Glue setting, so the clause is
+// glue 1 sits at or below tier1Glue, so the clause is
 // permanent (reduce never selects it) while keeping the arena layout
 // invariants intact.
 //
@@ -26,7 +26,6 @@ package solver
 
 import (
 	"fmt"
-	"time"
 
 	"neuroselect/internal/cnf"
 )
@@ -170,7 +169,7 @@ func (s *Solver) AddClause(c cnf.Clause) error {
 		// Guard: C becomes C ∨ ¬t for the innermost open frame t.
 		buf = append(buf, mkLit(s.frames[len(s.frames)-1], true))
 	}
-	// Glue 1 ≤ Tier1Glue: permanent under every reduction policy, and the
+	// Glue 1 ≤ tier1Glue: permanent under every reduction policy, and the
 	// learned header layout keeps the arena GC's parse of the learned
 	// region valid (problem-layout clauses must not appear above
 	// problemEnd). Every clause that survives root simplification counts.
@@ -221,15 +220,6 @@ func (s *Solver) FrameDepth() int { return len(s.frames) }
 // UserVars returns the number of user-visible variables (excluding
 // internal activation variables).
 func (s *Solver) UserVars() int { return s.uvars }
-
-// SetDeadline installs a wall-clock deadline for subsequent solve calls on
-// this solver (zero clears it) and resets the budget-exhausted latch so an
-// earlier expiry does not poison the next call. It is the incremental
-// analogue of Options.Deadline for one-shot solves.
-func (s *Solver) SetDeadline(d time.Time) {
-	s.opts.Deadline = d
-	s.budget = nil
-}
 
 // VarsAfter bounds how many variables the solver would number after
 // opening push frames and then adding the clauses cs, without changing

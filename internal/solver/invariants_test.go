@@ -172,7 +172,7 @@ func TestArenaGCInvariants(t *testing.T) {
 
 func TestReduceKeepsTier1AndReasons(t *testing.T) {
 	inst := gen.RandomKSAT(80, 340, 3, 5)
-	s, err := New(inst.F, Options{ReduceFirst: 30, ReduceInc: 15, Tier1Glue: 2})
+	s, err := New(inst.F, Options{ReduceFirst: 30, ReduceInc: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +327,8 @@ func TestStatusString(t *testing.T) {
 func TestOptionsDefaultsFilled(t *testing.T) {
 	var o Options
 	o.fillDefaults()
-	if o.Policy == nil || o.VarDecay == 0 || o.RestartBase == 0 ||
-		o.ReduceFirst == 0 || o.ReduceFraction == 0 || o.Tier1Glue == 0 || o.Alpha == 0 {
+	if o.Policy == nil || o.RestartBase == 0 ||
+		o.ReduceFirst == 0 || o.ReduceFraction == 0 || o.Alpha == 0 {
 		t.Fatalf("defaults not filled: %+v", o)
 	}
 }

@@ -13,14 +13,13 @@ import "neuroselect/internal/faultpoint"
 // Watch lists never contain deleted clauses — the arena GC rewrites them
 // eagerly at reduce time — so no tombstone check is needed here.
 //
-// Every Options.InterruptEvery propagations it polls the stop sources
-// (context, deadline, Interrupt), so a long BCP chain cannot run
-// unbounded past a stop signal; a raised stop cause is left in s.budget
-// and propagation unwinds as if it reached fixpoint.
+// Every pollStride propagations it polls the solve's context, so a long
+// BCP chain cannot run unbounded past a stop signal; a raised stop cause
+// is left in s.budget and propagation unwinds as if it reached fixpoint.
 func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		if s.stats.Propagations >= s.nextPoll {
-			s.nextPoll = s.stats.Propagations + s.opts.InterruptEvery
+			s.nextPoll = s.stats.Propagations + pollStride
 			if err := faultpoint.Hit(faultpoint.SolverPropagate); err != nil {
 				panic(err) // contained by SolveContext's recovery
 			}

@@ -39,7 +39,7 @@ func (s *Solver) reduce() {
 	for _, c := range s.learned {
 		h := s.header(c)
 		if h&hdrProtect != 0 ||
-			int(h>>hdrGlueShift&hdrGlueMax) <= s.opts.Tier1Glue ||
+			int(h>>hdrGlueShift&hdrGlueMax) <= tier1Glue ||
 			int(h>>hdrSizeShift) <= 2 {
 			continue
 		}

@@ -62,10 +62,6 @@ type Options struct {
 	// MaxPropagations aborts with Unknown after this many propagations
 	// (0 = unlimited).
 	MaxPropagations int64
-	// VarDecay is the EVSIDS activity decay factor (default 0.95).
-	VarDecay float64
-	// ClauseDecay is the clause-activity decay factor (default 0.999).
-	ClauseDecay float64
 	// RestartBase scales the Luby restart sequence (default 128 conflicts).
 	RestartBase int64
 	// ReduceFirst is the conflict count before the first reduction
@@ -77,9 +73,6 @@ type Options struct {
 	// ReduceFraction is the fraction of reducible clauses deleted per
 	// reduction (default 0.5).
 	ReduceFraction float64
-	// Tier1Glue is the glue value at or below which a learned clause is
-	// non-reducible and always kept (default 2, as in Kissat's tier-1).
-	Tier1Glue int
 	// InitialPhase is the saved-phase default for unassigned variables
 	// (false, matching solvers that prefer negative polarity).
 	InitialPhase bool
@@ -88,19 +81,6 @@ type Options struct {
 	// UNSAT runs the stream (followed by unit propagation on the remaining
 	// set) certifies the result; see the drat package's checker.
 	Proof ProofLogger
-	// Interrupt, when non-nil, is polled once per conflict and every
-	// InterruptEvery propagations; returning true aborts the search with
-	// Unknown. Used by parallel portfolio racing.
-	Interrupt func() bool
-	// Deadline, when non-zero, aborts the search with Unknown once the
-	// wall clock passes it; the stop cause is ErrDeadline. It is the
-	// reproduction's analogue of the paper's 5,000-second cutoff.
-	Deadline time.Time
-	// InterruptEvery is the propagation stride between stop polls
-	// (context, deadline, Interrupt) inside long BCP chains; it bounds
-	// cancellation latency even when the search produces no conflicts
-	// (default 2048).
-	InterruptEvery int64
 	// Tracer, when non-nil, receives structured search events at the
 	// solver's cold-path boundaries: solve start/end, every restart, every
 	// reduction (with arena-GC detail), and a rollup every TraceWindow
@@ -150,18 +130,27 @@ type ProofLogger interface {
 	DeleteClause(lits []cnf.Lit)
 }
 
+// Fixed search settings: nothing in the reproduction varies them.
+const (
+	// varDecay is the EVSIDS activity decay factor.
+	varDecay = 0.95
+	// clauseDecay is the clause-activity decay factor.
+	clauseDecay = 0.999
+	// tier1Glue is the glue at or below which a learned clause is
+	// non-reducible and always kept, as in Kissat's tier-1.
+	tier1Glue = 2
+	// pollStride is the propagation stride between context polls inside
+	// BCP: it bounds cancellation latency even when the search produces
+	// no conflicts.
+	pollStride = 2048
+)
+
 func (o *Options) fillDefaults() {
 	if o.Policy == nil {
 		o.Policy = deletion.DefaultPolicy{}
 	}
 	if o.Alpha == 0 {
 		o.Alpha = deletion.DefaultAlpha
-	}
-	if o.VarDecay == 0 {
-		o.VarDecay = 0.95
-	}
-	if o.ClauseDecay == 0 {
-		o.ClauseDecay = 0.999
 	}
 	if o.RestartBase == 0 {
 		o.RestartBase = 128
@@ -174,12 +163,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.ReduceFraction == 0 {
 		o.ReduceFraction = 0.5
-	}
-	if o.Tier1Glue == 0 {
-		o.Tier1Glue = 2
-	}
-	if o.InterruptEvery == 0 {
-		o.InterruptEvery = 2048
 	}
 	if o.TraceWindow == 0 {
 		o.TraceWindow = 256
@@ -333,11 +316,9 @@ var (
 	ErrConflictBudget = fmt.Errorf("%w: conflicts", ErrBudget)
 	// ErrPropagationBudget: Options.MaxPropagations expired.
 	ErrPropagationBudget = fmt.Errorf("%w: propagations", ErrBudget)
-	// ErrInterrupted: Options.Interrupt returned true.
-	ErrInterrupted = fmt.Errorf("%w: interrupted", ErrBudget)
-	// ErrDeadline: Options.Deadline or the context deadline passed.
+	// ErrDeadline: the solve context's deadline passed.
 	ErrDeadline = fmt.Errorf("%w: deadline", ErrBudget)
-	// ErrCanceled: the SolveContext context was canceled.
+	// ErrCanceled: the solve context was canceled.
 	ErrCanceled = fmt.Errorf("%w: canceled", ErrBudget)
 )
 
@@ -586,7 +567,7 @@ func (s *Solver) bumpVar(v int) {
 	s.heap.update(v)
 }
 
-func (s *Solver) decayVar() { s.varInc /= s.opts.VarDecay }
+func (s *Solver) decayVar() { s.varInc /= varDecay }
 
 func (s *Solver) bumpClause(c cref) {
 	slot := s.actSlot(c)
@@ -599,7 +580,7 @@ func (s *Solver) bumpClause(c cref) {
 	}
 }
 
-func (s *Solver) decayClause() { s.clsInc /= s.opts.ClauseDecay }
+func (s *Solver) decayClause() { s.clsInc /= clauseDecay }
 
 // Solve runs the CDCL search until the formula is decided or a budget
 // expires. Open Push frames are honored: their clauses constrain the
@@ -608,11 +589,10 @@ func (s *Solver) Solve() Status { return s.SolveContext(context.Background()) }
 
 // SolveContext is Solve under a context: cancellation and the context
 // deadline abort the search with Unknown, with the cause (ErrCanceled or
-// ErrDeadline) reported by BudgetExhausted. Cancellation latency is
-// bounded by Options.InterruptEvery propagations.
+// ErrDeadline) reported by BudgetExhausted. The context is polled once
+// per conflict and every 2048 propagations, so a stop lands within one
+// such stride even in a conflict-free propagation chain.
 func (s *Solver) SolveContext(ctx context.Context) Status {
-	s.ctx = ctx
-	defer func() { s.ctx = nil }()
 	t := s.opts.Tracer
 	if t != nil {
 		ev := &obs.Event{Type: obs.EventSolveStart, Vars: s.numVars, Clauses: len(s.clauses)}
@@ -623,7 +603,7 @@ func (s *Solver) SolveContext(ctx context.Context) Status {
 	}
 	// With no frame open the prefix is empty and the solve is resumable;
 	// open frames contribute their activation literals and make it scoped.
-	st, _ := s.solve(s.assumptionPrefix(nil), len(s.frames) > 0)
+	st, _ := s.solve(ctx, s.assumptionPrefix(nil), len(s.frames) > 0)
 	if t != nil {
 		ev := s.traceEvent(obs.EventSolveEnd)
 		ev.Status = st.String()
@@ -637,6 +617,11 @@ func (s *Solver) SolveContext(ctx context.Context) Status {
 // prefix and the next Luby conflict limit, counting and tracing every
 // restart. It also opens the first conflict window for the tracer.
 //
+// The call's context is polled by checkStop until the call returns. A stop
+// it raises (ErrDeadline or ErrCanceled) ends this call only: the next one
+// clears it on entry, whereas a spent conflict or propagation budget stays
+// latched until ExtendBudget.
+//
 // scoped selects one of two call disciplines:
 //   - resumable (false; SolveContext with no frame open): the Luby
 //     schedule is indexed by the cumulative restart count, so a solve
@@ -645,7 +630,12 @@ func (s *Solver) SolveContext(ctx context.Context) Status {
 //   - scoped (true; SolveUnderAssumptions, and SolveContext with frames
 //     open): the call backtracks to level zero on entry and exit, and the
 //     Luby schedule starts over at every call.
-func (s *Solver) solve(prefix []lit, scoped bool) (Status, []cnf.Lit) {
+func (s *Solver) solve(ctx context.Context, prefix []lit, scoped bool) (Status, []cnf.Lit) {
+	s.ctx = ctx
+	defer func() { s.ctx = nil }()
+	if errors.Is(s.budget, ErrDeadline) || errors.Is(s.budget, ErrCanceled) {
+		s.budget = nil
+	}
 	if s.opts.Tracer != nil {
 		now := time.Now()
 		s.traceStart, s.winStart = now, now
@@ -736,27 +726,21 @@ func (s *Solver) traceWindow(t obs.Tracer) {
 	s.nextWindow = s.stats.Conflicts + s.opts.TraceWindow
 }
 
-// checkStop evaluates every asynchronous stop source — context
-// cancellation, wall-clock deadline, and the Interrupt callback — and
-// returns the matching stop cause, or nil to keep searching.
+// checkStop polls the solve's context, the one asynchronous stop source,
+// and returns the matching stop cause, or nil to keep searching.
 func (s *Solver) checkStop() error {
-	if s.ctx != nil {
-		select {
-		case <-s.ctx.Done():
-			if errors.Is(s.ctx.Err(), context.DeadlineExceeded) {
-				return ErrDeadline
-			}
-			return ErrCanceled
-		default:
+	if s.ctx == nil {
+		return nil
+	}
+	select {
+	case <-s.ctx.Done():
+		if errors.Is(s.ctx.Err(), context.DeadlineExceeded) {
+			return ErrDeadline
 		}
+		return ErrCanceled
+	default:
+		return nil
 	}
-	if !s.opts.Deadline.IsZero() && time.Now().After(s.opts.Deadline) {
-		return ErrDeadline
-	}
-	if s.opts.Interrupt != nil && s.opts.Interrupt() {
-		return ErrInterrupted
-	}
-	return nil
 }
 
 // search is the CDCL loop: propagate, analyze and learn on conflict,

@@ -157,13 +157,15 @@ func SolveContext(ctx context.Context, f *Formula, cfg SolveConfig) (Result, err
 }
 
 // solveWith is SolveContext under a resolved deletion policy; cfg.Policy
-// is ignored.
+// is ignored. cfg.Timeout bounds the solve through its context.
 func solveWith(ctx context.Context, f *Formula, pol deletion.Policy, cfg SolveConfig) (Result, error) {
+	if cfg.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+		defer cancel()
+	}
 	opts := dataset.SolveOptions(pol, cfg.MaxConflicts)
 	opts.Tracer = cfg.Tracer
-	if cfg.Timeout > 0 {
-		opts.Deadline = time.Now().Add(cfg.Timeout)
-	}
 	if cfg.Proof != nil { // a nil *drat.Writer must stay a nil ProofLogger
 		opts.Proof = cfg.Proof
 	}
@@ -184,17 +186,18 @@ func CheckProof(f *Formula, proof io.Reader) error {
 // Flush after solving.
 func NewProofWriter(w io.Writer) *drat.Writer { return drat.NewWriter(w) }
 
-// SolveAssuming decides the formula under assumption literals.
+// SolveAssuming decides the formula under assumption literals: it is
+// Solve on a copy of f with each assumption added as a unit clause, so
+// every SolveConfig field applies as it does there, and a proof certifies
+// that copy, units included.
 func SolveAssuming(f *Formula, assumptions []Lit, cfg SolveConfig) (Result, error) {
-	name := cfg.Policy
-	if name == "" {
-		name = "default"
+	g := f.Clone()
+	for _, a := range assumptions {
+		if err := g.AddClause(a); err != nil {
+			return Result{}, err
+		}
 	}
-	pol, err := deletion.ByName(name)
-	if err != nil {
-		return Result{}, err
-	}
-	return solver.SolveAssuming(f, assumptions, dataset.SolveOptions(pol, cfg.MaxConflicts))
+	return Solve(g, cfg)
 }
 
 // SolveAdaptive runs the NeuroSelect-Kissat flow: a one-time model

@@ -62,6 +62,48 @@ func TestFacadeSolveAssuming(t *testing.T) {
 	}
 }
 
+// TestFacadeSolveAssumingHonorsConfig pins that SolveAssuming applies
+// Timeout, Tracer and Proof as Solve does, and that the proof certifies
+// the formula with the assumptions added as units.
+func TestFacadeSolveAssumingHonorsConfig(t *testing.T) {
+	log := &eventLog{}
+	res, err := neuroselect.SolveAssuming(gen.Pigeonhole(10).F, nil, neuroselect.SolveConfig{
+		MaxConflicts: 200000, // bounds the run should the timeout be ignored
+		Timeout:      20 * time.Millisecond,
+		Tracer:       log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != neuroselect.Unknown || !errors.Is(res.Stop, neuroselect.ErrDeadline) {
+		t.Fatalf("php-10 under a 20ms timeout: %v (stop %v), want UNKNOWN on the deadline",
+			res.Status, res.Stop)
+	}
+	if n := len(log.events); n < 2 || log.events[0].Type != obs.EventSolveStart ||
+		log.events[n-1].Type != obs.EventSolveEnd {
+		t.Fatalf("tracer saw %d events, want solve_start first and solve_end last", n)
+	}
+
+	f := gen.Pigeonhole(6).F
+	var proof strings.Builder
+	w := neuroselect.NewProofWriter(&proof)
+	res, err = neuroselect.SolveAssuming(f, []neuroselect.Lit{1}, neuroselect.SolveConfig{Proof: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != neuroselect.Unsat || proof.Len() == 0 {
+		t.Fatalf("php-6 assuming 1: %v with a %d-byte proof, want UNSAT with a proof", res.Status, proof.Len())
+	}
+	g := f.Clone()
+	g.MustAddClause(1)
+	if err := neuroselect.CheckProof(g, strings.NewReader(proof.String())); err != nil {
+		t.Fatalf("proof of f with the assumption unit: %v", err)
+	}
+}
+
 func TestFacadeDIMACSRoundTrip(t *testing.T) {
 	f := neuroselect.NewFormula(2)
 	f.MustAddClause(1, -2)

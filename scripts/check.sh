@@ -27,9 +27,10 @@
 # must still complete), a cluster smoke (coordinator + 2 replicas:
 # sticky consistent-hash routing, a cache hit served through the proxy
 # and keyed from both tiers' upload-key memos, failover after killing the
-# owning replica, SIGTERM drain of the whole topology), four documentation gates (package comments, README flag
-# freshness, declared flags for every flag the docs name, API.md metric
-# freshness), a benchmark regression gate
+# owning replica, SIGTERM drain of the whole topology), five documentation gates (package comments, README flag
+# freshness, declared flags for every flag the docs name, declared tests
+# for every test name the docs cite, API.md metric freshness), a
+# benchmark regression gate
 # against BENCH_solver.json (skip with BENCH_DELTA_SKIP=1), and coverage
 # gates on the experiments, portfolio and solver packages. Run from the
 # repo root via `make check` or `./scripts/check.sh`.
@@ -267,6 +268,26 @@ if [ "$fail" != 0 ]; then
 	exit 1
 fi
 echo "docs gate: every documented flag is declared"
+
+echo "== docs-freshness gate (every backticked test name in the docs is declared)"
+# A Test, Benchmark, Fuzz or Example function the docs cite by name must
+# exist in some _test.go, so a renamed or deleted one leaves no stale
+# citation behind.
+declared="$(find . -name '*_test.go' -exec grep -ohE '^func (Test|Benchmark|Fuzz|Example)[A-Za-z0-9_]*' {} + |
+	cut -d' ' -f2 | sort -u)"
+fail=0
+for doc in README.md OPERATIONS.md API.md DESIGN.md EXPERIMENTS.md; do
+	for tn in $(grep -oE '`(Test|Benchmark|Fuzz|Example)[A-Za-z0-9_]*`' "$doc" | tr -d '`' | sort -u); do
+		if ! echo "$declared" | grep -qx -- "$tn"; then
+			echo "docs gate: FAIL — $doc cites \`$tn\`, which no _test.go declares"
+			fail=1
+		fi
+	done
+done
+if [ "$fail" != 0 ]; then
+	exit 1
+fi
+echo "docs gate: every test name the docs cite is declared"
 
 echo "== docs-freshness gate (every registered metric name appears in API.md)"
 # Every metric-name string literal in the program's Go sources must be
