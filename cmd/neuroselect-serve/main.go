@@ -46,17 +46,19 @@
 // Sessions are not journaled — a restart loses them; clients recreate on
 // 404 and the warm pool usually makes the recreation cheap.
 //
-// -model loads a trained selector (see `neuroselect train`) so every
-// request gets the paper's one-time policy inference, decided at the
-// threshold the model file carries (0.5 for a file that stores none);
-// without it all requests solve under the default policy (or a ?policy=
-// override). Five consecutive inference failures open a circuit breaker
-// that degrades the selector to the default policy for 10s.
+// -model loads a trained selector (see `neuroselect train`) for requests
+// that pin no ?policy=. Such a solve runs the paper's one-time policy
+// inference when its search first reduces, the only place the policy
+// acts, and decides at the threshold the model file carries (0.5 for a
+// file that stores none); a solve that never reduces runs no inference
+// and answers with the fallback "no-reduction". Without -model all
+// requests solve under the default policy (or a ?policy= override). Five
+// consecutive inference failures open a circuit breaker that degrades the
+// selector to the default policy for 10s.
 //
 // -journal enables the durable job journal: async jobs are fsync'd to
 // DIR/journal.jsonl before they are acknowledged, and a restart with the
-// same -journal directory replays any jobs a crash left pending. A
-// transiently failed async job is re-admitted up to twice.
+// same -journal directory replays any jobs a crash left pending.
 //
 // SIGINT/SIGTERM starts a graceful drain: new submissions get 503,
 // queued and in-flight jobs get up to 60s to finish, then the listener
@@ -104,14 +106,9 @@ import (
 	"neuroselect/internal/server"
 )
 
-const (
-	// drainTimeout bounds a graceful shutdown: queued and in-flight jobs,
-	// or a coordinator's in-flight proxied requests, get this long.
-	drainTimeout = 60 * time.Second
-	// maxRetries is how many times a transiently failed async job is
-	// re-admitted before its failure is terminal.
-	maxRetries = 2
-)
+// drainTimeout bounds a graceful shutdown: queued and in-flight jobs, or a
+// coordinator's in-flight proxied requests, get this long.
+const drainTimeout = 60 * time.Second
 
 func main() {
 	os.Exit(run())
@@ -179,7 +176,6 @@ func run() int {
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		JournalDir:   *journalDir,
-		MaxRetries:   maxRetries,
 		SessionTTL:   *sessionTTL,
 		EventQueue:   *eventQueue,
 		SSEHeartbeat: *sseHeartbeat,

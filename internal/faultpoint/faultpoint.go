@@ -90,8 +90,7 @@ const (
 	// sheds the request as if the queue were full.
 	ServerEnqueue Site = "server.enqueue"
 	// ServerWorkerSolve fires in the worker immediately before the solve;
-	// injected errors and panics are transient failures eligible for the
-	// server's retry policy.
+	// an injected error or panic fails that job with a 500.
 	ServerWorkerSolve Site = "server.worker.solve"
 	// ServerDrain fires at the start of graceful drain; a Delay fault
 	// simulates a slow drain (errors are ignored — drain must proceed).

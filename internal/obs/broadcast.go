@@ -13,7 +13,7 @@ import (
 //
 //   - Trace never blocks. Each subscriber owns a bounded queue; an event
 //     that finds the queue full is dropped for that subscriber and
-//     counted (per-subscription and broadcaster-wide), never waited on.
+//     counted on its subscription, never waited on.
 //     A stalled consumer therefore costs the producing solve nothing —
 //     the tracer-neutrality tests pin the search trajectory bit-identical
 //     with a deliberately unread subscription attached.
@@ -26,16 +26,14 @@ import (
 //     into an already-closed channel, so "subscribe after the solve
 //     finished" degrades to a pure replay.
 type Broadcaster struct {
-	opts  BroadcastOpts
-	drops *Counter // obs self-metric; nil without a Registry
+	opts BroadcastOpts
 
-	mu      sync.Mutex
-	ring    []StampedEvent // circular once len == opts.Ring; grown lazily
-	next    int            // ring insert position once the ring is full
-	seq     int64          // last assigned sequence number (first event = 1)
-	subs    map[*Subscription]struct{}
-	closed  bool
-	dropped atomic.Int64 // events dropped across all subscribers
+	mu     sync.Mutex
+	ring   []StampedEvent // circular once len == opts.Ring; grown lazily
+	next   int            // ring insert position once the ring is full
+	seq    int64          // last assigned sequence number (first event = 1)
+	subs   map[*Subscription]struct{}
+	closed bool
 }
 
 // StampedEvent is one broadcast event with its stream sequence number —
@@ -59,29 +57,14 @@ type BroadcastOpts struct {
 	// by one Trace call (outside the broadcaster lock). The server maps
 	// this onto event_stream_events_total{outcome="dropped"}.
 	OnDrop func(n int64)
-	// Registry, when non-nil, receives the obs self-metric
-	// neuroselect_obs_dropped_events_total{sink="broadcast"}.
-	Registry *Registry
 }
-
-// DroppedEventsMetric is the obs-layer self-metric: trace events a sink
-// lost instead of delivering (labeled by sink: "broadcast" for overflowed
-// subscriber queues, "jsonl" for writes discarded after a sticky error).
-const DroppedEventsMetric = "neuroselect_obs_dropped_events_total"
-
-const droppedEventsHelp = "Trace events lost by an obs sink instead of delivered, by sink (broadcast: subscriber queue overflow; jsonl: sticky write error)."
 
 // NewBroadcaster builds an open broadcaster.
 func NewBroadcaster(opts BroadcastOpts) *Broadcaster {
 	if opts.Ring <= 0 {
 		opts.Ring = 256
 	}
-	b := &Broadcaster{opts: opts, subs: make(map[*Subscription]struct{})}
-	if opts.Registry != nil {
-		b.drops = opts.Registry.Counter(DroppedEventsMetric, droppedEventsHelp,
-			Labels{"sink": "broadcast"})
-	}
-	return b
+	return &Broadcaster{opts: opts, subs: make(map[*Subscription]struct{})}
 }
 
 // Trace implements Tracer: stamp, remember, fan out. Never blocks — a
@@ -114,14 +97,8 @@ func (b *Broadcaster) Trace(ev *Event) {
 		}
 	}
 	b.mu.Unlock()
-	if droppedNow > 0 {
-		b.dropped.Add(droppedNow)
-		if b.drops != nil {
-			b.drops.Add(droppedNow)
-		}
-		if b.opts.OnDrop != nil {
-			b.opts.OnDrop(droppedNow)
-		}
+	if droppedNow > 0 && b.opts.OnDrop != nil {
+		b.opts.OnDrop(droppedNow)
 	}
 }
 
@@ -192,13 +169,6 @@ func (b *Broadcaster) Close() {
 	b.subs = nil
 }
 
-// Closed reports whether Close has run.
-func (b *Broadcaster) Closed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.closed
-}
-
 // LastSeq returns the sequence number of the most recent event (0 before
 // the first).
 func (b *Broadcaster) LastSeq() int64 {
@@ -206,9 +176,6 @@ func (b *Broadcaster) LastSeq() int64 {
 	defer b.mu.Unlock()
 	return b.seq
 }
-
-// Dropped returns the total events dropped across all subscribers.
-func (b *Broadcaster) Dropped() int64 { return b.dropped.Load() }
 
 // Subscription is one consumer's view of the stream: a receive channel
 // plus its drop ledger. Cancel when done — an abandoned subscription

@@ -123,11 +123,9 @@ func TestBroadcasterRingEvictionGap(t *testing.T) {
 
 func TestBroadcasterOverflowDropsAndCounts(t *testing.T) {
 	var notified int64
-	reg := NewRegistry()
 	b := NewBroadcaster(BroadcastOpts{
-		Ring:     64,
-		OnDrop:   func(n int64) { notified += n },
-		Registry: reg,
+		Ring:   64,
+		OnDrop: func(n int64) { notified += n },
 	})
 	sub, _ := b.Subscribe(0, 2) // deliberately tiny queue, never read
 	for i := 0; i < 10; i++ {
@@ -136,15 +134,8 @@ func TestBroadcasterOverflowDropsAndCounts(t *testing.T) {
 	if got := sub.Dropped(); got != 8 {
 		t.Fatalf("subscription dropped %d, want 8", got)
 	}
-	if got := b.Dropped(); got != 8 {
-		t.Fatalf("broadcaster dropped %d, want 8", got)
-	}
 	if notified != 8 {
 		t.Fatalf("OnDrop saw %d, want 8", notified)
-	}
-	c := reg.Counter(DroppedEventsMetric, droppedEventsHelp, Labels{"sink": "broadcast"})
-	if got := c.Value(); got != 8 {
-		t.Fatalf("self-metric = %d, want 8", got)
 	}
 	// The queued events are still intact and in order.
 	got := drainSub(sub)
@@ -167,9 +158,6 @@ func TestBroadcasterCloseSemantics(t *testing.T) {
 	b.Trace(&Event{Type: EventWindow})
 	b.Close()
 	b.Close() // idempotent
-	if !b.Closed() {
-		t.Fatalf("Closed() = false after Close")
-	}
 	// Pending events drain, then the channel closes.
 	if se, ok := <-sub.C(); !ok || se.Seq != 1 {
 		t.Fatalf("pending event lost on close: %+v ok=%v", se, ok)
@@ -197,7 +185,8 @@ func TestBroadcasterCloseSemantics(t *testing.T) {
 }
 
 func TestBroadcasterCancel(t *testing.T) {
-	b := NewBroadcaster(BroadcastOpts{Ring: 8})
+	var notified int64
+	b := NewBroadcaster(BroadcastOpts{Ring: 8, OnDrop: func(n int64) { notified += n }})
 	sub, _ := b.Subscribe(0, 4)
 	sub.Cancel()
 	sub.Cancel() // idempotent
@@ -209,8 +198,8 @@ func TestBroadcasterCancel(t *testing.T) {
 	if got := sub.Dropped(); got != 0 {
 		t.Fatalf("canceled subscription counted %d drops", got)
 	}
-	if got := b.Dropped(); got != 0 {
-		t.Fatalf("broadcaster counted %d drops after cancel", got)
+	if notified != 0 {
+		t.Fatalf("OnDrop saw %d drops after cancel", notified)
 	}
 }
 

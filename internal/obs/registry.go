@@ -29,12 +29,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// defaultRegistry is the process-wide registry behind Default.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
-
 // Instrument types.
 const (
 	typeCounter   = "counter"

@@ -140,6 +140,13 @@ func (m multiTracer) Trace(ev *Event) {
 	}
 }
 
+// DroppedEventsMetric is the obs-layer self-metric: trace events a sink
+// lost instead of delivering, labeled by sink ("jsonl" for writes
+// discarded after a sticky error).
+const DroppedEventsMetric = "neuroselect_obs_dropped_events_total"
+
+const droppedEventsHelp = "Trace events lost by an obs sink instead of delivered, by sink (jsonl: sticky write error)."
+
 // JSONLTracer streams events as JSON Lines: one object per event, schema
 // defined by the Event struct tags. It is safe for concurrent use; the
 // first write error is sticky and surfaces from Flush. Events arriving

@@ -120,8 +120,6 @@ func runChaosSchedule(t *testing.T, seed int64, sel *portfolio.Selector) {
 		MaxTimeout:       20 * time.Second,
 		JobHistory:       64,
 		JournalDir:       dir,
-		MaxRetries:       2,
-		RetryBase:        time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  5 * time.Millisecond,
 	}

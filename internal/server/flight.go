@@ -60,10 +60,6 @@ func (s *Server) leaveFlight(j *job) []*job {
 func (s *Server) abortFlight(j *job, code int, msg string) {
 	for _, fw := range s.leaveFlight(j) {
 		fw.fail(code, msg)
-		fw.finish()
-		if fw.id != "" {
-			s.jobs.NoteDone(fw)
-			s.journalDone(fw, "shed")
-		}
+		s.endJob(fw)
 	}
 }

@@ -590,9 +590,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.initJobStream(j)
 	if hit != nil {
 		j.cached = true
+		j.succeed(hit.body)
 		s.jobs.Add(j)
-		j.completeFromCache(hit.body)
-		s.jobs.NoteDone(j)
+		s.endJob(j)
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}
@@ -613,12 +613,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if !s.enqueue(j) {
 		s.abortFlight(j, http.StatusTooManyRequests, "queue full: retry later")
-		s.journalDone(j, "shed")
-		// Terminate the stream before the id is forgotten so a subscriber
-		// that raced in sees a clean end, not a silent hang.
-		j.fail(http.StatusTooManyRequests, "queue full: retry later")
-		j.finish()
+		// The client never learns the id, so the store forgets it rather
+		// than keeping it in the done history; the stream still ends, so a
+		// subscriber that raced in sees a clean end, not a silent hang.
 		s.jobs.Remove(id)
+		j.fail(http.StatusTooManyRequests, "queue full: retry later")
+		s.endJob(j)
 		s.shedResponse(w)
 		return
 	}

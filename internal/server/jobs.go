@@ -41,7 +41,6 @@ type job struct {
 	trace         bool
 	cached        bool // completed from the result cache without solving
 	shared        bool // completed by an identical in-flight solve (singleflight)
-	attempt       int  // retry attempt number; 0 = first admission
 
 	ctx      context.Context // request ctx (sync) or server base ctx (async)
 	enqueued time.Time
@@ -124,29 +123,6 @@ func (j *job) leaderReqID() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.leaderReq
-}
-
-// reset clears a failed attempt's outcome so the job can be re-admitted
-// by the retry path: state returns to queued and the enqueue clock
-// restarts (queue-wait timings describe the attempt that answered).
-func (j *job) reset() {
-	j.mu.Lock()
-	j.state = JobQueued
-	j.body = nil
-	j.errCode, j.errMsg = 0, ""
-	j.mu.Unlock()
-	j.enqueued = time.Now()
-}
-
-// completeFromCache marks a freshly created job done with a cached body,
-// never visiting the queue.
-func (j *job) completeFromCache(body []byte) {
-	j.body = body
-	j.state = JobDone
-	close(j.done)
-	if j.bcast != nil {
-		j.bcast.Close()
-	}
 }
 
 // snapshot returns the job's current state and outcome for rendering.
@@ -319,10 +295,14 @@ func (st *jobStore) Remove(id string) {
 }
 
 // NoteDone records a completed job for history eviction and drops the
-// oldest finished jobs beyond the cap.
+// oldest finished jobs beyond the cap. A job the store already forgot
+// (Remove) takes no place in the history.
 func (st *jobStore) NoteDone(j *job) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.byID[j.id] != j {
+		return
+	}
 	st.doneLst.PushBack(j.id)
 	for st.doneLst.Len() > st.history {
 		front := st.doneLst.Front()

@@ -51,6 +51,10 @@ type journalRecord struct {
 	CNF       string `json:"cnf,omitempty"`        // DIMACS body (submit)
 	Status    string `json:"status,omitempty"`     // "ok" | "error" | "shed" (done)
 	ReqID     string `json:"req_id,omitempty"`     // X-Request-ID of the submit (submit)
+	// Portfolio and Deterministic are a ?portfolio= job's worker count and
+	// mode (submit).
+	Portfolio     int  `json:"portfolio,omitempty"`
+	Deterministic bool `json:"deterministic,omitempty"`
 }
 
 const journalFileName = "journal.jsonl"
@@ -148,9 +152,14 @@ func (j *journal) replay() ([]*journalRecord, error) {
 
 // append writes one record and fsyncs it. Errors (real or injected) drop
 // the record and move the error counter; the caller's request proceeds.
+// A done record that closes no submit (a cache hit's, or a job's whose
+// submit was dropped) is not written.
 func (j *journal) append(rec *journalRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if rec.Type == "done" && j.live[rec.ID] == nil {
+		return
+	}
 	if err := faultpoint.Hit(faultpoint.ServerJournalAppend); err != nil {
 		j.onError("append")
 		return
@@ -176,12 +185,8 @@ func (j *journal) append(rec *journalRecord) {
 	case "submit":
 		j.live[rec.ID] = rec
 	case "done":
-		if _, ok := j.live[rec.ID]; ok {
-			delete(j.live, rec.ID)
-			j.obsolete += 2 // the submit and this done
-		} else {
-			j.obsolete++
-		}
+		delete(j.live, rec.ID)
+		j.obsolete += 2 // the submit and this done
 	default: // any other record type is compaction fodder
 		j.obsolete++
 	}

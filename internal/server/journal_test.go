@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"neuroselect/internal/cnf"
+	"neuroselect/internal/faultpoint"
 	"neuroselect/internal/obs"
 )
 
@@ -262,5 +264,142 @@ func TestReplayDeduplicatesIdenticalPending(t *testing.T) {
 	}
 	if got := s.Registry().Counter("neuroselect_server_dedup_total", "", obs.Labels{"path": "replay"}).Value(); got != 1 {
 		t.Fatalf("replay dedup counter = %d, want 1", got)
+	}
+}
+
+// TestReplayKeepsPortfolio: a journaled ?portfolio= job replays as the
+// portfolio solve it was submitted as, so its result carries the
+// portfolio block, and the answer it caches under its portfolio variant
+// serves a live request of that variant.
+func TestReplayKeepsPortfolio(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 1, JournalDir: dir})
+	// Hold the worker, so the copy taken below has the submit and no done.
+	faultpoint.Arm(faultpoint.ServerWorkerSolve, faultpoint.Fault{Delay: time.Second})
+	body := phpDIMACS(t, 6)
+	resp := post(t, ts.URL+"/v1/jobs?portfolio=2", body)
+	var v jobView
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", resp.StatusCode)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, journalFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyDir := t.TempDir()
+	writeJournalFile(t, copyDir, strings.TrimSuffix(string(data), "\n"))
+	faultpoint.Reset()
+
+	_, ts2 := newTestServer(t, Config{Workers: 1, JournalDir: copyDir})
+	v = waitJobState(t, ts2.URL, v.ID, JobDone)
+	var replayed solveResponse
+	if err := json.Unmarshal(v.Result, &replayed); err != nil {
+		t.Fatalf("replayed job %+v: %v", v, err)
+	}
+	if replayed.Portfolio == nil || replayed.Portfolio.Workers != 2 {
+		t.Fatalf("replayed result portfolio = %+v, want a block with 2 workers", replayed.Portfolio)
+	}
+	resp = post(t, ts2.URL+"/v1/solve?portfolio=2", body)
+	cache := resp.Header.Get("X-Cache")
+	live, _ := decodeSolve(t, resp)
+	if cache != "hit" || live.Portfolio == nil || live.Portfolio.Workers != 2 {
+		t.Fatalf("live portfolio solve: X-Cache %q, portfolio %+v; want a hit with 2 workers", cache, live.Portfolio)
+	}
+}
+
+// FuzzJournalReplay feeds arbitrary bytes to startup replay as the
+// journal file. New must not panic: it either fails, or every job it
+// replayed reaches done once the server drains.
+func FuzzJournalReplay(f *testing.F) {
+	hashOf := func(s string) string {
+		g, err := cnf.Parse([]byte(s))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return CanonicalHash(g)
+	}
+	record := func(rec journalRecord) string {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b)
+	}
+	key := "auto:" + hashOf(satCNF)
+	torn := record(journalRecord{Type: "submit", ID: "j00000002", CNF: satCNF})
+	for _, lines := range [][]string{
+		{
+			record(journalRecord{Type: "submit", ID: "j00000001", Key: "auto:abc", CNF: satCNF, TimeoutNS: int64(time.Second)}),
+			record(journalRecord{Type: "start", ID: "j00000001"}),
+			record(journalRecord{Type: "done", ID: "j00000001", Status: "ok"}),
+		},
+		{
+			record(journalRecord{Type: "submit", ID: "j00000002", Key: "auto:k2", CNF: satCNF, TimeoutNS: int64(2 * time.Second)}),
+			record(journalRecord{Type: "submit", ID: "j00000001", Key: "auto:k1", CNF: unsatCNF, TimeoutNS: int64(time.Second)}),
+			record(journalRecord{Type: "start", ID: "j00000001"}),
+			record(journalRecord{Type: "done", ID: "j00000002", Status: "ok"}),
+		},
+		{
+			record(journalRecord{Type: "submit", ID: "j00000001", CNF: satCNF}),
+			torn[:len(torn)/2],
+		},
+		{
+			record(journalRecord{Type: "submit", ID: "j00000001", Key: key, CNF: satCNF, TimeoutNS: int64(10 * time.Second)}),
+			record(journalRecord{Type: "submit", ID: "j00000002", Key: key, CNF: satCNF, TimeoutNS: int64(10 * time.Second)}),
+		},
+		{
+			record(journalRecord{Type: "submit", ID: "j00000003", Key: "portfolio2:" + hashOf(unsatCNF), CNF: unsatCNF, Portfolio: 2}),
+			record(journalRecord{Type: "submit", ID: "j00000004", CNF: unsatCNF, Portfolio: maxPortfolioWorkers + 1}),
+			record(journalRecord{Type: "submit", ID: "j00000005", CNF: satCNF, Policy: "banana", ReqID: "r"}),
+		},
+	} {
+		f.Add([]byte(strings.Join(lines, "\n") + "\n"))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, journalFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The memory cap bounds the variables a replayed formula may
+		// declare, so an input cannot make the solver allocate much.
+		s, err := New(Config{Workers: 1, MaxTimeout: 5 * time.Millisecond, JournalDir: dir, SessionMaxMem: 1 << 20})
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		s.jobs.mu.Lock()
+		defer s.jobs.mu.Unlock()
+		for id, j := range s.jobs.byID {
+			if state, _, _, _ := j.snapshot(); state != JobDone {
+				t.Errorf("replayed job %q is %s after the drain", id, state)
+			}
+		}
+	})
+}
+
+// TestCacheHitJournalsNothing: an async cache hit never wrote a submit
+// record, so it writes no done record either.
+func TestCacheHitJournalsNothing(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 1, JournalDir: dir})
+	waitJobState(t, ts.URL, submitJob(t, ts.URL, satCNF), JobDone)
+	hit := submitJob(t, ts.URL, satCNF)
+	if v := pollJob(t, ts.URL, hit); !v.Cached || v.Status != JobDone {
+		t.Fatalf("second submit = %+v, want a done cache hit", v)
+	}
+	for _, rec := range readJournalLines(t, dir) {
+		if rec.ID == hit {
+			t.Fatalf("cache hit %s journaled %+v", hit, rec)
+		}
 	}
 }

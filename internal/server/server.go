@@ -31,9 +31,6 @@
 //     in a write-ahead job journal before its 202 is written; a crashed
 //     or SIGKILLed server replays pending jobs on restart and re-admits
 //     them through the normal queue (see journal.go).
-//   - Retries: transient failures (contained solver panics,
-//     faultpoint-injected errors) re-admit async jobs with jittered
-//     exponential backoff up to Config.MaxRetries attempts.
 //   - Circuit breaker: consecutive selector-inference failures (errors or
 //     panics) trip the breaker; while open, requests skip inference and
 //     run DefaultPolicy outright, and a half-open probe re-tests the model
@@ -63,7 +60,10 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/url"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,8 +80,7 @@ import (
 )
 
 // Config sizes a Server. The zero value is usable: NumCPU workers, a
-// 64-deep queue, a 30s timeout ceiling, a 256-entry cache, no journal, no
-// retries.
+// 64-deep queue, a 30s timeout ceiling, a 256-entry cache, and no journal.
 type Config struct {
 	// Workers bounds the solver pool (<=0 → runtime.NumCPU()).
 	Workers int
@@ -106,13 +105,6 @@ type Config struct {
 	// replays jobs left pending by a crash. Empty disables journaling.
 	// The file is compacted in place once 256 obsolete records accumulate.
 	JournalDir string
-	// MaxRetries is how many times a transiently-failed async job
-	// (contained panic, injected fault) is re-admitted before its failure
-	// becomes terminal (0 = no retries).
-	MaxRetries int
-	// RetryBase is the backoff unit: attempt n waits a jittered
-	// RetryBase×2^(n-1) before re-admission (<=0 → 100ms).
-	RetryBase time.Duration
 	// BreakerThreshold is how many consecutive inference failures open
 	// the circuit breaker (<=0 → 5).
 	BreakerThreshold int
@@ -212,7 +204,6 @@ type serverMetrics struct {
 	solves     func(policy, status string) *obs.Counter
 	inflight   *obs.Gauge
 	dedup      func(path string) *obs.Counter
-	retries    *obs.Counter
 	replayed   *obs.Counter
 	journalErr func(op string) *obs.Counter
 	inference  func(outcome string) *obs.Counter
@@ -257,8 +248,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 			"Requests that shared an identical in-flight solve instead of running their own (by path: solve, jobs, replay).",
 			obs.Labels{"path": path})
 	}
-	m.retries = reg.Counter("neuroselect_server_retries_total",
-		"Transiently-failed async jobs re-admitted with backoff.", nil)
 	m.replayed = reg.Counter("neuroselect_server_journal_replayed_total",
 		"Pending async jobs re-admitted from the job journal at startup.", nil)
 	m.journalErr = func(op string) *obs.Counter {
@@ -330,9 +319,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.JobHistory <= 0 {
 		cfg.JobHistory = 1024
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 100 * time.Millisecond
 	}
 	if cfg.SessionMax <= 0 {
 		cfg.SessionMax = 64
@@ -420,10 +406,9 @@ func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 func (s *Server) initJobStream(j *job) {
 	j.progress = &progressTracer{}
 	j.bcast = obs.NewBroadcaster(obs.BroadcastOpts{
-		Ring:     s.cfg.EventRing,
-		ReqID:    j.reqID,
-		Registry: s.cfg.Registry,
-		OnDrop:   func(n int64) { s.m.streamEv("dropped").Add(n) },
+		Ring:   s.cfg.EventRing,
+		ReqID:  j.reqID,
+		OnDrop: func(n int64) { s.m.streamEv("dropped").Add(n) },
 	})
 }
 
@@ -435,12 +420,7 @@ func (s *Server) replayJob(rec *journalRecord) *job {
 	j := newJob(nil)
 	j.id = rec.ID
 	j.key = rec.Key
-	j.trace = rec.Trace
 	j.reqID = rec.ReqID
-	j.timeout = time.Duration(rec.TimeoutNS)
-	if j.timeout <= 0 || j.timeout > s.cfg.MaxTimeout {
-		j.timeout = s.cfg.MaxTimeout
-	}
 	j.ctx = s.baseCtx
 	s.initJobStream(j)
 	s.jobs.AddReplayed(j, rec.ID)
@@ -455,13 +435,28 @@ func (s *Server) replayJob(rec *journalRecord) *job {
 		return nil
 	}
 	j.f = f
+	// The record's parameters pass the checks its request passed; one that
+	// fails them is the server's fault, so it answers 500.
+	q := url.Values{}
 	if rec.Policy != "" {
-		pol, err := deletion.ByName(rec.Policy)
-		if err != nil {
-			s.failReplayed(j, 500, "journal replay: "+err.Error())
-			return nil
-		}
-		j.policy = pol
+		q.Set("policy", rec.Policy)
+	}
+	if rec.Trace {
+		q.Set("trace", "1")
+	}
+	if rec.Portfolio != 0 {
+		q.Set("portfolio", strconv.Itoa(rec.Portfolio))
+	}
+	if rec.Deterministic {
+		q.Set("deterministic", "1")
+	}
+	if herr := s.parseParams(j, q); herr != nil {
+		s.failReplayed(j, 500, "journal replay: "+herr.msg)
+		return nil
+	}
+	j.timeout = time.Duration(rec.TimeoutNS)
+	if j.timeout <= 0 || j.timeout > s.cfg.MaxTimeout {
+		j.timeout = s.cfg.MaxTimeout
 	}
 	s.m.replayed.Inc()
 	if j.key != "" {
@@ -473,27 +468,20 @@ func (s *Server) replayJob(rec *journalRecord) *job {
 	return j
 }
 
-// admitReplayed places a replayed job on the admission queue with a
-// blocking retry loop: replayed jobs were already promised to a client,
-// so they are never shed.
+// admitReplayed places a replayed job on the admission queue, waiting
+// while the queue is full: replayed jobs were already promised to a
+// client, so they are never shed. Only New calls it, before the server
+// can drain or close.
 func (s *Server) admitReplayed(j *job) {
 	for !s.enqueue(j) {
-		if s.closed.Load() || s.draining.Load() {
-			s.abortFlight(j, 503, "server stopped during journal replay")
-			s.failReplayed(j, 500, "server stopped during journal replay")
-			return
-		}
 		time.Sleep(2 * time.Millisecond) // queue full: workers are draining it
 	}
 }
 
-// failReplayed completes a replayed job with an error and journals it
-// done.
+// failReplayed ends a replayed job with an error.
 func (s *Server) failReplayed(j *job, code int, msg string) {
 	j.fail(code, msg)
-	j.finish()
-	s.jobs.NoteDone(j)
-	s.journalDone(j, "error")
+	s.endJob(j)
 }
 
 // enqueue admits a job or sheds it. It never blocks: admission control is
@@ -523,114 +511,26 @@ func (s *Server) enqueue(j *job) bool {
 	}
 }
 
-// readmit places a retrying job back on the queue. The job's pending slot
-// is already held, so no accounting happens here; false means the server
-// closed or the queue is momentarily full.
-func (s *Server) readmit(j *job) (ok, closed bool) {
-	s.admitMu.RLock()
-	defer s.admitMu.RUnlock()
-	if s.closed.Load() {
-		return false, true
-	}
-	select {
-	case s.queue <- j:
-		return true, false
-	default:
-		return false, false
-	}
-}
-
 // worker drains the admission queue until the queue closes (Drain) or the
-// base context aborts (Close). Each job runs with panic containment —
-// sweep's per-cell isolation applied to requests — so one poisoned
+// base context aborts (Close). Each job runs once, with panic containment
+// — sweep's per-cell isolation applied to requests — so one poisoned
 // instance cannot take the pool down.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
-		if s.runJob(j) {
-			continue // a retry is scheduled; it keeps the pending slot
-		}
+		s.executeJob(j)
 		s.completeJob(j)
 	}
 }
 
-// runJob executes one attempt of an admitted job and decides whether a
-// transient failure earns another: true means a backoff timer now owns
-// the job and the worker must not complete it.
-func (s *Server) runJob(j *job) (retryScheduled bool) {
-	transient := s.executeJob(j)
-	if transient && s.canRetry(j) {
-		s.scheduleRetry(j)
-		return true
-	}
-	return false
-}
-
-// canRetry gates the retry policy: only async (journaled-or-tracked) jobs
-// retry, only below the attempt cap, and never once shutdown began.
-func (s *Server) canRetry(j *job) bool {
-	return j.id != "" && j.attempt < s.cfg.MaxRetries &&
-		!s.draining.Load() && s.baseCtx.Err() == nil
-}
-
-// scheduleRetry clears the failed attempt's outcome and re-admits the job
-// after a jittered exponential backoff. If the queue is momentarily full
-// at fire time the timer re-arms at the base delay; if the server closed,
-// the job fails terminally (still owning its pending slot, so Drain
-// accounts for it either way).
-func (s *Server) scheduleRetry(j *job) {
-	j.attempt++
-	s.m.retries.Inc()
-	j.reset()
-	var fire func()
-	fire = func() {
-		ok, closed := s.readmit(j)
-		if ok {
-			return
-		}
-		if closed {
-			j.fail(503, "server stopped before the retry could run")
-			s.completeJob(j)
-			return
-		}
-		time.AfterFunc(s.cfg.RetryBase, fire)
-	}
-	time.AfterFunc(retryDelay(s.cfg.RetryBase, j.attempt), fire)
-}
-
-// retryDelay is full-jitter exponential backoff: attempt n draws
-// uniformly from [base·2^(n-1)/2, base·2^(n-1)], capped at 30s, so
-// synchronized failures do not retry in lockstep.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < 30*time.Second; i++ {
-		d *= 2
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + rand.Int63n(half+1))
-}
-
-// completeJob publishes a job's terminal outcome exactly once: the flight
-// is deregistered, the result fans out to every follower, the job store
-// and journal record the completion, and the pending slot is released.
+// completeJob ends a worker's job and every follower of its flight with
+// the job's outcome. The flight is deregistered before the fan-out, so a
+// later identical request starts a new one, and the pending slot is
+// released last.
 func (s *Server) completeJob(j *job) {
 	followers := s.leaveFlight(j)
-	j.finish()
+	s.endJob(j)
 	_, body, code, msg := j.snapshot()
-	status := "ok"
-	if code != 0 {
-		status = "error"
-	}
-	if j.id != "" {
-		s.jobs.NoteDone(j)
-		s.journalDone(j, status)
-	}
 	for _, fw := range followers {
 		fw.setLeaderReq(j.reqID)
 		if code != 0 {
@@ -638,27 +538,33 @@ func (s *Server) completeJob(j *job) {
 		} else {
 			fw.succeed(body)
 		}
-		fw.finish()
-		if fw.id != "" {
-			s.jobs.NoteDone(fw)
-			s.journalDone(fw, status)
-		}
+		s.endJob(fw)
 	}
 	s.pending.Done()
 }
 
-// executeJob runs one solve attempt end to end: policy selection, the
-// deadline-bounded solve, response marshaling, cache fill, metrics. The
-// return value classifies a failure as transient (retry-eligible):
-// injected worker faults, worker panics, and panic-contained Unknown
-// results are transient; everything else is deterministic.
-func (s *Server) executeJob(j *job) (transient bool) {
+// endJob publishes a job's outcome, attached by succeed or fail, and
+// records its end: finish wakes its waiters and closes its event stream,
+// the job store keeps an async job in its done history, and the journal
+// closes the job's submit record.
+func (s *Server) endJob(j *job) {
+	j.finish()
+	if j.id == "" {
+		return // a sync solve: its handler is the only reader
+	}
+	s.jobs.NoteDone(j)
+	s.journalDone(j)
+}
+
+// executeJob runs a job's solve end to end and attaches its outcome:
+// policy selection, the deadline-bounded solve, response marshaling,
+// cache fill, metrics.
+func (s *Server) executeJob(j *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			// Should be unreachable — solver.SolveContext contains its own
 			// panics — but a worker must survive anything a job throws.
 			j.fail(500, fmt.Sprintf("internal error: %v", r))
-			transient = true
 		}
 	}()
 	s.m.inflight.Add(1)
@@ -673,14 +579,14 @@ func (s *Server) executeJob(j *job) (transient bool) {
 		// The client vanished (sync) or the server aborted (async) while
 		// the job sat in the queue.
 		j.fail(499, "canceled before the solve started")
-		return false
+		return
 	}
 	ctx, cancelTimeout := context.WithTimeout(ctx, j.timeout)
 	defer cancelTimeout()
 
 	if err := faultpoint.Hit(faultpoint.ServerWorkerSolve); err != nil {
 		j.fail(500, "solve failed: "+err.Error())
-		return true
+		return
 	}
 
 	// The solve's tracer chain: the ?trace=1 response buffer, and an async
@@ -702,7 +608,8 @@ func (s *Server) executeJob(j *job) (transient bool) {
 	tracer := obs.Multi(sinks...)
 
 	if j.portfolio > 0 {
-		return s.executePortfolio(j, ctx, wait, mem, tracer)
+		s.executePortfolio(j, ctx, wait, mem, tracer)
+		return
 	}
 
 	// A pinned ?policy=, or the default policy on a server without a
@@ -739,14 +646,7 @@ func (s *Server) executeJob(j *job) (transient bool) {
 		// Non-panic internal failure (e.g. model verification); panics and
 		// deadline exhaustion arrive as error-carrying Unknown results.
 		j.fail(500, "solve failed: "+err.Error())
-		return false
-	}
-	if res.Status == solver.Unknown && errors.Is(res.Stop, solver.ErrSolvePanic) && s.canRetry(j) {
-		// A contained solver panic is transient; surface it as a failure so
-		// the retry path re-runs the attempt. Once retries are exhausted the
-		// UNKNOWN/stop=panic result below is the terminal answer.
-		j.fail(500, "solver panicked (will retry)")
-		return true
+		return
 	}
 
 	resp := &solveResponse{
@@ -763,10 +663,9 @@ func (s *Server) executeJob(j *job) (transient bool) {
 		},
 	}
 	s.finishSolve(j, res, resp, mem, resp.Policy.Name)
-	return false
 }
 
-// finishSolve ends a one-shot solve attempt with its result: it completes
+// finishSolve ends a one-shot solve with its result: it completes
 // resp with the outcome, a SAT answer's model, the stop cause and the
 // captured trace, counts the solve under the policy label, encodes the
 // body once, fills the cache, and attaches the body to the job. Only
@@ -795,14 +694,14 @@ func (s *Server) finishSolve(j *job, res solver.Result, resp *solveResponse, mem
 	j.succeed(body)
 }
 
-// executePortfolio runs one ?portfolio= solve attempt: an N-worker
+// executePortfolio runs a ?portfolio= solve: an N-worker
 // shared-clause portfolio (free-running, or lockstep rounds under
 // ?deterministic=1) in place of the single-solver path. On a server with a
 // selector, worker 0 defers its choice to its first reduction and makes it
 // through choosePolicy, as a one-shot auto solve does; the rest stay
 // pinned. The response carries the standard solveResponse fields plus the
 // append-only portfolio block.
-func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duration, mem *memTracer, tracer obs.Tracer) (transient bool) {
+func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duration, mem *memTracer, tracer obs.Tracer) {
 	cfg := portfolio.Config{
 		Workers:       j.portfolio,
 		Deterministic: j.deterministic,
@@ -818,10 +717,9 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 	s.observeSolveSeconds(float64(solveNS) / 1e9)
 	if err != nil {
 		// The portfolio contains individual worker panics, so an error here
-		// means every worker failed — treated like a contained solver panic:
-		// transient, retry-eligible.
+		// means every worker failed.
 		j.fail(500, "portfolio solve failed: "+err.Error())
-		return true
+		return
 	}
 
 	polName := "portfolio"
@@ -850,7 +748,6 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 		resp.Portfolio.PropFreqHash = fmt.Sprintf("%016x", rep.PropFreqHash)
 	}
 	s.finishSolve(j, rep.Result, resp, mem, "portfolio")
-	return false
 }
 
 // FallbackBreakerOpen is the policy fallback reason reported while the
@@ -917,6 +814,7 @@ func (s *Server) journalSubmit(j *job) {
 	if j.policy != nil {
 		rec.Policy = j.policy.Name()
 	}
+	rec.Portfolio, rec.Deterministic = j.portfolio, j.deterministic
 	var buf strings.Builder
 	if err := cnf.WriteDIMACS(&buf, j.f); err != nil {
 		s.m.journalErr("append").Inc()
@@ -926,10 +824,20 @@ func (s *Server) journalSubmit(j *job) {
 	s.jnl.append(rec)
 }
 
-// journalDone records an async job's terminal state.
-func (s *Server) journalDone(j *job, status string) {
-	if s.jnl == nil || j.id == "" {
+// journalDone records an ended async job's status: "shed" for a 429,
+// "error" for any other failure, "ok" otherwise. The journal writes it
+// only for a job it holds a submit record for, so a cache hit, which
+// never wrote one, writes no done record either.
+func (s *Server) journalDone(j *job) {
+	if s.jnl == nil {
 		return
+	}
+	status := "ok"
+	switch _, _, code, _ := j.snapshot(); {
+	case code == http.StatusTooManyRequests:
+		status = "shed"
+	case code != 0:
+		status = "error"
 	}
 	s.jnl.append(&journalRecord{Type: "done", ID: j.id, Status: status})
 }
@@ -977,12 +885,11 @@ func (s *Server) retryAfterSeconds() int {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain gracefully shuts the service down: new submissions are refused
-// with 503 immediately, queued and in-flight jobs (including scheduled
-// retries) run to completion, and Drain returns when the pool is idle or
-// ctx expires (in-flight solves still run under their own deadlines
-// either way). On success the journal is compacted down to nothing and
-// closed. Call before shutting the HTTP listener so sync waiters get
-// their responses.
+// with 503 immediately, queued and in-flight jobs run to completion, and
+// Drain returns when the pool is idle or ctx expires (in-flight solves
+// still run under their own deadlines either way). On success the journal
+// is compacted down to nothing and closed. Call before shutting the HTTP
+// listener so sync waiters get their responses.
 func (s *Server) Drain(ctx context.Context) error {
 	// A Delay fault here simulates a slow drain for the chaos harness;
 	// errors are deliberately ignored — drain must always proceed.

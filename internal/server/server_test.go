@@ -183,8 +183,6 @@ func TestConfigDefaults(t *testing.T) {
 		{"cache size", s.cfg.CacheSize, 256},
 		{"max body", s.cfg.MaxBodyBytes, int64(64 << 20)},
 		{"job history", s.cfg.JobHistory, 1024},
-		{"max retries", s.cfg.MaxRetries, 0},
-		{"retry base", s.cfg.RetryBase, 100 * time.Millisecond},
 		{"breaker threshold", s.brk.threshold, 5},
 		{"breaker cooldown", s.brk.cooldown, 10 * time.Second},
 		{"session max", s.cfg.SessionMax, 64},

@@ -27,9 +27,10 @@
 # must still complete), a cluster smoke (coordinator + 2 replicas:
 # sticky consistent-hash routing, a cache hit served through the proxy
 # and keyed from both tiers' upload-key memos, failover after killing the
-# owning replica, SIGTERM drain of the whole topology), five documentation gates (package comments, README flag
+# owning replica, SIGTERM drain of the whole topology), six documentation gates (package comments, README flag
 # freshness, declared flags for every flag the docs name, declared tests
-# for every test name the docs cite, API.md metric freshness), a
+# for every test name the docs cite, API.md metric freshness, registered
+# metrics for every metric name API.md and OPERATIONS.md cite), a
 # benchmark regression gate
 # against BENCH_solver.json (skip with BENCH_DELTA_SKIP=1), and coverage
 # gates on the experiments, portfolio and solver packages. Run from the
@@ -292,7 +293,7 @@ echo "docs gate: every test name the docs cite is declared"
 echo "== docs-freshness gate (every registered metric name appears in API.md)"
 # Every metric-name string literal in the program's Go sources must be
 # documented (backticked) in API.md's metric tables — a new series
-# without documentation, or a renamed one leaving a stale row, fails here.
+# without documentation fails here.
 fail=0
 metric_files="$(find internal cmd -name '*.go' ! -name '*_test.go')"
 metrics="$(grep -hoE '"(neuroselect|process|go)_[a-z_]+"' $metric_files |
@@ -307,6 +308,24 @@ if [ "$fail" != 0 ]; then
 	exit 1
 fi
 echo "docs gate: every registered metric documented in API.md ($(echo "$metrics" | wc -l | tr -d ' ') series)"
+
+echo "== docs-freshness gate (every backticked metric name in the docs is registered)"
+# The reverse direction: a series deleted or renamed in the Go sources
+# must not leave a stale row behind. A name ending in "_" is a family
+# prefix (neuroselect_server_*), not a series.
+fail=0
+for doc in API.md OPERATIONS.md; do
+	for mname in $(grep -oE '`(neuroselect|process|go)_[a-z_]+' "$doc" | tr -d '`' | grep -v '_$' | sort -u); do
+		if ! grep -q -- "\"$mname\"" $metric_files; then
+			echo "docs gate: FAIL — $doc names metric \`$mname\`, which no Go source under internal/ or cmd/ registers"
+			fail=1
+		fi
+	done
+done
+if [ "$fail" != 0 ]; then
+	exit 1
+fi
+echo "docs gate: every metric the docs name is registered"
 
 echo "== solving-service smoke (neuroselect-serve end to end)"
 if [ -z "$SMOKE_DIR" ]; then
