@@ -51,10 +51,9 @@
 // inference when its search first reduces, the only place the policy
 // acts, and decides at the threshold the model file carries (0.5 for a
 // file that stores none); a solve that never reduces runs no inference
-// and answers with the fallback "no-reduction". Without -model all
-// requests solve under the default policy (or a ?policy= override). Five
-// consecutive inference failures open a circuit breaker that degrades the
-// selector to the default policy for 10s.
+// and answers with the fallback "no-reduction". A failed inference
+// degrades only its own request to the default policy. Without -model all
+// requests solve under the default policy (or a ?policy= override).
 //
 // -journal enables the durable job journal: async jobs are fsync'd to
 // DIR/journal.jsonl before they are acknowledged, and a restart with the

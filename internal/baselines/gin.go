@@ -107,25 +107,7 @@ func (m *GIN) Fit(fs []*cnf.Formula, labels []int, epochs int, lr float64, seed 
 		graphs[i] = satgraph.BuildVCG(f)
 		adjs[i] = signedAdj(graphs[i])
 	}
-	rng := rand.New(rand.NewSource(seed))
-	opt := nn.NewAdam(lr)
-	order := make([]int, len(fs))
-	for i := range order {
-		order[i] = i
-	}
-	last := 0.0
-	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		total := 0.0
-		for _, i := range order {
-			t := autodiff.NewTape()
-			m.Params.Bind(t)
-			loss := t.BCEWithLogits(m.logit(t, graphs[i], adjs[i]), float64(labels[i]))
-			t.Backward(loss)
-			opt.Step(m.Params)
-			total += loss.M.Data[0]
-		}
-		last = total / float64(len(fs))
-	}
-	return last
+	return nn.Fit(m.Params, len(fs), epochs, lr, seed, func(t *autodiff.Tape, i int) *autodiff.Value {
+		return t.BCEWithLogits(m.logit(t, graphs[i], adjs[i]), float64(labels[i]))
+	}, nil)
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"neuroselect/internal/cnf"
+	"neuroselect/internal/gen"
 	"neuroselect/internal/server"
 )
 
@@ -412,6 +413,87 @@ func TestCoordinatorSessionAffinityMiss(t *testing.T) {
 	drainBody(t, gone)
 	if gone.StatusCode != 404 {
 		t.Fatalf("info after delete: %d, want 404", gone.StatusCode)
+	}
+}
+
+// TestCoordinatorBusySessionAfterAffinityMiss: while a step runs, the
+// session's owner answers every other request for it with 409 (busy),
+// which only the owner can say. After the coordinator loses the session's
+// owner, that 409 must count as ownership: an info request and a second
+// step answer the owner's 409, not a 404 "unknown session id" that tells
+// the client to throw away a live session.
+func TestCoordinatorBusySessionAfterAffinityMiss(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	var php bytes.Buffer
+	if err := cnf.WriteDIMACS(&php, gen.Pigeonhole(10).F); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(tc.front.URL+"/v1/sessions", "text/plain", &php)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	body := drainBody(t, resp)
+	if resp.StatusCode != 200 && resp.StatusCode != 201 {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	owner := resp.Header.Get("X-Backend")
+	var sess struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &sess); err != nil || sess.ID == "" {
+		t.Fatalf("create body %s (err %v)", body, err)
+	}
+	infoURL := tc.front.URL + "/v1/sessions/" + sess.ID
+	step := func() (*http.Response, error) {
+		return http.Post(infoURL+"/solve", "application/json", strings.NewReader(`{"timeout":"3s"}`))
+	}
+
+	first := make(chan int, 1)
+	go func() {
+		resp, err := step()
+		if err != nil {
+			first <- 0
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		resp, err := http.Get(infoURL)
+		if err != nil {
+			t.Fatalf("info: %v", err)
+		}
+		drainBody(t, resp)
+		if resp.StatusCode == http.StatusConflict {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session never answered busy through the coordinator; last %d", resp.StatusCode)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	for _, op := range []struct {
+		name string
+		do   func() (*http.Response, error)
+	}{
+		{"info", func() (*http.Response, error) { return http.Get(infoURL) }},
+		{"step", step},
+	} {
+		tc.coord.sessRoute.Delete(sess.ID)
+		resp, err := op.do()
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		b := drainBody(t, resp)
+		if resp.StatusCode != http.StatusConflict || resp.Header.Get("X-Backend") != owner {
+			t.Errorf("%s after affinity miss: %d via %q (%s), want 409 via owner %q",
+				op.name, resp.StatusCode, resp.Header.Get("X-Backend"), b, owner)
+		}
+	}
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("first step answered %d, want 200", code)
 	}
 }
 

@@ -195,9 +195,10 @@ func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // backend first (if live), then every other live backend in ring order.
 // Probes are always sent as GETs — the original request may be a POST or
 // DELETE, and a probe must only ask "is this id yours?", never execute
-// the operation on a guessed owner. Only a 2xx answer counts as
-// ownership evidence (a 405 or 500 is not "found", and recording it
-// would poison the affinity map); nothing but misses reports not-found.
+// the operation on a guessed owner. Only a 2xx answer, or a 409 (busy:
+// only an id's owner can say so), counts as ownership evidence (a 405
+// or 500 is not "found", and recording it would poison the affinity
+// map); nothing but misses reports not-found.
 func (c *Coordinator) fetchByID(r *http.Request, m *routeMap, id, path string) (*http.Response, *backend, bool) {
 	var cands []*backend
 	if name, ok := m.Get(id); ok {
@@ -225,7 +226,7 @@ func (c *Coordinator) fetchByID(r *http.Request, m *routeMap, id, path string) (
 			c.noteTransportFailure(b)
 			continue
 		}
-		if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		if (resp.StatusCode < 200 || resp.StatusCode >= 300) && resp.StatusCode != http.StatusConflict {
 			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
 			continue

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 
 	"neuroselect/internal/autodiff"
 	"neuroselect/internal/nn"
@@ -66,35 +65,14 @@ func BalancedPosWeight(samples []Sample) float64 {
 // epoch.
 func Train(m *Model, samples []Sample, cfg TrainConfig) float64 {
 	cfg.fillDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := nn.NewAdam(cfg.LR)
-	order := make([]int, len(samples))
-	for i := range order {
-		order[i] = i
-	}
-	last := 0.0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		total := 0.0
-		for _, idx := range order {
-			s := samples[idx]
-			t := autodiff.NewTape()
-			m.Params.Bind(t)
-			logit := m.Logit(t, s.G)
-			loss := t.BCEWithLogits(logit, float64(s.Label))
-			if s.Label == 1 && cfg.PosWeight != 1 {
-				loss = t.Scale(loss, cfg.PosWeight)
-			}
-			t.Backward(loss)
-			opt.Step(m.Params)
-			total += loss.M.Data[0]
+	return nn.Fit(m.Params, len(samples), cfg.Epochs, cfg.LR, cfg.Seed, func(t *autodiff.Tape, i int) *autodiff.Value {
+		s := samples[i]
+		loss := t.BCEWithLogits(m.Logit(t, s.G), float64(s.Label))
+		if s.Label == 1 && cfg.PosWeight != 1 {
+			loss = t.Scale(loss, cfg.PosWeight)
 		}
-		last = total / float64(len(samples))
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, last)
-		}
-	}
-	return last
+		return loss
+	}, cfg.OnEpoch)
 }
 
 // BalancedAccuracy is the mean of the per-class accuracies (TPR+TNR)/2 at

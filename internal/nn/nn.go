@@ -1,6 +1,7 @@
 // Package nn provides neural-network building blocks over the autodiff
 // tape: parameter registries, linear layers, MLPs, an LSTM cell, the Adam
-// optimizer, and parameter (de)serialization.
+// optimizer and the training loop over it, and parameter
+// (de)serialization.
 package nn
 
 import (
@@ -221,6 +222,40 @@ func (a *Adam) Step(p *Params) {
 			par.M.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
 		}
 	}
+}
+
+// Fit trains p with Adam at learning rate lr, batch size 1. Each epoch
+// visits the n samples in an order shuffled from a source seeded with
+// seed; each sample's loss(t, i), built on a fresh tape bound to p, takes
+// one backward pass and one Adam step. onEpoch, when non-nil, receives
+// the epoch index and mean loss after each epoch. Fit returns the final
+// epoch's mean loss.
+func Fit(p *Params, n, epochs int, lr float64, seed int64,
+	loss func(t *autodiff.Tape, i int) *autodiff.Value, onEpoch func(epoch int, loss float64)) float64 {
+	rng := rand.New(rand.NewSource(seed))
+	opt := NewAdam(lr)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	last := 0.0
+	for e := 0; e < epochs; e++ {
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		total := 0.0
+		for _, i := range order {
+			t := autodiff.NewTape()
+			p.Bind(t)
+			l := loss(t, i)
+			t.Backward(l)
+			opt.Step(p)
+			total += l.M.Data[0]
+		}
+		last = total / float64(n)
+		if onEpoch != nil {
+			onEpoch(e, last)
+		}
+	}
+	return last
 }
 
 // savedParam is the JSON wire form of one parameter.

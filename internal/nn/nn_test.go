@@ -117,6 +117,34 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
+// TestFitFitsMeanOfTargets fits one weight to four targets under squared
+// loss: Fit reports each epoch's mean loss in order, returns the last, and
+// moves the weight to the targets' mean.
+func TestFitFitsMeanOfTargets(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	p := NewParams()
+	w := p.New("w", 1, 1, "xavier", rng)
+	targets := []float64{1, 2, 4, 5}
+	var epochs []int
+	var losses []float64
+	last := Fit(p, len(targets), 200, 0.05, 1, func(tp *autodiff.Tape, i int) *autodiff.Value {
+		diff := tp.AddScalar(p.V(w), -targets[i])
+		return tp.MeanScalar(tp.Hadamard(diff, diff))
+	}, func(epoch int, loss float64) {
+		epochs = append(epochs, epoch)
+		losses = append(losses, loss)
+	})
+	if len(epochs) != 200 || epochs[0] != 0 || epochs[199] != 199 {
+		t.Fatalf("onEpoch saw epochs %v..., want 0..199", epochs[:min(len(epochs), 3)])
+	}
+	if last != losses[199] || losses[199] >= losses[0] {
+		t.Errorf("returned %v; epoch losses %v -> %v, want the last, falling", last, losses[0], losses[199])
+	}
+	if math.Abs(w.M.Data[0]-3) > 0.2 {
+		t.Errorf("w = %v, want ≈3", w.M.Data[0])
+	}
+}
+
 // TestLSTMLearnsToSum trains an LSTM cell to output the mean of a short
 // sequence, exercising the recurrent gradient path.
 func TestLSTMLearnsToSum(t *testing.T) {

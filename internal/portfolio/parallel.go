@@ -100,10 +100,9 @@ type Config struct {
 	NoDiversify bool
 	// Auto, when non-nil, is worker 0's deletion policy: a model choice
 	// deferred to that worker's first reduction, built by Selector.Defer
-	// for this one solve (the remaining workers stay pinned). The caller
-	// picks its choose function, so a server can put the model call behind
-	// its own breaker. Inference is a pure function of the model and
-	// formula, so deterministic mode stays deterministic.
+	// for this one solve (the remaining workers stay pinned). Inference is
+	// a pure function of the model and formula, so deterministic mode
+	// stays deterministic.
 	Auto *Deferred
 	// Obs, when non-nil, receives per-worker exchange counters
 	// (neuroselect_portfolio_exchange_clauses_total{worker,event}) and the

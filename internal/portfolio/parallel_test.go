@@ -183,7 +183,7 @@ func TestSelectorDrivesWorkerZero(t *testing.T) {
 	reg := obs.NewRegistry()
 	sel := &Selector{Model: m, Obs: reg}
 	f := gen.RandomKSAT(80, 336, 3, 2).F
-	rep, err := SolveParallel(f, Config{Workers: 2, Auto: sel.Defer(f, nil, nil), Deterministic: true})
+	rep, err := SolveParallel(f, Config{Workers: 2, Auto: sel.Defer(f, nil), Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestWorkerZeroWithoutReductionSkipsInference(t *testing.T) {
 	m.Threshold = 0
 	for _, det := range []bool{false, true} {
 		f := gen.NQueens(6).F
-		rep, err := SolveParallel(f, Config{Workers: 2, Auto: NewSelector(m).Defer(f, nil, nil), Deterministic: det})
+		rep, err := SolveParallel(f, Config{Workers: 2, Auto: NewSelector(m).Defer(f, nil), Deterministic: det})
 		if err != nil {
 			t.Fatal(err)
 		}

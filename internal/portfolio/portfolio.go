@@ -25,9 +25,9 @@ import (
 // graph exceeds the cap skip inference and use the default policy.
 const NodeCapDefault = 400000
 
-// OverNodeCap reports whether f's graph exceeds NodeCapDefault, so that
+// overNodeCap reports whether f's graph exceeds NodeCapDefault, so that
 // Choose skips the model for it.
-func OverNodeCap(f *cnf.Formula) bool { return f.NumVars+len(f.Clauses) > NodeCapDefault }
+func overNodeCap(f *cnf.Formula) bool { return f.NumVars+len(f.Clauses) > NodeCapDefault }
 
 // Fallback reasons recorded in Choice.Fallback. An empty string means
 // inference ran and its probability drove the selection.
@@ -94,8 +94,8 @@ func (ch Choice) Event() *obs.Event {
 // propagate: a panicking or erroring model call degrades to the default
 // (Kissat) policy with the fallback reason recorded in the Choice.
 func (s *Selector) Choose(f *cnf.Formula) Choice {
-	if OverNodeCap(f) {
-		return s.Skip(FallbackNodeCap)
+	if overNodeCap(f) {
+		return s.skip(FallbackNodeCap)
 	}
 	start := time.Now()
 	prob, err := s.infer(f)
@@ -123,9 +123,9 @@ func (s *Selector) Choose(f *cnf.Formula) Choice {
 	return s.record(ch)
 }
 
-// Skip returns the default-policy choice made without calling the model,
+// skip returns the default-policy choice made without calling the model,
 // for the given fallback reason, and records it like every decision.
-func (s *Selector) Skip(fallback string) Choice {
+func (s *Selector) skip(fallback string) Choice {
 	return s.record(Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: fallback})
 }
 
@@ -170,19 +170,15 @@ func (s *Selector) infer(f *cnf.Formula) (prob float64, err error) {
 type Deferred struct {
 	sel    *Selector
 	f      *cnf.Formula
-	choose func(*cnf.Formula) Choice
 	tracer obs.Tracer
 	ch     Choice // ch.Policy is nil until the choice is made
 }
 
-// Defer starts the deferred choice of one solve of f. choose makes the
-// choice; nil means s.Choose. The tracer, when non-nil, receives the
-// choice as its policy event at the moment it is made.
-func (s *Selector) Defer(f *cnf.Formula, choose func(*cnf.Formula) Choice, tracer obs.Tracer) *Deferred {
-	if choose == nil {
-		choose = s.Choose
-	}
-	return &Deferred{sel: s, f: f, choose: choose, tracer: tracer}
+// Defer starts the deferred choice of one solve of f, made by s.Choose.
+// The tracer, when non-nil, receives the choice as its policy event at
+// the moment it is made.
+func (s *Selector) Defer(f *cnf.Formula, tracer obs.Tracer) *Deferred {
+	return &Deferred{sel: s, f: f, tracer: tracer}
 }
 
 // Name implements deletion.Policy: "auto" until the choice is made, the
@@ -202,7 +198,7 @@ func (d *Deferred) Score(ci deletion.ClauseInfo) uint64 { return d.chosen().Scor
 
 func (d *Deferred) chosen() deletion.Policy {
 	if d.ch.Policy == nil {
-		d.settle(d.choose(d.f))
+		d.settle(d.sel.Choose(d.f))
 	}
 	return d.ch.Policy
 }
@@ -218,7 +214,7 @@ func (d *Deferred) settle(ch Choice) {
 // search never needed as FallbackNoReduction.
 func (d *Deferred) Result() Choice {
 	if d.ch.Policy == nil {
-		d.settle(d.sel.Skip(FallbackNoReduction))
+		d.settle(d.sel.skip(FallbackNoReduction))
 	}
 	return d.ch
 }
@@ -238,7 +234,7 @@ type Report struct {
 // error-carrying Unknown report, so callers can either fail or record the
 // instance and continue.
 func (s *Selector) SolveContext(ctx context.Context, f *cnf.Formula, maxConflicts int64) (Report, error) {
-	d := s.Defer(f, nil, nil)
+	d := s.Defer(f, nil)
 	start := time.Now()
 	res, err := solver.SolveContext(ctx, f, dataset.SolveOptions(d, maxConflicts))
 	ch := d.Result()

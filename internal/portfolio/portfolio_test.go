@@ -188,7 +188,7 @@ func TestDeferredTracesChoiceWhenMade(t *testing.T) {
 	m.Threshold = 0
 	var events []obs.Event
 	tracer := tracerFunc(func(ev *obs.Event) { events = append(events, *ev) })
-	d := NewSelector(m).Defer(gen.RandomKSAT(80, 336, 3, 2).F, nil, tracer)
+	d := NewSelector(m).Defer(gen.RandomKSAT(80, 336, 3, 2).F, tracer)
 	if d.Name() != "auto" || len(events) != 0 {
 		t.Fatalf("unsettled Deferred: name %q, %d events", d.Name(), len(events))
 	}
@@ -201,7 +201,7 @@ func TestDeferredTracesChoiceWhenMade(t *testing.T) {
 	}
 
 	events = nil
-	d = NewSelector(m).Defer(gen.RandomKSAT(80, 336, 3, 2).F, nil, tracer)
+	d = NewSelector(m).Defer(gen.RandomKSAT(80, 336, 3, 2).F, tracer)
 	if ch := d.Result(); ch.Fallback != FallbackNoReduction || d.Name() != "default" ||
 		len(events) != 1 || events[0].Fallback != FallbackNoReduction {
 		t.Fatalf("unconsulted Deferred settled as %+v (name %q), events %+v", ch, d.Name(), events)

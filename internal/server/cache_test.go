@@ -69,7 +69,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 }
 
 // TestResultCachePutReplacesPolicy: re-filling a key (a re-solve after a
-// cache-get fault, possibly under another policy once the breaker moved)
+// cache-get fault, possibly under another policy if one inference failed)
 // must replace the policy label along with the body, or cached hits are
 // counted under the wrong solves_total{policy}.
 func TestResultCachePutReplacesPolicy(t *testing.T) {

@@ -40,11 +40,10 @@ import (
 const chaosSchedules = 200
 
 // chaosSites lists every server faultpoint — plus the model-inference
-// site, the selector's failure domain behind the breaker — with the fault
-// kinds a
-// schedule may arm there. Panics are only injected at the worker-solve
-// site, where containment is part of the contract; handler-side panics
-// would tear HTTP responses mid-write and prove nothing about the server.
+// site, the selector's failure domain — with the fault kinds a schedule
+// may arm there. Panics are only injected at the worker-solve site, where
+// containment is part of the contract; handler-side panics would tear
+// HTTP responses mid-write and prove nothing about the server.
 var chaosSites = []struct {
 	site   faultpoint.Site
 	panics bool
@@ -115,13 +114,11 @@ func runChaosSchedule(t *testing.T, seed int64, sel *portfolio.Selector) {
 	appendFaulty := armSchedule(rng)
 	dir := t.TempDir()
 	cfg := Config{
-		Workers:          2,
-		QueueDepth:       4,
-		MaxTimeout:       20 * time.Second,
-		JobHistory:       64,
-		JournalDir:       dir,
-		BreakerThreshold: 2,
-		BreakerCooldown:  5 * time.Millisecond,
+		Workers:    2,
+		QueueDepth: 4,
+		MaxTimeout: 20 * time.Second,
+		JobHistory: 64,
+		JournalDir: dir,
 	}
 	if rng.Intn(2) == 0 {
 		cfg.Selector = sel

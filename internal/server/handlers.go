@@ -638,18 +638,13 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth is GET /healthz: 200 "ok" while serving, 503 "draining"
-// during graceful shutdown so load balancers stop routing here. The
-// second line reports the inference circuit-breaker state
-// (breaker=closed|half-open|open) — an open breaker means the service is
-// up but degraded to the default policy.
+// during graceful shutdown so load balancers stop routing here.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.Draining() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
-		fmt.Fprintf(w, "breaker=%s\n", s.brk.State())
 		return
 	}
 	fmt.Fprintln(w, "ok")
-	fmt.Fprintf(w, "breaker=%s\n", s.brk.State())
 }

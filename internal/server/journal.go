@@ -103,8 +103,9 @@ func openJournal(dir string, compactEvery int, onError func(op string)) (*journa
 }
 
 // replay scans the journal file and reconstructs the pending-job set.
-// Records that fail to decode (a torn final write from a crash) or that
-// the ServerJournalReplay faultpoint rejects are skipped and counted.
+// Records that fail to decode (a torn final write from a crash), submits
+// without an id, and records the ServerJournalReplay faultpoint rejects
+// are skipped and counted.
 func (j *journal) replay() ([]*journalRecord, error) {
 	f, err := os.Open(j.path)
 	if os.IsNotExist(err) {
@@ -133,6 +134,10 @@ func (j *journal) replay() ([]*journalRecord, error) {
 		}
 		switch rec.Type {
 		case "submit":
+			if rec.ID == "" { // no job could answer for it
+				j.onError("replay")
+				continue
+			}
 			r := rec
 			j.live[rec.ID] = &r
 		case "done":

@@ -314,7 +314,8 @@ func TestReplayKeepsPortfolio(t *testing.T) {
 
 // FuzzJournalReplay feeds arbitrary bytes to startup replay as the
 // journal file. New must not panic: it either fails, or every job it
-// replayed reaches done once the server drains.
+// replayed reaches done once the server drains, and the drain leaves the
+// journal empty.
 func FuzzJournalReplay(f *testing.F) {
 	hashOf := func(s string) string {
 		g, err := cnf.Parse([]byte(s))
@@ -357,6 +358,9 @@ func FuzzJournalReplay(f *testing.F) {
 			record(journalRecord{Type: "submit", ID: "j00000004", CNF: unsatCNF, Portfolio: maxPortfolioWorkers + 1}),
 			record(journalRecord{Type: "submit", ID: "j00000005", CNF: satCNF, Policy: "banana", ReqID: "r"}),
 		},
+		{
+			record(journalRecord{Type: "submit", CNF: satCNF}),
+		},
 	} {
 		f.Add([]byte(strings.Join(lines, "\n") + "\n"))
 	}
@@ -383,6 +387,9 @@ func FuzzJournalReplay(f *testing.F) {
 			if state, _, _, _ := j.snapshot(); state != JobDone {
 				t.Errorf("replayed job %q is %s after the drain", id, state)
 			}
+		}
+		if left, err := os.ReadFile(filepath.Join(dir, journalFileName)); err != nil || len(left) != 0 {
+			t.Errorf("journal after a clean drain: %q (err %v), want empty", left, err)
 		}
 	})
 }

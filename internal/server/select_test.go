@@ -3,9 +3,9 @@ package server
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"neuroselect/internal/cnf"
+	"neuroselect/internal/core"
 	"neuroselect/internal/dataset"
 	"neuroselect/internal/deletion"
 	"neuroselect/internal/faultpoint"
@@ -13,6 +13,11 @@ import (
 	"neuroselect/internal/portfolio"
 	"neuroselect/internal/solver"
 )
+
+func testSelector() *portfolio.Selector {
+	return portfolio.NewSelector(
+		core.NewModel(core.Config{Hidden: 8, HGTLayers: 1, MPLayers: 1, Attention: true, Seed: 1}))
+}
 
 // TestAutoSolveMatchesEagerSearch pins that deferring the choice to the
 // first reduction leaves every search as it was: for a model forced to
@@ -72,42 +77,23 @@ func TestAutoSolveMatchesEagerSearch(t *testing.T) {
 
 // TestNoReductionSkipsInference pins that a solve which ends before its
 // first reduction never reaches the model: with the model-inference
-// faultpoint armed to fail it still answers no-reduction, and it leaves a
-// half-open breaker's single probe to the next solve that needs a choice.
+// faultpoint armed to fail it still answers no-reduction, and the
+// inference histogram, which samples every model call, does not move.
 func TestNoReductionSkipsInference(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	reg := obs.NewRegistry()
 	sel := testSelector()
 	sel.Obs = reg
-	s, ts := newTestServer(t, Config{
-		Workers:          1,
-		CacheSize:        -1,
-		Selector:         sel,
-		Registry:         reg,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-	})
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1, Selector: sel, Registry: reg})
 	reducing := reducingSAT(t)
 	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
 	sr, _ := decodeSolve(t, post(t, ts.URL+"/v1/solve", reducing))
-	if sr.Policy.Fallback != portfolio.FallbackError || s.brk.State() != breakerOpen {
-		t.Fatalf("priming solve: fallback %q, breaker %v; want %q and open",
-			sr.Policy.Fallback, s.brk.State(), portfolio.FallbackError)
+	if sr.Policy.Fallback != portfolio.FallbackError {
+		t.Fatalf("priming solve: fallback %q, want %q", sr.Policy.Fallback, portfolio.FallbackError)
 	}
-	// Past the cooldown: the next choice is the half-open probe.
-	s.brk.mu.Lock()
-	s.brk.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
-	s.brk.mu.Unlock()
 
-	inferences := func() int64 {
-		var n int64
-		for _, o := range []string{"ok", "failure", FallbackBreakerOpen} {
-			n += reg.Counter("neuroselect_server_inference_total", "", obs.Labels{"outcome": o}).Value()
-		}
-		return n
-	}
 	samples := reg.Histogram("neuroselect_portfolio_inference_seconds", "", nil, nil)
-	hits, attempts, timed := faultpoint.Hits(faultpoint.ModelInference), inferences(), samples.Count()
+	hits, calls := faultpoint.Hits(faultpoint.ModelInference), samples.Count()
 	sr, raw := decodeSolve(t, post(t, ts.URL+"/v1/solve?trace=1", satCNF))
 	want := policyInfo{Name: "default", Prob: -1, Fallback: portfolio.FallbackNoReduction}
 	if sr.Status != "SAT" || sr.Policy != want {
@@ -116,18 +102,12 @@ func TestNoReductionSkipsInference(t *testing.T) {
 	if got := faultpoint.Hits(faultpoint.ModelInference); got != hits {
 		t.Errorf("model-inference faultpoint hit %d times by a solve that never reduced", got-hits)
 	}
-	if got := inferences(); got != attempts {
-		t.Errorf("inference_total moved by %d for a solve that never reduced", got-attempts)
-	}
-	if got := samples.Count(); got != timed {
-		t.Errorf("inference_seconds gained %d samples for a skipped choice", got-timed)
+	if got := samples.Count(); got != calls {
+		t.Errorf("inference_seconds gained %d samples for a solve that never reduced", got-calls)
 	}
 	if got := reg.Counter("neuroselect_portfolio_choices_total", "",
 		obs.Labels{"policy": "default", "fallback": portfolio.FallbackNoReduction}).Value(); got != 1 {
 		t.Errorf("choices_total{fallback=no-reduction} = %d, want 1", got)
-	}
-	if st := s.brk.State(); st != breakerOpen {
-		t.Errorf("breaker %v after a solve that never reduced, want still open with its probe unspent", st)
 	}
 	// The trace opens with solve_start naming the deferred policy and ends
 	// with the one policy event, settled after the search.
@@ -138,66 +118,38 @@ func TestNoReductionSkipsInference(t *testing.T) {
 
 	faultpoint.Disarm(faultpoint.ModelInference)
 	sr, _ = decodeSolve(t, post(t, ts.URL+"/v1/solve", reducing))
-	if sr.Policy.Fallback != "" || s.brk.State() != breakerClosed {
-		t.Errorf("probe solve: fallback %q, breaker %v; want an inferred choice closing the breaker",
-			sr.Policy.Fallback, s.brk.State())
+	if sr.Policy.Fallback != "" || samples.Count() != calls+1 {
+		t.Errorf("reducing solve: fallback %q after %d model calls; want an inferred choice from one",
+			sr.Policy.Fallback, samples.Count()-calls)
 	}
 }
 
-// TestNodeCapSkipTakesNoProbe pins that a choice over the node cap, which
-// never calls the model, is not an inference: it leaves a half-open
-// breaker's single probe unspent, records no breaker outcome and adds
-// nothing to inference_total.
-func TestNodeCapSkipTakesNoProbe(t *testing.T) {
+// TestAutoChoiceIgnoresEarlierFailures pins that an auto choice is a
+// function of the formula and the model alone: after five solves whose
+// inference failed, the next solve of the same formula chooses what the
+// model picks, and the result cache replays that choice to its repeat.
+func TestAutoChoiceIgnoresEarlierFailures(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	reg := obs.NewRegistry()
-	s, ts := newTestServer(t, Config{
-		Workers:          1,
-		CacheSize:        -1,
-		Selector:         testSelector(),
-		Registry:         reg,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-	})
+	sel := testSelector()
+	sel.Model.Threshold = 0
+	_, ts := newTestServer(t, Config{Workers: 1, Selector: sel})
+	reducing := reducingSAT(t)
 	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
-	decodeSolve(t, post(t, ts.URL+"/v1/solve", reducingSAT(t)))
-	if st := s.brk.State(); st != breakerOpen {
-		t.Fatalf("breaker %v after a failed inference, want open", st)
+	for i := 0; i < 5; i++ {
+		if sr, raw := decodeSolve(t, post(t, ts.URL+"/v1/solve?trace=1", reducing)); sr.Policy.Fallback != portfolio.FallbackError {
+			t.Fatalf("failing solve %d: %s", i+1, raw)
+		}
 	}
 	faultpoint.Disarm(faultpoint.ModelInference)
-	faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{}) // counts model calls
-	// Past the cooldown: the next choice that calls the model is the probe.
-	s.brk.mu.Lock()
-	s.brk.now = func() time.Time { return time.Now().Add(2 * time.Hour) }
-	s.brk.mu.Unlock()
-
-	ch := s.choosePolicy(cnf.New(portfolio.NodeCapDefault + 1))
-	if ch.Fallback != portfolio.FallbackNodeCap {
-		t.Fatalf("over-cap choice: fallback %q, want %q", ch.Fallback, portfolio.FallbackNodeCap)
-	}
-	if got := faultpoint.Hits(faultpoint.ModelInference); got != 0 {
-		t.Errorf("over-cap choice called the model %d times", got)
-	}
-	if st := s.brk.State(); st != breakerOpen {
-		t.Errorf("breaker %v after an over-cap choice, want still open with its probe unspent", st)
-	}
-	for _, o := range []string{"ok", "failure", FallbackBreakerOpen} {
-		want := int64(0)
-		if o == "failure" {
-			want = 1 // the priming solve
+	for _, cache := range []string{"miss", "hit"} {
+		resp := post(t, ts.URL+"/v1/solve", reducing)
+		sr, raw := decodeSolve(t, resp)
+		if sr.Policy.Name != "frequency" || sr.Policy.Fallback != "" {
+			t.Errorf("%s solve after the failures: policy %+v, want frequency with no fallback: %s", cache, sr.Policy, raw)
 		}
-		if got := reg.Counter("neuroselect_server_inference_total", "", obs.Labels{"outcome": o}).Value(); got != want {
-			t.Errorf("inference_total{outcome=%q} = %d, want %d", o, got, want)
+		if got := resp.Header.Get("X-Cache"); got != cache {
+			t.Errorf("X-Cache %q, want %q", got, cache)
 		}
-	}
-
-	sr, _ := decodeSolve(t, post(t, ts.URL+"/v1/solve", reducingSAT(t)))
-	if sr.Policy.Fallback != "" || s.brk.State() != breakerClosed {
-		t.Errorf("probe solve: fallback %q, breaker %v; want an inferred choice closing the breaker",
-			sr.Policy.Fallback, s.brk.State())
-	}
-	if got := faultpoint.Hits(faultpoint.ModelInference); got != 1 {
-		t.Errorf("model calls = %d, want the one probe", got)
 	}
 }
 

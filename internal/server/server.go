@@ -31,10 +31,6 @@
 //     in a write-ahead job journal before its 202 is written; a crashed
 //     or SIGKILLed server replays pending jobs on restart and re-admits
 //     them through the normal queue (see journal.go).
-//   - Circuit breaker: consecutive selector-inference failures (errors or
-//     panics) trip the breaker; while open, requests skip inference and
-//     run DefaultPolicy outright, and a half-open probe re-tests the model
-//     after Config.BreakerCooldown (see breaker.go).
 //   - Deadlines: every request runs under a per-request timeout
 //     (?timeout=, clamped by Config.MaxTimeout) and returns UNKNOWN with
 //     a stop reason rather than holding a worker.
@@ -105,12 +101,6 @@ type Config struct {
 	// replays jobs left pending by a crash. Empty disables journaling.
 	// The file is compacted in place once 256 obsolete records accumulate.
 	JournalDir string
-	// BreakerThreshold is how many consecutive inference failures open
-	// the circuit breaker (<=0 → 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before admitting
-	// a half-open probe inference (<=0 → 10s).
-	BreakerCooldown time.Duration
 	// SessionMax bounds concurrently-live warm sessions (and the parked-
 	// solver pool behind them); creating one past the bound evicts the
 	// least-recently-used idle session (<=0 → 64).
@@ -154,16 +144,15 @@ type Config struct {
 }
 
 // Server is a running solving service: worker pool, admission queue,
-// result cache, async job store, job journal, singleflight table, and
-// inference breaker. Create with New, mount Handler on an http.Server,
-// and stop with Drain (graceful) or Close (abort).
+// result cache, async job store, job journal, and singleflight table.
+// Create with New, mount Handler on an http.Server, and stop with Drain
+// (graceful) or Close (abort).
 type Server struct {
 	cfg   Config
 	queue chan *job
 	cache *resultCache
 	jobs  *jobStore
 	jnl   *journal // nil when journaling is disabled
-	brk   *breaker
 
 	// uploadKeys memoizes finished ingests: an upload's wire digest
 	// (UploadDigest) → the formula's CanonicalHash, sized like the cache.
@@ -206,8 +195,6 @@ type serverMetrics struct {
 	dedup      func(path string) *obs.Counter
 	replayed   *obs.Counter
 	journalErr func(op string) *obs.Counter
-	inference  func(outcome string) *obs.Counter
-	breakerTo  func(state string) *obs.Counter
 	sessionEv  func(event string) *obs.Counter
 	sessionSec func(mode string) *obs.Histogram
 	streamSubs *obs.Gauge
@@ -254,23 +241,12 @@ func newServerMetrics(reg *obs.Registry, s *Server) serverMetrics {
 		return reg.Counter("neuroselect_server_journal_errors_total",
 			"Job-journal I/O failures by operation (append, replay, compact).", obs.Labels{"op": op})
 	}
-	m.inference = func(outcome string) *obs.Counter {
-		return reg.Counter("neuroselect_server_inference_total",
-			"Selector-inference attempts by outcome (ok, failure, breaker-open).", obs.Labels{"outcome": outcome})
-	}
-	m.breakerTo = func(state string) *obs.Counter {
-		return reg.Counter("neuroselect_server_breaker_transitions_total",
-			"Inference circuit-breaker transitions by new state.", obs.Labels{"to": state})
-	}
 	reg.GaugeFunc("neuroselect_server_queue_depth",
 		"Jobs waiting in the admission queue.", nil,
 		func() float64 { return float64(len(s.queue)) })
 	reg.GaugeFunc("neuroselect_server_queue_capacity",
 		"Admission-queue capacity (the 429 shedding threshold).", nil,
 		func() float64 { return float64(cap(s.queue)) })
-	reg.GaugeFunc("neuroselect_server_breaker_state",
-		"Inference circuit-breaker state (0 closed, 1 half-open, 2 open).", nil,
-		func() float64 { return float64(s.brk.State()) })
 	m.sessionEv = func(event string) *obs.Counter {
 		return reg.Counter("neuroselect_server_session_events_total",
 			"Warm-session activity by event (create, close, hit, miss, park, drop, evict, expire, memcap).",
@@ -352,7 +328,6 @@ func New(cfg Config) (*Server, error) {
 		cache:      newResultCache(cfg.CacheSize),
 		uploadKeys: lru.New[[sha256.Size]byte, string](cfg.CacheSize),
 		jobs:       newJobStore(cfg.JobHistory, idPrefix),
-		brk:        newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		fl:         flightTable{m: make(map[string]*job)},
 		sessions:   newSessionTable(cfg.SessionMax, idPrefix),
 		pool:       newSolverPool(cfg.SessionMax),
@@ -360,7 +335,6 @@ func New(cfg Config) (*Server, error) {
 		cancel:     cancel,
 	}
 	s.m = newServerMetrics(cfg.Registry, s)
-	s.brk.onFlip = func(to breakerState) { s.m.breakerTo(to.String()).Inc() }
 	s.alog = newAccessLogger(cfg.AccessLog, 0, 0)
 
 	var pending []*journalRecord
@@ -614,8 +588,7 @@ func (s *Server) executeJob(j *job) {
 
 	// A pinned ?policy=, or the default policy on a server without a
 	// selector, is settled before the search starts. Otherwise the choice
-	// waits for the first reduction (portfolio.Deferred) and runs behind
-	// the inference breaker.
+	// waits for the first reduction (portfolio.Deferred).
 	var ch portfolio.Choice
 	var auto *portfolio.Deferred
 	switch {
@@ -624,7 +597,7 @@ func (s *Server) executeJob(j *job) {
 	case s.cfg.Selector == nil:
 		ch = portfolio.Choice{Policy: deletion.DefaultPolicy{}, Prob: -1, Fallback: "no-model"}
 	default:
-		auto = s.cfg.Selector.Defer(j.f, s.choosePolicy, choiceTracer)
+		auto = s.cfg.Selector.Defer(j.f, choiceTracer)
 		ch.Policy = auto
 	}
 	if auto == nil && mem != nil {
@@ -697,10 +670,9 @@ func (s *Server) finishSolve(j *job, res solver.Result, resp *solveResponse, mem
 // executePortfolio runs a ?portfolio= solve: an N-worker
 // shared-clause portfolio (free-running, or lockstep rounds under
 // ?deterministic=1) in place of the single-solver path. On a server with a
-// selector, worker 0 defers its choice to its first reduction and makes it
-// through choosePolicy, as a one-shot auto solve does; the rest stay
-// pinned. The response carries the standard solveResponse fields plus the
-// append-only portfolio block.
+// selector, worker 0 defers its choice to its first reduction, as a
+// one-shot auto solve does; the rest stay pinned. The response carries
+// the standard solveResponse fields plus the append-only portfolio block.
 func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duration, mem *memTracer, tracer obs.Tracer) {
 	cfg := portfolio.Config{
 		Workers:       j.portfolio,
@@ -709,7 +681,7 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 		Tracer:        tracer,
 	}
 	if s.cfg.Selector != nil {
-		cfg.Auto = s.cfg.Selector.Defer(j.f, s.choosePolicy, nil)
+		cfg.Auto = s.cfg.Selector.Defer(j.f, nil)
 	}
 	solveStart := time.Now()
 	rep, err := portfolio.SolveParallelContext(ctx, j.f, cfg)
@@ -748,34 +720,6 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 		resp.Portfolio.PropFreqHash = fmt.Sprintf("%016x", rep.PropFreqHash)
 	}
 	s.finishSolve(j, rep.Result, resp, mem, "portfolio")
-}
-
-// FallbackBreakerOpen is the policy fallback reason reported while the
-// inference circuit breaker is open and model calls are skipped outright.
-const FallbackBreakerOpen = "breaker-open"
-
-// choosePolicy runs the selector behind the circuit breaker: an open
-// breaker skips the model call outright, a skip the selector records like
-// any other, and a contained inference failure (panic or error, which
-// covers faults injected at the model-inference site) feeds the breaker
-// as a failure. A formula over the node cap never reaches the model, so
-// it takes no probe and records no breaker outcome or inference.
-func (s *Server) choosePolicy(f *cnf.Formula) portfolio.Choice {
-	if portfolio.OverNodeCap(f) {
-		return s.cfg.Selector.Skip(portfolio.FallbackNodeCap)
-	}
-	if !s.brk.Allow() {
-		s.m.inference(FallbackBreakerOpen).Inc()
-		return s.cfg.Selector.Skip(FallbackBreakerOpen)
-	}
-	ch := s.cfg.Selector.Choose(f)
-	s.brk.Record(ch.Err == nil)
-	if ch.Err != nil {
-		s.m.inference("failure").Inc()
-	} else {
-		s.m.inference("ok").Inc()
-	}
-	return ch
 }
 
 // cacheGet consults the result cache; an injected cache fault degrades to

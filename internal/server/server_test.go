@@ -183,8 +183,6 @@ func TestConfigDefaults(t *testing.T) {
 		{"cache size", s.cfg.CacheSize, 256},
 		{"max body", s.cfg.MaxBodyBytes, int64(64 << 20)},
 		{"job history", s.cfg.JobHistory, 1024},
-		{"breaker threshold", s.brk.threshold, 5},
-		{"breaker cooldown", s.brk.cooldown, 10 * time.Second},
 		{"session max", s.cfg.SessionMax, 64},
 		{"session ttl", s.cfg.SessionTTL, 5 * time.Minute},
 		{"session max mem", s.cfg.SessionMaxMem, int64(256 << 20)},
@@ -368,11 +366,11 @@ func TestTraceCapture(t *testing.T) {
 }
 
 // TestPolicyEventMatchesResponse pins, for each way a one-shot solve's
-// policy is decided (a pinned policy, no model, an open breaker,
+// policy is decided (a pinned policy, no model, a failed inference,
 // inference, a deferred choice the search never needed), the response's
 // policy object and the ?trace=1 policy event that records the same
-// choice. The breaker opens on primed requests whose inference fails at
-// the model-inference faultpoint.
+// choice. The inference fails at the model-inference faultpoint, armed
+// for the measured request.
 func TestPolicyEventMatchesResponse(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	reducing := reducingSAT(t)
@@ -386,18 +384,18 @@ func TestPolicyEventMatchesResponse(t *testing.T) {
 		cfg   Config
 		body  string
 		query string
-		prime int // requests sent first, to trip the breaker
+		fault bool // the model call fails
 		want  policyInfo
 	}{
-		{"requested", Config{Selector: testSelector()}, reducing, "&policy=frequency", 0,
+		{"requested", Config{Selector: testSelector()}, reducing, "&policy=frequency", false,
 			policyInfo{Name: "frequency", Prob: -1, Fallback: "requested"}},
-		{"no-model", Config{}, reducing, "", 0,
+		{"no-model", Config{}, reducing, "", false,
 			policyInfo{Name: "default", Prob: -1, Fallback: "no-model"}},
-		{"breaker-open", Config{Selector: testSelector(), BreakerThreshold: 1, BreakerCooldown: time.Hour}, reducing, "", 1,
-			policyInfo{Name: "default", Prob: -1, Fallback: FallbackBreakerOpen}},
-		{"inferred", Config{Selector: testSelector()}, reducing, "", 0,
+		{"inference-error", Config{Selector: testSelector()}, reducing, "", true,
+			policyInfo{Name: "default", Prob: -1, Fallback: portfolio.FallbackError}},
+		{"inferred", Config{Selector: testSelector()}, reducing, "", false,
 			policyInfo{Name: inferred.Policy.Name(), Prob: inferred.Prob}},
-		{"no-reduction", Config{Selector: testSelector()}, satCNF, "", 0,
+		{"no-reduction", Config{Selector: testSelector()}, satCNF, "", false,
 			policyInfo{Name: "default", Prob: -1, Fallback: portfolio.FallbackNoReduction}},
 	}
 	for _, tc := range cases {
@@ -405,18 +403,18 @@ func TestPolicyEventMatchesResponse(t *testing.T) {
 			tc.cfg.Workers = 1
 			tc.cfg.CacheSize = -1
 			_, ts := newTestServer(t, tc.cfg)
-			faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
-			for i := 0; i < tc.prime; i++ {
-				post(t, ts.URL+"/v1/solve", tc.body).Body.Close()
+			if tc.fault {
+				faultpoint.Arm(faultpoint.ModelInference, faultpoint.Fault{Err: errors.New("model wedged")})
+				defer faultpoint.Disarm(faultpoint.ModelInference)
 			}
-			faultpoint.Disarm(faultpoint.ModelInference)
 			sr, raw := decodeSolve(t, post(t, ts.URL+"/v1/solve?trace=1"+tc.query, tc.body))
 			got := sr.Policy
 			got.InferenceNS = 0
 			if got != tc.want {
 				t.Errorf("policy = %+v, want %+v", sr.Policy, tc.want)
 			}
-			if ran := sr.Policy.InferenceNS > 0; ran != (tc.want.Fallback == "") {
+			called := tc.want.Fallback == "" || tc.want.Fallback == portfolio.FallbackError
+			if ran := sr.Policy.InferenceNS > 0; ran != called {
 				t.Errorf("inference_ns = %d with fallback %q", sr.Policy.InferenceNS, sr.Policy.Fallback)
 			}
 			var events []obs.Event

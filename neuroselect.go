@@ -210,7 +210,7 @@ func SolveAssuming(f *Formula, assumptions []Lit, cfg SolveConfig) (Result, erro
 // the policy "auto" and the choice is traced as one policy event at the
 // moment it is made.
 func SolveAdaptive(f *Formula, m *Model, cfg SolveConfig) (Result, error) {
-	d := portfolio.NewSelector(m).Defer(f, nil, cfg.Tracer)
+	d := portfolio.NewSelector(m).Defer(f, cfg.Tracer)
 	defer d.Result() // settles a choice the search never needed
 	return solveWith(context.Background(), f, d, cfg)
 }

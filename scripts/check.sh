@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 gate: build, vet, a gofmt gate over the root module, full test
-# suite, the race detector on the
+# suite, vet and tests of the benchmark module (bench/, which builds
+# nsbench against the root module's exported API), the race detector on the
 # concurrency-bearing packages (portfolio racing, the sweep engine, the
 # experiments runner, lock-free selector inference, solver cancellation,
 # registry scrapes, the HTTP server, the shared LRU), a 1-iteration
@@ -17,7 +18,7 @@
 # neuroselect predict and neuroselect-serve -model choose the same policy
 # for php-7, the server with no fallback; neuroselect solve -model runs
 # the served auto solve's search; a formula solved before its first
-# reduction answers no-reduction without an inference), an incremental
+# reduction answers no-reduction without a model call), an incremental
 # warm-session smoke (a session's steps must answer exactly like cold
 # solves of the equivalent accumulated formulas, and an idle session
 # must expire after -session-ttl), an SSE telemetry smoke (live window
@@ -98,6 +99,12 @@ fi
 
 echo "== go test ./..."
 go test ./...
+
+# The benchmark module reaches the root module only through its replace
+# directive, so nothing above compiles nsbench's calls into it.
+echo "== benchmark module: go -C bench vet ./... && go -C bench test ./..."
+GOWORK=off GOPROXY=off go -C bench vet ./...
+GOWORK=off GOPROXY=off go -C bench test ./...
 
 echo "== go test -race (concurrency-bearing packages)"
 go test -race ./internal/experiments ./internal/portfolio \
@@ -459,7 +466,7 @@ echo "== trained-model smoke (train, predict, serve -model decide alike)"
 # solve share one selection path, so they run one search: equal
 # propagation counts. The served choice waits for a solve's first
 # reduction, so a formula decided before one must answer no-reduction and
-# leave the inference counter where it was.
+# leave the model-call count where it was.
 go build -o "$SMOKE_DIR/neuroselect" ./cmd/neuroselect
 "$SMOKE_DIR/neuroselect" train -scale quick -out "$SMOKE_DIR/model.json" 2> "$SMOKE_DIR/train.txt"
 th="$(sed -n 's/.*"threshold":\([0-9.eE+-]*\).*/\1/p' "$SMOKE_DIR/model.json")"
@@ -512,13 +519,14 @@ if [ -z "$served" ] || [ "$cli" != "$served" ]; then
 	exit 1
 fi
 maddr="$(sed -n 's/^metrics listening on //p' "$SMOKE_DIR/serve_model.txt")"
-# inferences: every neuroselect_server_inference_total sample, summed.
-inferences() {
+# model_calls: the sample count of the inference histogram, which the
+# selector observes once per model call.
+model_calls() {
 	curl -fsS "http://$maddr/metrics" | awk '
-		$1 ~ /^neuroselect_server_inference_total/ { n += $2 }
+		$1 ~ /^neuroselect_portfolio_inference_seconds_count/ { n += $2 }
 		END { print n + 0 }'
 }
-before="$(inferences)"
+before="$(model_calls)"
 printf 'p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n' > "$SMOKE_DIR/tiny.cnf"
 pol="$(curl -fsS --data-binary @"$SMOKE_DIR/tiny.cnf" "http://$api/v1/solve?policy=auto" |
 	grep -o '"policy":{[^}]*}')"
@@ -529,9 +537,9 @@ case "$pol" in
 	exit 1
 	;;
 esac
-after="$(inferences)"
+after="$(model_calls)"
 if [ "$before" -lt 1 ] || [ "$after" != "$before" ]; then
-	echo "model smoke: FAIL — inference_total read $before after php-7 and $after after a no-reduction solve"
+	echo "model smoke: FAIL — the model was called $before times by php-7 and $after times after a no-reduction solve"
 	exit 1
 fi
 kill -TERM "$SERVE_PID"
