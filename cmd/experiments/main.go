@@ -32,7 +32,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "override the corpus seed (0 keeps the preset)")
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON document instead of text reports")
-	workers := flag.Int("j", 0, "sweep worker count (0 = GOMAXPROCS)")
+	workers := flag.Int("j", 0, "sweep worker count (0 = runtime.NumCPU())")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell solve deadline (0 = none)")
 	sweepDeadline := flag.Duration("sweep-deadline", 0, "whole-run deadline (0 = none)")
 	deterministic := flag.Bool("deterministic", false, "replace wall-clock readings with propagation-derived pseudo-time so output is byte-identical across runs and worker counts")

@@ -200,31 +200,7 @@ func run() int {
 		fmt.Printf("c policy=%s decisions=%d propagations=%d conflicts=%d restarts=%d reductions=%d learned=%d deleted=%d\n",
 			*policy, st.Decisions, st.Propagations, st.Conflicts, st.Restarts, st.Reductions, st.Learned, st.Deleted)
 	}
-	code := 0
-	switch res.Status {
-	case solver.Sat:
-		fmt.Println("s SATISFIABLE")
-		if *model {
-			fmt.Print("v")
-			for v := 1; v <= f.NumVars; v++ {
-				l := v
-				if !res.Model[v] {
-					l = -v
-				}
-				fmt.Printf(" %d", l)
-			}
-			fmt.Println(" 0")
-		}
-		code = 10
-	case solver.Unsat:
-		fmt.Println("s UNSATISFIABLE")
-		code = 20
-	default:
-		if c := stopComment(res.Stop); c != "" {
-			fmt.Println("c " + c)
-		}
-		fmt.Println("s UNKNOWN")
-	}
+	code := printAnswer(f.NumVars, res, *model)
 	if *statsJSON {
 		if err := printStatsJSON(*policy, res); err != nil {
 			return fail(err)
@@ -251,6 +227,36 @@ func printStatsJSON(policy string, res neuroselect.Result) error {
 	}
 	_, err = fmt.Println(string(b))
 	return err
+}
+
+// printAnswer prints a solve's answer in the SAT-competition format — the
+// s line, the v line of a SAT model when model is set, or the stop
+// comment before "s UNKNOWN" — and returns the matching exit code.
+func printAnswer(numVars int, res solver.Result, model bool) int {
+	switch res.Status {
+	case solver.Sat:
+		fmt.Println("s SATISFIABLE")
+		if model {
+			fmt.Print("v")
+			for v := 1; v <= numVars; v++ {
+				l := v
+				if !res.Model[v] {
+					l = -v
+				}
+				fmt.Printf(" %d", l)
+			}
+			fmt.Println(" 0")
+		}
+		return 10
+	case solver.Unsat:
+		fmt.Println("s UNSATISFIABLE")
+		return 20
+	}
+	if c := stopComment(res.Stop); c != "" {
+		fmt.Println("c " + c)
+	}
+	fmt.Println("s UNKNOWN")
+	return 0
 }
 
 // stopComment maps an Unknown result's stop cause to the comment line

@@ -41,31 +41,7 @@ func runPortfolio(f *cnf.Formula, cfg portfolio.Config, timeout time.Duration, s
 		fmt.Printf("c decisions=%d propagations=%d conflicts=%d restarts=%d learned=%d imported=%d\n",
 			st.Decisions, st.Propagations, st.Conflicts, st.Restarts, st.Learned, st.Imported)
 	}
-	code := 0
-	switch rep.Result.Status {
-	case solver.Sat:
-		fmt.Println("s SATISFIABLE")
-		if model {
-			fmt.Print("v")
-			for v := 1; v <= f.NumVars; v++ {
-				l := v
-				if !rep.Result.Model[v] {
-					l = -v
-				}
-				fmt.Printf(" %d", l)
-			}
-			fmt.Println(" 0")
-		}
-		code = 10
-	case solver.Unsat:
-		fmt.Println("s UNSATISFIABLE")
-		code = 20
-	default:
-		if c := stopComment(rep.Result.Stop); c != "" {
-			fmt.Println("c " + c)
-		}
-		fmt.Println("s UNKNOWN")
-	}
+	code := printAnswer(f.NumVars, rep.Result, model)
 	if statsJSON {
 		if err := printPortfolioJSON(rep); err != nil {
 			return fail(err)

@@ -58,10 +58,9 @@ func (r *Runner) Selectors() (SelectorsResult, error) {
 	// Each predictor runs once per item, serially: inference is cheap next
 	// to the expensive part — one 2-worker race per instance — which is
 	// sharded across the sweep engine. Free-running race outcomes depend
-	// on scheduling; in Deterministic mode the race runs as a lockstep
-	// 2-worker portfolio instead, so the whole experiment is under the
-	// byte-identical guarantee and RaceWall reports propagation
-	// pseudo-time.
+	// on scheduling; in Deterministic mode the race runs in lockstep
+	// instead, so the whole experiment is under the byte-identical
+	// guarantee and RaceWall reports propagation pseudo-time.
 	for _, it := range items {
 		logitProb := logit.Predict(it.Inst.F)
 		ch := sel.Choose(it.Inst.F)
@@ -82,15 +81,20 @@ func (r *Runner) Selectors() (SelectorsResult, error) {
 		neuroCost = append(neuroCost, pick(ch.Policy.Name() == "frequency"))
 		logitCost = append(logitCost, pick(logitProb >= logitTh))
 	}
+	// The race is a 2-worker portfolio: worker 0 runs the default policy
+	// and worker 1 the frequency policy, both on the experiment-standard
+	// options and without clause exchange, so the first to decide gives
+	// the virtual-best answer.
 	races, errs := sweepCells(r, "ext-selectors", len(items),
-		func(ctx context.Context, i int) (portfolio.RaceReport, error) {
-			if r.Deterministic {
-				// One OS worker per cell: the instances are already sharded
-				// across the sweep pool, and the race outcome is identical
-				// for any inner worker count anyway.
-				return portfolio.RaceDeterministic(ctx, items[i].Inst.F, budget, 1)
-			}
-			return portfolio.RaceContext(ctx, items[i].Inst.F, budget)
+		func(ctx context.Context, i int) (portfolio.ParallelReport, error) {
+			return portfolio.SolveParallelContext(ctx, items[i].Inst.F, portfolio.Config{
+				Workers:       2,
+				Ensemble:      2,
+				NoExchange:    true,
+				NoDiversify:   true,
+				Deterministic: r.Deterministic,
+				MaxConflicts:  budget,
+			})
 		})
 	if err := sweep.FirstError(errs); err != nil {
 		return SelectorsResult{}, err
@@ -98,7 +102,7 @@ func (r *Runner) Selectors() (SelectorsResult, error) {
 	for i, it := range items {
 		race := races[i]
 		raceProps = append(raceProps, float64(race.Result.Stats.Propagations))
-		raceMS = append(raceMS, float64(race.WallTime.Microseconds())/1000)
+		raceMS = append(raceMS, float64(r.cellDuration(race.WallTime, race.Result.Stats.Propagations).Microseconds())/1000)
 		solved = append(solved, it.SolvedBoth && race.Result.Status != solver.Unknown)
 	}
 	out.Default = metrics.Summarize(defCost, solved)

@@ -69,7 +69,7 @@ func NewBroadcaster(opts BroadcastOpts) *Broadcaster {
 
 // Trace implements Tracer: stamp, remember, fan out. Never blocks — a
 // full subscriber queue drops the event for that subscriber and counts
-// it. Safe for concurrent emitters (portfolio workers share one stream).
+// it. Safe for concurrent emitters: the lock stamps them in one order.
 func (b *Broadcaster) Trace(ev *Event) {
 	b.mu.Lock()
 	if b.closed {

@@ -1,8 +1,8 @@
-// Race test (package obs_test so it can import sweep, which itself imports
-// obs): Prometheus and JSON scrapes must be safe while a sweep hammers the
-// registry — sweep gauges moving per cell and resetting at the start of
-// each run, new labeled series registering mid-scrape. Run with -race;
-// see scripts/check.sh.
+// Data-race test (package obs_test so it can import sweep, which itself
+// imports obs): Prometheus and JSON scrapes must be safe while a sweep
+// hammers the registry — sweep gauges moving per cell and resetting at the
+// start of each run, new labeled series registering mid-scrape. Run with
+// -race; see scripts/check.sh.
 package obs_test
 
 import (

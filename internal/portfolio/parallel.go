@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -292,6 +293,39 @@ func hashClause(h uint64, lits []cnf.Lit, glue int) uint64 {
 	return h
 }
 
+// export books one learned clause in a worker's ledger and, when it is to
+// travel, returns a copy for the exchange. A fault at the export site or
+// the glue/size filter keeps it home, and so does a full queue (room is
+// false); each is counted.
+func (ex *ExchangeStats) export(lits []cnf.Lit, glue int, room bool) (solver.SharedClause, bool) {
+	switch {
+	case faultpoint.Hit(faultpoint.PortfolioExport) != nil:
+		ex.Dropped++ // degraded exchange: the clause is lost, the search continues
+	case !shareable(lits, glue):
+		ex.Filtered++
+	case !room:
+		ex.Dropped++
+	default:
+		ex.Exported++
+		ex.Hash = hashClause(ex.Hash, lits, glue)
+		return solver.SharedClause{Lits: slices.Clone(lits), Glue: glue}, true
+	}
+	return solver.SharedClause{}, false
+}
+
+// result is a stopped worker's outcome: its status, stats and stop cause,
+// and for SAT its model, checked against the formula.
+func result(f *cnf.Formula, s *solver.Solver, st solver.Status) (solver.Result, error) {
+	res := solver.Result{Status: st, Stats: s.Stats(), Stop: s.BudgetExhausted()}
+	if st == solver.Sat {
+		res.Model = s.Model()
+		if !res.Model.Satisfies(f) {
+			return res, errors.New("model does not satisfy formula")
+		}
+	}
+	return res, nil
+}
+
 // publish settles every worker's name into its exchange ledger, then
 // pushes the final ledgers into the registry and tracer. round is the last
 // completed exchange round (0 for free-running mode). Call it only once
@@ -340,7 +374,8 @@ func exchangeEvent(round int, st *ExchangeStats) *obs.Event {
 
 // solveFree is the free-running mode: one goroutine per worker, buffered
 // inbox channels, non-blocking export fan-out, first decisive finisher
-// cancels the rest. Race is its 2-worker, no-exchange special case.
+// cancels the rest. ext-selectors' two-policy race is its 2-worker,
+// no-exchange special case.
 func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport, error) {
 	n := cfg.Workers
 	configs := makeConfigs(&cfg, n)
@@ -383,19 +418,10 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 			if !cfg.NoExchange {
 				var scratch []solver.SharedClause
 				opts.Export = func(lits []cnf.Lit, glue int) {
-					if err := faultpoint.Hit(faultpoint.PortfolioExport); err != nil {
-						ex.Dropped++ // degraded exchange: the clause is lost, the search continues
+					sc, ok := ex.export(lits, glue, true)
+					if !ok {
 						return
 					}
-					if !shareable(lits, glue) {
-						ex.Filtered++
-						return
-					}
-					ex.Exported++
-					ex.Hash = hashClause(ex.Hash, lits, glue)
-					cp := make([]cnf.Lit, len(lits))
-					copy(cp, lits)
-					sc := solver.SharedClause{Lits: cp, Glue: glue}
 					for j := range inboxes {
 						if j == i {
 							continue
@@ -432,15 +458,8 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 				o.err = err
 				return
 			}
-			st := s.SolveContext(race)
-			o.res = solver.Result{Status: st, Stats: s.Stats(), Stop: s.BudgetExhausted()}
+			o.res, o.err = result(f, s, s.SolveContext(race))
 			o.pf = PropFreqHash(s.PropagationFrequencies())
-			if st == solver.Sat {
-				o.res.Model = s.Model()
-				if !o.res.Model.Satisfies(f) {
-					o.err = errors.New("model does not satisfy formula")
-				}
-			}
 		}(i)
 	}
 
@@ -508,23 +527,9 @@ func solveLockstep(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelRep
 		opts := configs[i].opts
 		if !cfg.NoExchange {
 			opts.Export = func(lits []cnf.Lit, glue int) {
-				if err := faultpoint.Hit(faultpoint.PortfolioExport); err != nil {
-					states[i].Dropped++
-					return
+				if sc, ok := states[i].export(lits, glue, len(outbox[i]) < cfg.QueueCap); ok {
+					outbox[i] = append(outbox[i], sc)
 				}
-				if !shareable(lits, glue) {
-					states[i].Filtered++
-					return
-				}
-				if len(outbox[i]) >= cfg.QueueCap {
-					states[i].Dropped++
-					return
-				}
-				states[i].Exported++
-				states[i].Hash = hashClause(states[i].Hash, lits, glue)
-				cp := make([]cnf.Lit, len(lits))
-				copy(cp, lits)
-				outbox[i] = append(outbox[i], solver.SharedClause{Lits: cp, Glue: glue})
 			}
 			opts.Import = func() []solver.SharedClause {
 				if err := faultpoint.Hit(faultpoint.PortfolioImport); err != nil {
@@ -553,8 +558,7 @@ func solveLockstep(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelRep
 			// error when every worker is dead.
 			for i := range solvers {
 				if dead[i] == nil {
-					s := solvers[i]
-					rep.Result = solver.Result{Status: solver.Unknown, Stats: s.Stats(), Stop: s.BudgetExhausted()}
+					rep.Result, _ = result(f, solvers[i], solver.Unknown)
 					rep.PseudoTime = time.Duration(rep.Result.Stats.Propagations) * time.Microsecond
 					return rep, nil
 				}
@@ -568,14 +572,12 @@ func solveLockstep(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelRep
 		s := solvers[win]
 		rep.Winner = configs[win].name
 		rep.WinnerIndex = win
-		rep.Result = solver.Result{Status: status[win], Stats: s.Stats(), Stop: s.BudgetExhausted()}
-		rep.PseudoTime = time.Duration(rep.Result.Stats.Propagations) * time.Microsecond
+		res, err := result(f, s, status[win])
+		rep.Result = res
+		rep.PseudoTime = time.Duration(res.Stats.Propagations) * time.Microsecond
 		rep.PropFreqHash = PropFreqHash(s.PropagationFrequencies())
-		if status[win] == solver.Sat {
-			rep.Result.Model = s.Model()
-			if !rep.Result.Model.Satisfies(f) {
-				return rep, fmt.Errorf("portfolio: worker %s: model does not satisfy formula", configs[win].name)
-			}
+		if err != nil {
+			return rep, fmt.Errorf("portfolio: worker %s: %w", configs[win].name, err)
 		}
 		return rep, nil
 	}

@@ -148,28 +148,28 @@ func TestTinyQueueDropsNeverBlock(t *testing.T) {
 	}
 }
 
-// TestRaceDeterministicReproduces pins the deterministic race baseline:
-// byte-identical winner, result, and pseudo-time for any OS worker count,
-// with the same answer RaceContext would find.
-func TestRaceDeterministicReproduces(t *testing.T) {
+// TestTwoPolicyLockstepReproduces pins the deterministic two-policy race
+// (ext-selectors' baseline under -deterministic): a byte-identical report
+// for any OS worker count.
+func TestTwoPolicyLockstepReproduces(t *testing.T) {
 	inst := gen.Pigeonhole(7)
 	var want string
 	for _, w := range []int{1, 2, runtime.NumCPU()} {
-		rep, err := RaceDeterministic(t.Context(), inst.F, 0, w)
+		cfg := raceConfig(0)
+		cfg.Deterministic, cfg.Workers = true, w
+		rep, err := SolveParallelContext(t.Context(), inst.F, cfg)
 		if err != nil {
-			t.Fatalf("osWorkers=%d: %v", w, err)
+			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if rep.Result.Status != solver.Unsat {
-			t.Fatalf("osWorkers=%d: got %v, want UNSAT", w, rep.Result.Status)
+		if rep.Result.Status != solver.Unsat || rep.WinnerIndex < 0 || rep.Workers != 2 {
+			t.Fatalf("workers=%d: got %v won by %q of %d, want UNSAT from one of 2",
+				w, rep.Result.Status, rep.Winner, rep.Workers)
 		}
-		if rep.Winner != "default" && rep.Winner != "frequency" {
-			t.Fatalf("osWorkers=%d: winner %q is not a policy name", w, rep.Winner)
-		}
-		got := fmt.Sprintf("winner=%s wall=%s stats=%+v", rep.Winner, rep.WallTime, rep.Result.Stats)
+		got := renderReport(rep)
 		if want == "" {
 			want = got
 		} else if got != want {
-			t.Fatalf("osWorkers=%d diverged:\n got %s\nwant %s", w, got, want)
+			t.Fatalf("workers=%d diverged:\n got %s\nwant %s", w, got, want)
 		}
 	}
 }

@@ -283,14 +283,14 @@ func TestRaceAgreesWithSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		race, err := Race(in.F, 100000)
+		race, err := SolveParallel(in.F, raceConfig(100000))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if race.Result.Status != seq.Status {
 			t.Fatalf("%s: race %v vs sequential %v", in.Name, race.Result.Status, seq.Status)
 		}
-		if race.Winner != "default" && race.Winner != "frequency" {
+		if race.Winner != "w0:default" && race.Winner != "w1:frequency" {
 			t.Fatalf("winner %q", race.Winner)
 		}
 		if race.Result.Status == solver.Sat && !race.Result.Model.Satisfies(in.F) {
@@ -301,7 +301,7 @@ func TestRaceAgreesWithSequential(t *testing.T) {
 
 func TestRaceBothBudgetsExhausted(t *testing.T) {
 	inst := gen.Pigeonhole(9)
-	race, err := Race(inst.F, 20)
+	race, err := SolveParallel(inst.F, raceConfig(20))
 	if err != nil {
 		t.Fatal(err)
 	}

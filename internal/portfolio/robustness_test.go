@@ -12,32 +12,38 @@ import (
 	"neuroselect/internal/solver"
 )
 
-// The race runs on the free-running portfolio, so its workers fail at the
-// portfolio's worker fault site.
+// raceConfig is ext-selectors' two-policy race: worker 0 on the default
+// policy, worker 1 on the frequency policy, both on the
+// experiment-standard options, with no clause exchange. Its workers fail
+// at the portfolio's worker fault site like any other.
+func raceConfig(maxConflicts int64) Config {
+	return Config{Workers: 2, Ensemble: 2, NoExchange: true, NoDiversify: true, MaxConflicts: maxConflicts}
+}
 
 func TestRaceNoGoroutineLeak(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	baseline := runtime.NumGoroutine()
 
 	// Decisive-answer exit.
-	if _, err := Race(gen.NQueens(6).F, 100000); err != nil {
+	if _, err := SolveParallel(gen.NQueens(6).F, raceConfig(100000)); err != nil {
 		t.Fatal(err)
 	}
 	waitForGoroutines(t, baseline)
 
 	// Both-budgets-exhausted exit.
-	rep, err := Race(gen.Pigeonhole(9).F, 20)
+	rep, err := SolveParallel(gen.Pigeonhole(9).F, raceConfig(20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Result.Status != solver.Unknown {
-		t.Fatalf("tiny budget should exhaust, got %v", rep.Result.Status)
+	if rep.Result.Status != solver.Unknown || rep.WinnerIndex != -1 {
+		t.Fatalf("tiny budget should exhaust undecided, got %v winner=%d",
+			rep.Result.Status, rep.WinnerIndex)
 	}
 	waitForGoroutines(t, baseline)
 
 	// Error exit: both workers fail at the fault point.
 	faultpoint.Arm(faultpoint.PortfolioWorker, faultpoint.Fault{Err: errors.New("worker down")})
-	if _, err := Race(gen.NQueens(6).F, 100000); err == nil {
+	if _, err := SolveParallel(gen.NQueens(6).F, raceConfig(100000)); err == nil {
 		t.Fatal("all-workers-failed race must return an error")
 	}
 	faultpoint.Reset()
@@ -45,9 +51,9 @@ func TestRaceNoGoroutineLeak(t *testing.T) {
 
 	// Cancellation exit.
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan RaceReport, 1)
+	done := make(chan ParallelReport, 1)
 	go func() {
-		r, _ := RaceContext(ctx, gen.Pigeonhole(10).F, 0) // effectively unbounded
+		r, _ := SolveParallelContext(ctx, gen.Pigeonhole(10).F, raceConfig(0)) // effectively unbounded
 		done <- r
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -70,7 +76,7 @@ func TestRaceWorkerPanicContained(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	faultpoint.Arm(faultpoint.PortfolioWorker, faultpoint.Fault{PanicValue: "worker crashed", Times: 1})
 	inst := gen.NQueens(6)
-	rep, err := Race(inst.F, 100000)
+	rep, err := SolveParallel(inst.F, raceConfig(100000))
 	if err != nil {
 		t.Fatalf("race with one surviving worker must not fail: %v", err)
 	}
@@ -85,7 +91,7 @@ func TestRaceWorkerPanicContained(t *testing.T) {
 func TestRaceAllWorkersPanicIsError(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	faultpoint.Arm(faultpoint.PortfolioWorker, faultpoint.Fault{PanicValue: "worker crashed"})
-	rep, err := Race(gen.NQueens(6).F, 100000)
+	rep, err := SolveParallel(gen.NQueens(6).F, raceConfig(100000))
 	if err == nil {
 		t.Fatal("race with no surviving worker must return an error")
 	}

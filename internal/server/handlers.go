@@ -259,12 +259,13 @@ func (s *Server) parseParams(j *job, q url.Values) *httpError {
 // must not be served a result computed under a different policy (the
 // stats and policy fields would lie). Portfolio solves cache under their
 // own variant: the response schema (portfolio block) and, in
-// free-running mode, the answer's provenance differ per worker count and
-// mode.
+// free-running mode, the answer's provenance differ per worker count. A
+// deterministic answer is the fixed ensemble's for any worker count, so
+// every ?portfolio=N&deterministic=1 shares one variant.
 func cacheVariant(j *job) string {
 	switch {
 	case j.portfolio > 0 && j.deterministic:
-		return "portfolio" + strconv.Itoa(j.portfolio) + "-det"
+		return "portfolio-det"
 	case j.portfolio > 0:
 		return "portfolio" + strconv.Itoa(j.portfolio)
 	case j.policy != nil:

@@ -118,4 +118,16 @@ func TestPortfolioParamValidation(t *testing.T) {
 	if h := third.Header.Get("X-Cache"); h != "hit" {
 		t.Fatalf("repeat portfolio solve X-Cache = %q, want hit", h)
 	}
+
+	// A deterministic answer is the fixed ensemble's for any worker count,
+	// so it is cached once; a free-running answer is cached per count.
+	for _, c := range []struct{ q, want string }{
+		{"?portfolio=2&deterministic=1", "miss"},
+		{"?portfolio=3&deterministic=1", "hit"},
+		{"?portfolio=3", "miss"},
+	} {
+		if _, resp := solve(c.q); resp.Header.Get("X-Cache") != c.want {
+			t.Fatalf("%s: X-Cache = %q, want %s", c.q, resp.Header.Get("X-Cache"), c.want)
+		}
+	}
 }

@@ -7,10 +7,9 @@
 // solves run under solver.SolveContext (deadline-aware, panic-contained),
 // policy selection is a portfolio.Deferred choice made at the solve's
 // first reduction (model-driven with degrade-to-default fallbacks), the
-// worker pool follows the
-// internal/sweep feeder pattern (bounded jobs channel, per-job panic
-// containment, drain-on-shutdown with no goroutine leaks), and every
-// stage reports into an obs.Registry.
+// worker pool is a fixed set of workers on a bounded jobs channel (per-job
+// panic containment, drain-on-shutdown with no goroutine leaks), and
+// every stage reports into an obs.Registry.
 //
 // Service properties:
 //

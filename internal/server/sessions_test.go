@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"neuroselect/internal/cnf"
 	"neuroselect/internal/solver"
 )
 
@@ -618,4 +620,81 @@ func TestSessionChurnRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// FuzzSessionStep sends arbitrary bytes as the body of one step on a
+// fresh session over a small formula. The step answers 200, 400 or 413,
+// never 500 or a panic. A rejected step leaves the session's frame depth,
+// variables, added clauses and solve count as they were (the
+// all-or-nothing contract), and after a 200 that did not evict the
+// session a valid step still succeeds. The server's body, memory and
+// timeout caps are small, so no input can make a step allocate or search
+// for long.
+func FuzzSessionStep(f *testing.F) {
+	tooLong := strings.Repeat("1,", solver.MaxAddClauseLen) + "1"
+	for _, seed := range []string{
+		`{"pop":0,"push":1,"add":[[-4],[2,3]],"assumptions":[1]}`,
+		`{"add":[[1,0,2]]}`,
+		fmt.Sprintf(`{"assumptions":[%d]}`, int64(cnf.MaxVarIndex)+1),
+		`{"pop":1}`,
+		`{"push":100000}`,
+		`{"add":[[` + tooLong + `]]}`,
+		`{"timeout":"soon"}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, err := New(Config{Workers: 1, CacheSize: -1, MaxBodyBytes: 2 << 20,
+		SessionMaxMem: 1 << 20, MaxTimeout: 20 * time.Millisecond})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	info := func(t *testing.T, id string) sessionView {
+		t.Helper()
+		rec := do(http.MethodGet, "/v1/sessions/"+id, "")
+		var v sessionView
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &v) != nil {
+			t.Fatalf("session info: status %d: %s", rec.Code, rec.Body)
+		}
+		v.FootprintBytes, v.IdleMS = 0, 0 // neither is part of the step contract
+		return v
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := do(http.MethodPost, "/v1/sessions", chainCNF)
+		var cr sessionCreateResponse
+		if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &cr) != nil {
+			t.Fatalf("create session: status %d: %s", rec.Code, rec.Body)
+		}
+		defer do(http.MethodDelete, "/v1/sessions/"+cr.ID, "")
+		before := info(t, cr.ID)
+		step := "/v1/sessions/" + cr.ID + "/solve"
+		rec = do(http.MethodPost, step, string(body))
+		switch rec.Code {
+		case http.StatusOK:
+			var sr sessionSolveResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+				t.Fatalf("step answer: %v: %s", err, rec.Body)
+			}
+			if sr.Evicted {
+				return
+			}
+			if rec := do(http.MethodPost, step, `{"assumptions":[1]}`); rec.Code != http.StatusOK {
+				t.Fatalf("valid step after an accepted one: status %d: %s", rec.Code, rec.Body)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if after := info(t, cr.ID); after != before {
+				t.Fatalf("rejected step (%d: %s) changed the session:\n got %+v\nwant %+v",
+					rec.Code, rec.Body, after, before)
+			}
+		default:
+			t.Fatalf("step status %d: %s", rec.Code, rec.Body)
+		}
+	})
 }

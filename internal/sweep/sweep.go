@@ -1,19 +1,21 @@
 // Package sweep is the parallel execution substrate of the experiment
 // harness: a bounded worker pool that shards an indexed cell matrix across
-// goroutines and aggregates results through a single collector goroutine,
-// so aggregate output is a pure function of the input order — byte-identical
-// regardless of worker count or completion order.
+// goroutines. Each worker takes the next cell index from one shared
+// counter and writes that cell's result and error into the cell's own
+// slots, so aggregate output is a pure function of the input order —
+// byte-identical regardless of worker count or completion order.
 //
 // Guarantees:
 //
-//   - Determinism: Map returns results and errors indexed by cell, filled
-//     by one collector goroutine; completion order never leaks.
+//   - Determinism: Map returns results and errors indexed by cell; each
+//     slot is written once, by the worker that ran that cell, so
+//     completion order never leaks.
 //   - Isolation: a panicking cell is contained to its own error slot.
 //   - Deadlines: each cell runs under its own context, derived from the
 //     parent with Options.CellTimeout when set.
-//   - Drain: parent-context cancellation stops feeding new cells, marks
-//     unstarted cells with the context error, and Map returns only after
-//     every in-flight cell has finished — no goroutine leaks.
+//   - Drain: once the parent context ends, no new cell starts; every cell
+//     not yet taken fails with the context error, and Map returns only
+//     after every in-flight cell has finished — no goroutine leaks.
 package sweep
 
 import (
@@ -21,6 +23,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"neuroselect/internal/obs"
@@ -47,9 +50,8 @@ type Options struct {
 
 // Map runs fn for cells 0..n-1 across a bounded worker pool and returns the
 // per-cell results and errors in index order. A cell that panics fails with
-// a contained error; cells never started because the parent context was
-// canceled fail with the context error. Map returns only after all workers
-// and the collector have drained.
+// a contained error; cells not yet taken when the parent context ends fail
+// with the context error. Map returns only after every worker has drained.
 func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []error) {
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -68,65 +70,32 @@ func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Co
 		tel = startTelemetry(opts.Registry, workers, n)
 	}
 
-	type cellResult struct {
-		i   int
-		v   T
-		err error
-	}
-	jobs := make(chan int)
-	results := make(chan cellResult)
-
-	// Feeder: dispatches cell indices in order; on parent cancellation it
-	// stops feeding and reports the remaining cells as canceled so the
-	// collector still receives exactly n results. It joins the same
-	// waitgroup as the workers because it, too, sends on results.
+	// Workers take cell indices in order from one counter. Every index is
+	// taken by exactly one worker, which alone writes out[i] and errs[i];
+	// wg.Wait orders those writes before the return.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				var zero T
-				for ; i < n; i++ {
-					results <- cellResult{i: i, v: zero, err: ctx.Err()}
-				}
-				return
-			}
-		}
-	}()
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					errs[i] = err
+					continue
+				}
 				tel.pulled()
 				cellStart := time.Now()
-				v, err := runCell(ctx, opts.CellTimeout, i, fn)
-				tel.done(time.Since(cellStart), err)
-				results <- cellResult{i: i, v: v, err: err}
+				out[i], errs[i] = runCell(ctx, opts.CellTimeout, i, fn)
+				tel.done(time.Since(cellStart), errs[i])
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Single collector goroutine: the only writer of out/errs, indexing by
-	// cell so completion order cannot influence the aggregate.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range results {
-			out[r.i] = r.v
-			errs[r.i] = r.err
-		}
-	}()
-	<-done
+	wg.Wait()
 	tel.finish()
 	return out, errs
 }

@@ -8,7 +8,9 @@
 # benchmark smoke, a 10-second differential fuzz of the DIMACS reader
 # against the line-oriented reference it replaced, a 10-second
 # differential fuzz of the coordinator's route key against the replica's
-# decode and hash, a live metrics-endpoint smoke test,
+# decode and hash, a 10-second fuzz of one warm-session step body
+# (FuzzSessionStep: 200/400/413 only, a rejected step changes nothing),
+# a live metrics-endpoint smoke test,
 # a portfolio determinism smoke (php-9 under -portfolio -deterministic
 # must be byte-identical across runs and worker counts), a DRAT round
 # trip (satsolve -proof on php-6, verified by dratcheck), an end-to-end
@@ -122,6 +124,9 @@ go test -run '^$' -fuzz '^FuzzParseMatchesReference$' -fuzztime 10s ./internal/c
 
 echo "== route-key differential fuzz smoke (10s)"
 go test -run '^$' -fuzz '^FuzzRouteKeyAgreesWithReplica$' -fuzztime 10s ./internal/cluster > /dev/null
+
+echo "== session step fuzz smoke (10s)"
+go test -run '^$' -fuzz '^FuzzSessionStep$' -fuzztime 10s ./internal/server > /dev/null
 
 echo "== metrics endpoint smoke (satsolve -metrics-addr)"
 SMOKE_DIR="$(mktemp -d)"
