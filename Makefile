@@ -20,8 +20,9 @@ vet:
 test:
 	$(GO) test ./...
 
+## race: the race detector over check.sh's concurrency-bearing packages.
 race:
-	$(GO) test -race ./internal/experiments ./internal/portfolio ./internal/sweep ./internal/dataset ./internal/core ./internal/solver ./internal/faultpoint ./internal/obs ./internal/server ./internal/aiger ./internal/cluster
+	$(GO) test -race ./internal/experiments ./internal/portfolio ./internal/sweep ./internal/dataset ./internal/core ./internal/solver ./internal/faultpoint ./internal/obs ./internal/server ./internal/aiger ./internal/cluster ./internal/lru
 
 ## cover: per-package coverage summary for the sweep/experiments stack.
 cover:

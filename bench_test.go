@@ -26,7 +26,6 @@ func benchScale() experiments.Scale {
 	s.Corpus.PerStratum = 4
 	s.Corpus.TestSize = 5
 	s.Corpus.MaxConflicts = 10000
-	s.ScatterBudget = 10000
 	s.Train.Epochs = 2
 	s.BaselineEpochs = 1
 	return s

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -27,6 +25,12 @@ import (
 )
 
 func main() {
+	// The run happens inside run() so the deferred profile writers and
+	// closes execute on every exit path, error exits included.
+	os.Exit(run())
+}
+
+func run() int {
 	scaleName := flag.String("scale", "default", "experiment scale: quick or default")
 	only := flag.String("only", "", "run a single experiment (fig3, fig4, fig5, table1, table2, fig7, table3, ext-policies, ext-selectors, ext-alpha, ext-scaling)")
 	seed := flag.Int64("seed", 0, "override the corpus seed (0 keeps the preset)")
@@ -41,33 +45,16 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /healthz and /debug/pprof for the sweep on this address (e.g. 127.0.0.1:9090)")
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush unreachable allocations so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}()
 
 	var scale experiments.Scale
 	switch *scaleName {
@@ -77,7 +64,7 @@ func main() {
 		scale = experiments.DefaultScale()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
-		os.Exit(2)
+		return 2
 	}
 	if *seed != 0 {
 		scale.Corpus.Seed = *seed
@@ -105,14 +92,13 @@ func main() {
 		srv, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "experiments: metrics listening on %s\n", srv.Addr())
 		r.Obs = reg
 	}
 	start := time.Now()
-	var err error
 	if *jsonOut {
 		var names []string
 		if *only != "" {
@@ -124,9 +110,10 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "experiments: done in %s\n", time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }

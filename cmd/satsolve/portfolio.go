@@ -52,42 +52,19 @@ func runPortfolio(f *cnf.Formula, cfg portfolio.Config, timeout time.Duration, s
 
 // printPortfolioJSON emits the portfolio statistics as one JSON object on
 // stdout: the single-solver -stats-json schema (status/policy/stop/stats)
-// extended, append-only, with a "portfolio" block. prop_freq_hash is the
-// winner's propagation-frequency digest and pseudo_time_us its propagation
-// count — both reproducible fingerprints; wall-clock time is deliberately
-// absent.
+// extended, append-only, with the "portfolio" block the solving service's
+// ?portfolio= answers carry (portfolio.WireReport).
 func printPortfolioJSON(rep portfolio.ParallelReport) error {
 	doc := struct {
-		Status    string       `json:"status"`
-		Policy    string       `json:"policy,omitempty"`
-		Stop      string       `json:"stop,omitempty"`
-		Stats     solver.Stats `json:"stats"`
-		Portfolio struct {
-			Workers       int                       `json:"workers"`
-			Deterministic bool                      `json:"deterministic"`
-			Winner        string                    `json:"winner,omitempty"`
-			WinnerIndex   int                       `json:"winner_index"`
-			Rounds        int                       `json:"rounds"`
-			PropFreqHash  string                    `json:"prop_freq_hash,omitempty"`
-			PseudoTimeUS  int64                     `json:"pseudo_time_us"`
-			Exchange      []portfolio.ExchangeStats `json:"exchange"`
-			Failures      []string                  `json:"failures,omitempty"`
-		} `json:"portfolio"`
-	}{Status: rep.Result.Status.String(), Policy: rep.Winner, Stats: rep.Result.Stats}
+		Status    string                `json:"status"`
+		Policy    string                `json:"policy,omitempty"`
+		Stop      string                `json:"stop,omitempty"`
+		Stats     solver.Stats          `json:"stats"`
+		Portfolio *portfolio.WireReport `json:"portfolio"`
+	}{Status: rep.Result.Status.String(), Policy: rep.Winner, Stats: rep.Result.Stats, Portfolio: rep.Wire()}
 	if rep.Result.Stop != nil {
 		doc.Stop = rep.Result.Stop.Error()
 	}
-	doc.Portfolio.Workers = rep.Workers
-	doc.Portfolio.Deterministic = rep.Deterministic
-	doc.Portfolio.Winner = rep.Winner
-	doc.Portfolio.WinnerIndex = rep.WinnerIndex
-	doc.Portfolio.Rounds = rep.Rounds
-	if rep.WinnerIndex >= 0 {
-		doc.Portfolio.PropFreqHash = fmt.Sprintf("%016x", rep.PropFreqHash)
-	}
-	doc.Portfolio.PseudoTimeUS = int64(rep.PseudoTime / time.Microsecond)
-	doc.Portfolio.Exchange = rep.Exchange
-	doc.Portfolio.Failures = rep.Failures
 	b, err := json.Marshal(doc)
 	if err != nil {
 		return err

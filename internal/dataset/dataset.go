@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"neuroselect/internal/cnf"
 	"neuroselect/internal/deletion"
@@ -21,21 +22,29 @@ import (
 	"neuroselect/internal/sweep"
 )
 
-// Labeled is one dataset entry: an instance, the dual-solve measurements,
-// and the resulting policy label.
+// Labeled is one dataset entry: an instance, the measurements of its two
+// labeling solves, and the resulting policy label. Figure 4's scatter and
+// the ext-policies pool read these measurements instead of solving the
+// pair again.
 type Labeled struct {
 	Inst gen.Instance
 	// PropsDefault and PropsFrequency are the propagation counts needed to
 	// solve under each policy.
 	PropsDefault   int64
 	PropsFrequency int64
-	// SolvedBoth reports that both runs finished within budget; labels of
-	// unsolved instances compare equal-budget progress instead.
-	SolvedBoth bool
+	// SolvedDefault and SolvedFrequency report that each run finished
+	// within budget; labels of unsolved instances compare equal-budget
+	// progress instead.
+	SolvedDefault, SolvedFrequency bool
+	// WallDefault and WallFrequency are the runs' wall-clock durations.
+	WallDefault, WallFrequency time.Duration
 	// Label is 1 when the frequency policy reduced propagations by ≥2%.
 	Label int
 	Stats cnf.Stats
 }
+
+// SolvedBoth reports that both runs finished within budget.
+func (l Labeled) SolvedBoth() bool { return l.SolvedDefault && l.SolvedFrequency }
 
 // Stratum is a named group of labeled instances (the analogue of one
 // competition year).
@@ -62,7 +71,7 @@ type Config struct {
 	TestSize int
 	// Scale multiplies instance sizes (1.0 = laptop defaults).
 	Scale float64
-	// MaxConflicts bounds each labeling solve.
+	// MaxConflicts bounds each labeling solve (see Budget).
 	MaxConflicts int64
 	// Seed drives all generation.
 	Seed int64
@@ -86,9 +95,16 @@ func (c *Config) fillDefaults() {
 	if c.Scale == 0 {
 		c.Scale = 1.0
 	}
+	c.MaxConflicts = c.Budget()
+}
+
+// Budget is the conflict budget of each labeling solve: MaxConflicts, or
+// 20,000 when it is zero.
+func (c Config) Budget() int64 {
 	if c.MaxConflicts == 0 {
-		c.MaxConflicts = 20000
+		return 20000
 	}
+	return c.MaxConflicts
 }
 
 // SolveOptions returns the solver configuration used throughout the
@@ -112,20 +128,26 @@ func Label(inst gen.Instance, maxConflicts int64) (Labeled, error) {
 // LabelContext is Label under a context: cancellation aborts the underlying
 // solves (see solver.SolveContext).
 func LabelContext(ctx context.Context, inst gen.Instance, maxConflicts int64) (Labeled, error) {
+	start := time.Now()
 	resDefault, err := solver.SolveContext(ctx, inst.F, SolveOptions(deletion.DefaultPolicy{}, maxConflicts))
 	if err != nil {
 		return Labeled{}, fmt.Errorf("dataset: labeling %s (default): %w", inst.Name, err)
 	}
+	wallDefault := time.Since(start)
+	start = time.Now()
 	resFreq, err := solver.SolveContext(ctx, inst.F, SolveOptions(deletion.FrequencyPolicy{}, maxConflicts))
 	if err != nil {
 		return Labeled{}, fmt.Errorf("dataset: labeling %s (frequency): %w", inst.Name, err)
 	}
 	l := Labeled{
-		Inst:           inst,
-		PropsDefault:   resDefault.Stats.Propagations,
-		PropsFrequency: resFreq.Stats.Propagations,
-		SolvedBoth:     resDefault.Status != solver.Unknown && resFreq.Status != solver.Unknown,
-		Stats:          cnf.ComputeStats(inst.F),
+		Inst:            inst,
+		PropsDefault:    resDefault.Stats.Propagations,
+		PropsFrequency:  resFreq.Stats.Propagations,
+		SolvedDefault:   resDefault.Status != solver.Unknown,
+		SolvedFrequency: resFreq.Status != solver.Unknown,
+		WallDefault:     wallDefault,
+		WallFrequency:   time.Since(start),
+		Stats:           cnf.ComputeStats(inst.F),
 	}
 	if float64(l.PropsFrequency) <= 0.98*float64(l.PropsDefault) {
 		l.Label = 1

@@ -14,7 +14,7 @@ func TestLabelRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lab.SolvedBoth {
+	if !lab.SolvedBoth() {
 		t.Fatal("queens-5 must solve under both policies")
 	}
 	if lab.PropsDefault != lab.PropsFrequency {
@@ -39,6 +39,17 @@ func TestLabelTwoPercentBoundary(t *testing.T) {
 	l2 := Labeled{PropsDefault: 100, PropsFrequency: 99}
 	if float64(l2.PropsFrequency) <= 0.98*float64(l2.PropsDefault) {
 		t.Fatal("1% reduction must not qualify")
+	}
+}
+
+// TestBudgetDefault: a zero MaxConflicts is the 20,000-conflict budget,
+// for the labels and for every experiment that solves at Budget.
+func TestBudgetDefault(t *testing.T) {
+	if got := (Config{}).Budget(); got != 20000 {
+		t.Fatalf("zero MaxConflicts budget = %d, want 20000", got)
+	}
+	if got := (Config{MaxConflicts: 123}).Budget(); got != 123 {
+		t.Fatalf("budget = %d, want 123", got)
 	}
 }
 

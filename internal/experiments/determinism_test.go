@@ -16,7 +16,6 @@ func determinismRunner(workers int) *Runner {
 	s.Corpus.PerStratum = 3
 	s.Corpus.TestSize = 4
 	s.Corpus.MaxConflicts = 8000
-	s.ScatterBudget = 8000
 	s.Train.Epochs = 1
 	s.BaselineEpochs = 1
 	r := NewRunner(s)
@@ -26,9 +25,8 @@ func determinismRunner(workers int) *Runner {
 }
 
 // determinismExperiments is every experiment under the byte-identical
-// guarantee — since the 2-way race gained a lockstep deterministic mode
-// (portfolio.RaceDeterministic), that is all of them, ext-selectors
-// included.
+// guarantee — since ext-selectors' 2-way race runs as a lockstep portfolio
+// under Runner.Deterministic, that is all of them, ext-selectors included.
 var determinismExperiments = []string{
 	"fig3", "fig5", "table1", "fig4", "table2", "fig7", "table3",
 	"ext-policies", "ext-selectors", "ext-alpha", "ext-scaling",

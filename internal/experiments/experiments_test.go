@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -10,7 +11,9 @@ import (
 
 	"neuroselect/internal/core"
 	"neuroselect/internal/dataset"
+	"neuroselect/internal/deletion"
 	"neuroselect/internal/portfolio"
+	"neuroselect/internal/solver"
 )
 
 // quickRunner returns a Runner small enough for test time; the corpus and
@@ -21,7 +24,6 @@ func quickRunner() *Runner {
 	s.Corpus.PerStratum = 4
 	s.Corpus.TestSize = 5
 	s.Corpus.MaxConflicts = 10000
-	s.ScatterBudget = 10000
 	s.Train.Epochs = 2
 	s.BaselineEpochs = 1
 	return NewRunner(s)
@@ -114,6 +116,72 @@ func TestFig4ScatterProperties(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "diagonal") {
 		t.Fatal("render")
+	}
+}
+
+// TestFig4PointsAreTheLabelSearches pins Figure 4 to the labeling pass:
+// solving each corpus formula afresh under both policies at the runner's
+// budget gives back its scatter point (propagation counts and completion),
+// and exactly the formulas unsolved by both have no point.
+func TestFig4PointsAreTheLabelSearches(t *testing.T) {
+	r := quickRunner()
+	res, err := r.Fig4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := res.Points
+	for _, it := range append(c.All(), c.Test.Items...) {
+		var props [2]float64
+		var solved [2]bool
+		for k, p := range []deletion.Policy{deletion.DefaultPolicy{}, deletion.FrequencyPolicy{}} {
+			sres, err := solver.Solve(it.Inst.F, dataset.SolveOptions(p, r.Scale.Corpus.Budget()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			props[k], solved[k] = float64(sres.Stats.Propagations), sres.Status != solver.Unknown
+		}
+		if !solved[0] && !solved[1] {
+			continue
+		}
+		if len(points) == 0 {
+			t.Fatalf("%s: solved by a policy but has no point", it.Inst.Name)
+		}
+		p := points[0]
+		points = points[1:]
+		if p.Name != it.Inst.Name || p.X != props[0] || p.Y != props[1] ||
+			p.XSolved != solved[0] || p.YSolved != solved[1] {
+			t.Errorf("point %s (%v, %v, solved %v/%v), fresh solves of %s (%v, %v, solved %v/%v)",
+				p.Name, p.X, p.Y, p.XSolved, p.YSolved, it.Inst.Name, props[0], props[1], solved[0], solved[1])
+		}
+	}
+	if len(points) != 0 {
+		t.Fatalf("%d points left over", len(points))
+	}
+}
+
+// TestLabeledPairsAreSolvedOnce: Figure 4 runs no sweep of its own, and
+// ext-policies sweeps only the two policies the labels do not hold.
+func TestLabeledPairsAreSolvedOnce(t *testing.T) {
+	r := quickRunner()
+	var log bytes.Buffer
+	r.Log = &log
+	if _, err := r.Fig4(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.PolicyPool(); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := r.Corpus()
+	if strings.Contains(log.String(), "sweep fig4") {
+		t.Errorf("Figure 4 swept solves:\n%s", log.String())
+	}
+	want := fmt.Sprintf("sweep ext-policies: cells=%d ", 2*(len(c.All())+len(c.Test.Items)))
+	if !strings.Contains(log.String(), want) {
+		t.Errorf("want a %q line:\n%s", want, log.String())
 	}
 }
 

@@ -27,8 +27,10 @@ type PolicyPoolResult struct {
 	Instances    int
 }
 
-// PolicyPool solves every corpus instance under all four policies, sharding
-// the instance×policy matrix across the sweep engine.
+// PolicyPool compares all four policies over every corpus instance. The
+// default and frequency columns are the labeling pass's solves; only the
+// activity and size columns are solved here, sharding that instance×policy
+// matrix across the sweep engine.
 func (r *Runner) PolicyPool() (PolicyPoolResult, error) {
 	c, err := r.Corpus()
 	if err != nil {
@@ -38,6 +40,7 @@ func (r *Runner) PolicyPool() (PolicyPoolResult, error) {
 		deletion.DefaultPolicy{}, deletion.FrequencyPolicy{},
 		deletion.ActivityPolicy{}, deletion.SizePolicy{},
 	}
+	swept := pool[2:] // the labels hold the first two columns
 	res := PolicyPoolResult{Wins: make([]int, len(pool))}
 	for _, p := range pool {
 		res.Policies = append(res.Policies, p.Name())
@@ -47,32 +50,29 @@ func (r *Runner) PolicyPool() (PolicyPoolResult, error) {
 	solved := make([][]bool, len(pool))
 	var oracle []float64
 	var oracleSolved []bool
-	cells, errs := sweepCells(r, "ext-policies", len(items)*len(pool),
+	cells, errs := sweepCells(r, "ext-policies", len(items)*len(swept),
 		func(ctx context.Context, i int) (solver.Result, error) {
-			it, p := items[i/len(pool)], pool[i%len(pool)]
-			return solver.SolveContext(ctx, it.Inst.F, dataset.SolveOptions(p, r.Scale.ScatterBudget))
+			it, p := items[i/len(swept)], swept[i%len(swept)]
+			return solver.SolveContext(ctx, it.Inst.F, dataset.SolveOptions(p, r.Scale.Corpus.Budget()))
 		})
 	if err := sweep.FirstError(errs); err != nil {
 		return PolicyPoolResult{}, err
 	}
-	for j := range items {
+	for j, it := range items {
+		row := []float64{float64(it.PropsDefault), float64(it.PropsFrequency)}
+		rowSolved := []bool{it.SolvedDefault, it.SolvedFrequency}
+		for _, sres := range cells[j*len(swept) : (j+1)*len(swept)] {
+			row = append(row, float64(sres.Stats.Propagations))
+			rowSolved = append(rowSolved, sres.Status != solver.Unknown)
+		}
 		best := -1.0
 		bestIdx := -1
-		anySolved := false
-		row := make([]float64, len(pool))
-		rowSolved := make([]bool, len(pool))
 		for i := range pool {
-			sres := cells[j*len(pool)+i]
-			row[i] = float64(sres.Stats.Propagations)
-			rowSolved[i] = sres.Status != solver.Unknown
-			if rowSolved[i] {
-				anySolved = true
-				if best < 0 || row[i] < best {
-					best, bestIdx = row[i], i
-				}
+			if rowSolved[i] && (best < 0 || row[i] < best) {
+				best, bestIdx = row[i], i
 			}
 		}
-		if !anySolved {
+		if bestIdx < 0 {
 			continue
 		}
 		res.Instances++
@@ -84,7 +84,7 @@ func (r *Runner) PolicyPool() (PolicyPoolResult, error) {
 				strict = false
 			}
 		}
-		if strict && bestIdx >= 0 {
+		if strict {
 			res.Wins[bestIdx]++
 		}
 		oracle = append(oracle, best)

@@ -53,7 +53,7 @@ func (r *Runner) Selectors() (SelectorsResult, error) {
 	var out SelectorsResult
 	var defCost, neuroCost, logitCost, raceProps, raceMS []float64
 	var solved []bool
-	budget := r.Scale.ScatterBudget
+	budget := r.Scale.Corpus.Budget()
 	items := c.Test.Items
 	// Each predictor runs once per item, serially: inference is cheap next
 	// to the expensive part — one 2-worker race per instance — which is
@@ -103,7 +103,7 @@ func (r *Runner) Selectors() (SelectorsResult, error) {
 		race := races[i]
 		raceProps = append(raceProps, float64(race.Result.Stats.Propagations))
 		raceMS = append(raceMS, float64(r.cellDuration(race.WallTime, race.Result.Stats.Propagations).Microseconds())/1000)
-		solved = append(solved, it.SolvedBoth && race.Result.Status != solver.Unknown)
+		solved = append(solved, it.SolvedBoth() && race.Result.Status != solver.Unknown)
 	}
 	out.Default = metrics.Summarize(defCost, solved)
 	out.Neuro = metrics.Summarize(neuroCost, solved)

@@ -39,7 +39,7 @@ func (r *Runner) AlphaSweep() (AlphaSweepResult, error) {
 	res.Instances = len(items)
 	cells, errs := sweepCells(r, "ext-alpha", len(res.Alphas)*len(items),
 		func(ctx context.Context, i int) (solver.Result, error) {
-			opts := dataset.SolveOptions(deletion.FrequencyPolicy{}, r.Scale.ScatterBudget)
+			opts := dataset.SolveOptions(deletion.FrequencyPolicy{}, r.Scale.Corpus.Budget())
 			opts.Alpha = res.Alphas[i/len(items)]
 			return solver.SolveContext(ctx, items[i%len(items)].Inst.F, opts)
 		})
@@ -52,7 +52,7 @@ func (r *Runner) AlphaSweep() (AlphaSweepResult, error) {
 		n := 0
 		for j, it := range items {
 			fres := cells[a*len(items)+j]
-			if fres.Status == solver.Unknown && !it.SolvedBoth {
+			if fres.Status == solver.Unknown && !it.SolvedBoth() {
 				continue
 			}
 			n++

@@ -7,7 +7,6 @@ import (
 
 	"neuroselect/internal/dataset"
 	"neuroselect/internal/gen"
-	"neuroselect/internal/solver"
 	"neuroselect/internal/sweep"
 )
 
@@ -30,21 +29,20 @@ type ScalingResult struct {
 	SeedsPerSize    int
 }
 
-// Scaling measures policy divergence across instance sizes, sharding the
-// size×seed×policy grid across the sweep engine.
+// Scaling measures policy divergence across instance sizes: each
+// (size, seed) cell labels one instance through dataset.LabelContext, the
+// corpus's dual solve, sharding the size×seed grid across the sweep engine.
 func (r *Runner) Scaling() (ScalingResult, error) {
 	res := ScalingResult{
 		Sizes:        []int{60, 100, 140, 180, 220},
 		SeedsPerSize: 6,
 	}
 	seeds := res.SeedsPerSize
-	cells, errs := sweepCells(r, "ext-scaling", len(res.Sizes)*seeds*len(fig4Policies),
-		func(ctx context.Context, i int) (solver.Result, error) {
-			n := res.Sizes[i/(seeds*len(fig4Policies))]
-			seed := int64(i / len(fig4Policies) % seeds)
-			p := fig4Policies[i%len(fig4Policies)]
-			inst := gen.RandomKSAT(n, int(4.26*float64(n)), 3, 1000+seed)
-			return solver.SolveContext(ctx, inst.F, dataset.SolveOptions(p, r.Scale.ScatterBudget))
+	cells, errs := sweepCells(r, "ext-scaling", len(res.Sizes)*seeds,
+		func(ctx context.Context, i int) (dataset.Labeled, error) {
+			n := res.Sizes[i/seeds]
+			inst := gen.RandomKSAT(n, int(4.26*float64(n)), 3, 1000+int64(i%seeds))
+			return dataset.LabelContext(ctx, inst, r.Scale.Corpus.Budget())
 		})
 	if err := sweep.FirstError(errs); err != nil {
 		return ScalingResult{}, err
@@ -53,14 +51,12 @@ func (r *Runner) Scaling() (ScalingResult, error) {
 		var props, deltaSum float64
 		diverged := 0
 		counted := 0
-		for seed := 0; seed < seeds; seed++ {
-			base := si*seeds*len(fig4Policies) + seed*len(fig4Policies)
-			d, f := cells[base], cells[base+1]
-			if d.Status == solver.Unknown || f.Status == solver.Unknown {
+		for _, l := range cells[si*seeds : (si+1)*seeds] {
+			if !l.SolvedBoth() {
 				continue
 			}
 			counted++
-			dp, fp := float64(d.Stats.Propagations), float64(f.Stats.Propagations)
+			dp, fp := float64(l.PropsDefault), float64(l.PropsFrequency)
 			props += dp
 			if dp != fp {
 				diverged++

@@ -38,7 +38,7 @@ type Fig3Result struct {
 // BCP assignments).
 func (r *Runner) Fig3() (Fig3Result, error) {
 	inst := gen.Tseitin(34, 3, false, 2022)
-	s, err := solver.New(inst.F, dataset.SolveOptions(deletion.DefaultPolicy{}, r.Scale.ScatterBudget))
+	s, err := solver.New(inst.F, dataset.SolveOptions(deletion.DefaultPolicy{}, r.Scale.Corpus.Budget()))
 	if err != nil {
 		return Fig3Result{}, err
 	}

@@ -1,15 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
-
-	"neuroselect/internal/dataset"
-	"neuroselect/internal/deletion"
-	"neuroselect/internal/solver"
-	"neuroselect/internal/sweep"
 )
 
 // ScatterPoint is one instance in a Figure 4 / Figure 7(a) scatter:
@@ -37,52 +31,27 @@ type ScatterResult struct {
 	MeanRelGain float64
 }
 
-// fig4Policies is the two-column policy axis of the Figure 4 sweep matrix.
-var fig4Policies = []deletion.Policy{deletion.DefaultPolicy{}, deletion.FrequencyPolicy{}}
-
-// timedResult is one sweep cell's outcome: a solve plus its (possibly
-// deterministic-mode) duration.
-type timedResult struct {
-	Res solver.Result
-	Dur time.Duration
-}
-
-// Fig4 reproduces Figure 4: each test-pool instance is solved under the
-// default and the frequency-guided deletion policies; instances unsolved
-// by both policies are excluded, as in the paper. The instance×policy
-// matrix is sharded across the sweep engine; aggregation walks cells in
-// instance order, so the scatter is identical for every worker count.
+// Fig4 reproduces Figure 4 from the labeling pass's measurements: to label
+// an instance (§5.1) the corpus solved it once under the default and once
+// under the frequency-guided deletion policy, and those two solves are its
+// scatter point. Instances unsolved by both policies are excluded, as in
+// the paper.
 func (r *Runner) Fig4() (ScatterResult, error) {
 	c, err := r.Corpus()
 	if err != nil {
 		return ScatterResult{}, err
 	}
 	res := ScatterResult{Title: "Figure 4 — Kissat default vs. frequency-guided deletion"}
-	items := append(c.All(), c.Test.Items...)
-	budget := r.Scale.ScatterBudget
-	cells, errs := sweepCells(r, "fig4", len(items)*len(fig4Policies),
-		func(ctx context.Context, i int) (timedResult, error) {
-			it, p := items[i/len(fig4Policies)], fig4Policies[i%len(fig4Policies)]
-			start := time.Now()
-			sres, err := solver.SolveContext(ctx, it.Inst.F, dataset.SolveOptions(p, budget))
-			if err != nil {
-				return timedResult{}, err
-			}
-			return timedResult{sres, r.cellDuration(time.Since(start), sres.Stats.Propagations)}, nil
-		})
-	if err := sweep.FirstError(errs); err != nil {
-		return ScatterResult{}, err
-	}
-	for i, it := range items {
-		d, f := cells[i*len(fig4Policies)], cells[i*len(fig4Policies)+1]
-		if d.Res.Status == solver.Unknown && f.Res.Status == solver.Unknown {
+	for _, it := range append(c.All(), c.Test.Items...) {
+		if !it.SolvedDefault && !it.SolvedFrequency {
 			continue // the paper drops instances unsolved by both
 		}
 		res.Points = append(res.Points, ScatterPoint{
 			Name: it.Inst.Name,
-			X:    float64(d.Res.Stats.Propagations), Y: float64(f.Res.Stats.Propagations),
-			XTime: d.Dur, YTime: f.Dur,
-			XSolved: d.Res.Status != solver.Unknown, YSolved: f.Res.Status != solver.Unknown,
+			X:    float64(it.PropsDefault), Y: float64(it.PropsFrequency),
+			XTime:   r.cellDuration(it.WallDefault, it.PropsDefault),
+			YTime:   r.cellDuration(it.WallFrequency, it.PropsFrequency),
+			XSolved: it.SolvedDefault, YSolved: it.SolvedFrequency,
 		})
 	}
 	res.finish()

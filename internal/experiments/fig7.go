@@ -64,7 +64,7 @@ func (r *Runner) Fig7() (Fig7Result, error) {
 	if err != nil {
 		return Fig7Result{}, err
 	}
-	budget := r.Scale.ScatterBudget
+	budget := r.Scale.Corpus.Budget()
 	out := Fig7Result{Scatter: ScatterResult{Title: "Figure 7(a) — Kissat vs. NeuroSelect-Kissat"}}
 	var kProps, nProps, kMS, nMS, vbs []float64
 	var kSolved, nSolved []bool

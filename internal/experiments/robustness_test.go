@@ -88,7 +88,7 @@ func TestFig7WithSelectorInferencePanic(t *testing.T) {
 	}
 	reducing := 0
 	for _, it := range c.Test.Items {
-		res, err := solver.Solve(it.Inst.F, dataset.SolveOptions(deletion.DefaultPolicy{}, r.Scale.ScatterBudget))
+		res, err := solver.Solve(it.Inst.F, dataset.SolveOptions(deletion.DefaultPolicy{}, r.Scale.Corpus.Budget()))
 		if err != nil {
 			t.Fatal(err)
 		}

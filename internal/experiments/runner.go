@@ -55,7 +55,10 @@ func isolate(fn func() error) (err error) {
 	return fn()
 }
 
-// Scale sizes an experiment run.
+// Scale sizes an experiment run. Corpus.MaxConflicts is its one conflict
+// budget (the analogue of the paper's 5,000 s timeout): the labeling solves
+// and every experiment's solves all run at Corpus.Budget(), so a cost read
+// from the labels and one solved by an experiment are measured alike.
 type Scale struct {
 	Corpus dataset.Config
 	Model  core.Config
@@ -65,9 +68,6 @@ type Scale struct {
 	Restarts int
 	// BaselineEpochs bounds the Table 2 baseline training runs.
 	BaselineEpochs int
-	// ScatterBudget is the conflict budget for the Figure 4 / Figure 7
-	// solving runs (the analogue of the paper's 5,000 s timeout).
-	ScatterBudget int64
 }
 
 // QuickScale is small enough for unit tests and benchmarks.
@@ -79,7 +79,6 @@ func QuickScale() Scale {
 		Train:          core.TrainConfig{Epochs: 6, LR: 5e-3, Seed: 1},
 		Restarts:       1,
 		BaselineEpochs: 4,
-		ScatterBudget:  20000,
 	}
 }
 
@@ -93,11 +92,13 @@ func DefaultScale() Scale {
 		Train:          core.TrainConfig{Epochs: 60, LR: 1e-3, Seed: 1},
 		Restarts:       3,
 		BaselineEpochs: 20,
-		ScatterBudget:  60000,
 	}
 }
 
 // Runner executes the experiments, memoizing the corpus and trained model.
+// The corpus's labeling solves are the experiments' default/frequency
+// measurements: Figure 4 and ext-policies read them instead of solving
+// those formulas again.
 type Runner struct {
 	Scale Scale
 	// Log, when non-nil, receives progress lines. Writes are serialized so
@@ -107,9 +108,10 @@ type Runner struct {
 	// Tables and JSON are byte-identical for every worker count: cells are
 	// collected by instance index, never by completion order.
 	Workers int
-	// CellTimeout, when positive, gives every sweep cell (one solve of one
-	// instance under one policy) its own wall-clock deadline through the
-	// solver.SolveContext path.
+	// CellTimeout, when positive, gives every experiment's sweep cell (the
+	// solves of one instance under one policy or system) its own
+	// wall-clock deadline through the solver.SolveContext path. The
+	// corpus's labeling solves run without one.
 	CellTimeout time.Duration
 	// BaseContext, when non-nil, is the parent context of every sweep;
 	// canceling it (e.g. on SIGINT) drains all workers and aborts the run.
@@ -189,20 +191,24 @@ func (r *Runner) TrainedModel() (*core.Model, error) {
 		return nil, err
 	}
 	train := Samples(c.All())
-	cfg := r.Scale.Train
-	cfg.PosWeight = core.BalancedPosWeight(train)
-	restarts := r.Scale.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
 	r.logf("training NeuroSelect (%d samples, %d epochs, %d restarts)...",
-		len(train), cfg.Epochs, restarts)
-	m, score := core.TrainBest(r.Scale.Model, train, cfg, restarts)
+		len(train), r.Scale.Train.Epochs, max(r.Scale.Restarts, 1))
+	m, score := r.train(r.Scale.Model, train)
 	r.logf("best training balanced accuracy %.3f", score)
 	m.Threshold = portfolio.CalibrateThreshold(m, c.All())
 	r.logf("calibrated decision threshold: %.2f", m.Threshold)
 	r.model = m
 	return m, nil
+}
+
+// train fits a model of the given configuration to the samples with the
+// balanced positive weight, keeping the best of the scale's restarts by
+// training balanced accuracy. TrainedModel and Table 2's attention
+// ablation both train through it, so they differ only in configuration.
+func (r *Runner) train(cfg core.Config, samples []core.Sample) (*core.Model, float64) {
+	tc := r.Scale.Train
+	tc.PosWeight = core.BalancedPosWeight(samples)
+	return core.TrainBest(cfg, samples, tc, max(r.Scale.Restarts, 1))
 }
 
 // Selector returns a portfolio selector for the trained model.

@@ -6,7 +6,6 @@ import (
 
 	"neuroselect/internal/baselines"
 	"neuroselect/internal/cnf"
-	"neuroselect/internal/core"
 	"neuroselect/internal/dataset"
 	"neuroselect/internal/metrics"
 )
@@ -63,19 +62,14 @@ func (r *Runner) Table2() (Table2Result, error) {
 	trainItems := c.All()
 	testItems := c.Test.Items
 
+	// The baselines train with unweighted BCE, matching their original
+	// recipes.
 	formulas := make([]*cnf.Formula, len(trainItems))
 	labels := make([]int, len(trainItems))
-	posW := 1.0
-	pos := 0
 	for i, it := range trainItems {
 		formulas[i] = it.Inst.F
 		labels[i] = it.Label
-		pos += it.Label
 	}
-	if pos > 0 && pos < len(trainItems) {
-		posW = float64(len(trainItems)-pos) / float64(pos)
-	}
-	_ = posW // the baselines use unweighted BCE, matching their original recipes
 
 	var out Table2Result
 	eval := func(name string, predict func(*cnf.Formula) float64) {
@@ -100,14 +94,7 @@ func (r *Runner) Table2() (Table2Result, error) {
 	r.logf("table2: training NeuroSelect w/o attention...")
 	cfgNoAttn := r.Scale.Model
 	cfgNoAttn.Attention = false
-	trainCfg := r.Scale.Train
-	samples := Samples(trainItems)
-	trainCfg.PosWeight = core.BalancedPosWeight(samples)
-	restarts := r.Scale.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
-	noAttn, _ := core.TrainBest(cfgNoAttn, samples, trainCfg, restarts)
+	noAttn, _ := r.train(cfgNoAttn, Samples(trainItems))
 	eval("NeuroSelect w/o attention", noAttn.Predict)
 
 	m, err := r.TrainedModel()

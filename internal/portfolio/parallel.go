@@ -179,6 +179,42 @@ type ParallelReport struct {
 	Failures []string
 }
 
+// WireReport is the JSON rendering of a ParallelReport that the solving
+// service's ?portfolio= answers and satsolve -stats-json both print: worker
+// count, mode, winner, exchange ledgers, and the reproducibility
+// fingerprints (prop_freq_hash, the winner's propagation-frequency digest,
+// and pseudo_time_us, its propagation count). Wall-clock time is
+// deliberately absent: a deterministic report must not carry any.
+type WireReport struct {
+	Workers       int             `json:"workers"`
+	Deterministic bool            `json:"deterministic"`
+	Winner        string          `json:"winner,omitempty"`
+	WinnerIndex   int             `json:"winner_index"`
+	Rounds        int             `json:"rounds"`
+	PropFreqHash  string          `json:"prop_freq_hash,omitempty"`
+	PseudoTimeUS  int64           `json:"pseudo_time_us"`
+	Exchange      []ExchangeStats `json:"exchange"`
+	Failures      []string        `json:"failures,omitempty"`
+}
+
+// Wire renders the report for the wire.
+func (rep ParallelReport) Wire() *WireReport {
+	w := &WireReport{
+		Workers:       rep.Workers,
+		Deterministic: rep.Deterministic,
+		Winner:        rep.Winner,
+		WinnerIndex:   rep.WinnerIndex,
+		Rounds:        rep.Rounds,
+		PseudoTimeUS:  int64(rep.PseudoTime / time.Microsecond),
+		Exchange:      rep.Exchange,
+		Failures:      rep.Failures,
+	}
+	if rep.WinnerIndex >= 0 {
+		w.PropFreqHash = fmt.Sprintf("%016x", rep.PropFreqHash)
+	}
+	return w
+}
+
 // SolveParallel runs an N-worker shared-clause portfolio solve.
 func SolveParallel(f *cnf.Formula, cfg Config) (ParallelReport, error) {
 	return SolveParallelContext(context.Background(), f, cfg)
@@ -383,9 +419,14 @@ func solveFree(ctx context.Context, f *cnf.Formula, cfg Config) (ParallelReport,
 	for i := range states {
 		states[i] = ExchangeStats{Worker: i, Config: configs[i].name, Hash: fnvOffset}
 	}
-	inboxes := make([]chan solver.SharedClause, n)
-	for i := range inboxes {
-		inboxes[i] = make(chan solver.SharedClause, cfg.QueueCap)
+	// Inboxes exist only when clauses are exchanged: under NoExchange no
+	// clause would ever enter one.
+	var inboxes []chan solver.SharedClause
+	if !cfg.NoExchange {
+		inboxes = make([]chan solver.SharedClause, n)
+		for i := range inboxes {
+			inboxes[i] = make(chan solver.SharedClause, cfg.QueueCap)
+		}
 	}
 
 	type outcome struct {

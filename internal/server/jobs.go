@@ -173,23 +173,7 @@ type solveResponse struct {
 	Trace   []obs.Event  `json:"trace,omitempty"` // ?trace=1 only
 	// Portfolio is present only for ?portfolio= solves (append-only
 	// schema extension).
-	Portfolio *portfolioInfo `json:"portfolio,omitempty"`
-}
-
-// portfolioInfo is the wire rendering of a portfolio solve's report:
-// worker count, mode, winner, exchange ledgers, and the reproducibility
-// fingerprints (prop_freq_hash, pseudo_time_us). Wall-clock time is
-// deliberately absent — deterministic responses must not carry any.
-type portfolioInfo struct {
-	Workers       int                       `json:"workers"`
-	Deterministic bool                      `json:"deterministic"`
-	Winner        string                    `json:"winner,omitempty"`
-	WinnerIndex   int                       `json:"winner_index"`
-	Rounds        int                       `json:"rounds"`
-	PropFreqHash  string                    `json:"prop_freq_hash,omitempty"`
-	PseudoTimeUS  int64                     `json:"pseudo_time_us"`
-	Exchange      []portfolio.ExchangeStats `json:"exchange"`
-	Failures      []string                  `json:"failures,omitempty"`
+	Portfolio *portfolio.WireReport `json:"portfolio,omitempty"`
 }
 
 // policyInfo mirrors portfolio.Choice for the wire.

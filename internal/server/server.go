@@ -704,19 +704,7 @@ func (s *Server) executePortfolio(j *job, ctx context.Context, wait time.Duratio
 			SolveNS: solveNS,
 			TotalNS: time.Since(j.enqueued).Nanoseconds(),
 		},
-		Portfolio: &portfolioInfo{
-			Workers:       rep.Workers,
-			Deterministic: rep.Deterministic,
-			Winner:        rep.Winner,
-			WinnerIndex:   rep.WinnerIndex,
-			Rounds:        rep.Rounds,
-			PseudoTimeUS:  int64(rep.PseudoTime / time.Microsecond),
-			Exchange:      rep.Exchange,
-			Failures:      rep.Failures,
-		},
-	}
-	if rep.WinnerIndex >= 0 {
-		resp.Portfolio.PropFreqHash = fmt.Sprintf("%016x", rep.PropFreqHash)
+		Portfolio: rep.Wire(),
 	}
 	s.finishSolve(j, rep.Result, resp, mem, "portfolio")
 }

@@ -5,7 +5,8 @@
 # concurrency-bearing packages (portfolio racing, the sweep engine, the
 # experiments runner, lock-free selector inference, solver cancellation,
 # registry scrapes, the HTTP server, the shared LRU), a 1-iteration
-# benchmark smoke, a 10-second differential fuzz of the DIMACS reader
+# benchmark smoke (the root package's figure, table and ablation
+# benchmarks included), a 10-second differential fuzz of the DIMACS reader
 # against the line-oriented reference it replaced, a 10-second
 # differential fuzz of the coordinator's route key against the replica's
 # decode and hash, a 10-second fuzz of one warm-session step body
@@ -115,7 +116,7 @@ go test -race ./internal/experiments ./internal/portfolio \
 	./internal/server ./internal/aiger ./internal/cluster ./internal/lru
 
 echo "== benchmark smoke (1 iteration per benchmark)"
-go test -run '^$' -bench . -benchtime 1x ./internal/solver ./internal/drat \
+go test -run '^$' -bench . -benchtime 1x . ./internal/solver ./internal/drat \
 	./internal/portfolio ./internal/core ./internal/tensor \
 	./internal/cnf ./internal/server ./internal/cluster > /dev/null
 
