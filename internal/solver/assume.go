@@ -79,9 +79,6 @@ func (s *Solver) reasonRest(c cref, p lit) []lit {
 // coreBuf), so steady-state core extraction is allocation-free; the
 // returned slice aliases coreBuf.
 func (s *Solver) analyzeFinal(conflict cref, falsified lit, prefix []lit) []cnf.Lit {
-	if len(s.assumpMark) < 2*s.numVars {
-		s.assumpMark = make([]bool, 2*s.numVars)
-	}
 	for _, a := range prefix {
 		if a != litUndef {
 			s.assumpMark[a] = true

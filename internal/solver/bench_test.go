@@ -9,15 +9,22 @@ import (
 	"neuroselect/internal/gen"
 )
 
-// reportSolverMetrics converts accumulated search counters into throughput
-// metrics so scripts/bench.sh can track props/sec and conflicts/sec per
+// reportSolverMetrics converts accumulated search counters into per-op
+// and throughput metrics. Every benchmark below is seeded, so props/op,
+// conflicts/op and reductions/op are exact at a fixed -benchtime Nx: paired
+// runs of two test binaries show whether the search held while ns/op
+// moved. scripts/bench.sh also tracks props/sec and conflicts/sec per
 // generator family alongside the standard ns/op and allocs/op columns.
-func reportSolverMetrics(b *testing.B, props, conflicts int64) {
+func reportSolverMetrics(b *testing.B, props, conflicts, reductions int64) {
+	n := float64(b.N)
+	b.ReportMetric(float64(props)/n, "props/op")
+	b.ReportMetric(float64(conflicts)/n, "conflicts/op")
+	b.ReportMetric(float64(reductions)/n, "reductions/op")
 	secs := b.Elapsed().Seconds()
 	if secs <= 0 {
 		return
 	}
-	// Zero counters are omitted rather than reported: Stats.Propagations
+	// Zero rates are omitted rather than reported: Stats.Propagations
 	// only counts reason-bearing enqueues, so a workload that collapses at
 	// level 0 (e.g. the installRoot chain below) has none by definition.
 	if props > 0 {
@@ -35,7 +42,7 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 	for _, pol := range []deletion.Policy{deletion.DefaultPolicy{}, deletion.FrequencyPolicy{}} {
 		b.Run(pol.Name(), func(b *testing.B) {
 			b.ReportAllocs()
-			var props, conflicts int64
+			var props, conflicts, reductions int64
 			for i := 0; i < b.N; i++ {
 				res, err := Solve(inst.F, Options{Policy: pol, ReduceFirst: 100, ReduceInc: 50})
 				if err != nil || res.Status == Unknown {
@@ -43,8 +50,9 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 				}
 				props += res.Stats.Propagations
 				conflicts += res.Stats.Conflicts
+				reductions += res.Stats.Reductions
 			}
-			reportSolverMetrics(b, props, conflicts)
+			reportSolverMetrics(b, props, conflicts, reductions)
 		})
 	}
 }
@@ -53,7 +61,7 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 func BenchmarkSolvePigeonhole(b *testing.B) {
 	inst := gen.Pigeonhole(6)
 	b.ReportAllocs()
-	var props, conflicts int64
+	var props, conflicts, reductions int64
 	for i := 0; i < b.N; i++ {
 		res, err := Solve(inst.F, Options{})
 		if err != nil || res.Status != Unsat {
@@ -61,15 +69,16 @@ func BenchmarkSolvePigeonhole(b *testing.B) {
 		}
 		props += res.Stats.Propagations
 		conflicts += res.Stats.Conflicts
+		reductions += res.Stats.Reductions
 	}
-	reportSolverMetrics(b, props, conflicts)
+	reportSolverMetrics(b, props, conflicts, reductions)
 }
 
 // BenchmarkSolveMiter measures a structured equivalence-checking instance.
 func BenchmarkSolveMiter(b *testing.B) {
 	inst := gen.Miter(10, 150, false, 3)
 	b.ReportAllocs()
-	var props, conflicts int64
+	var props, conflicts, reductions int64
 	for i := 0; i < b.N; i++ {
 		res, err := Solve(inst.F, Options{})
 		if err != nil || res.Status != Unsat {
@@ -77,8 +86,9 @@ func BenchmarkSolveMiter(b *testing.B) {
 		}
 		props += res.Stats.Propagations
 		conflicts += res.Stats.Conflicts
+		reductions += res.Stats.Reductions
 	}
-	reportSolverMetrics(b, props, conflicts)
+	reportSolverMetrics(b, props, conflicts, reductions)
 }
 
 // BenchmarkSolveTseitin measures an expander-graph parity instance, whose
@@ -87,7 +97,7 @@ func BenchmarkSolveMiter(b *testing.B) {
 func BenchmarkSolveTseitin(b *testing.B) {
 	inst := gen.Tseitin(24, 3, false, 4)
 	b.ReportAllocs()
-	var props, conflicts int64
+	var props, conflicts, reductions int64
 	for i := 0; i < b.N; i++ {
 		res, err := Solve(inst.F, Options{})
 		if err != nil || res.Status != Unsat {
@@ -95,8 +105,9 @@ func BenchmarkSolveTseitin(b *testing.B) {
 		}
 		props += res.Stats.Propagations
 		conflicts += res.Stats.Conflicts
+		reductions += res.Stats.Reductions
 	}
-	reportSolverMetrics(b, props, conflicts)
+	reportSolverMetrics(b, props, conflicts, reductions)
 }
 
 // BenchmarkPropagationThroughput measures the root-level implication
@@ -112,7 +123,7 @@ func BenchmarkPropagationThroughput(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var props, conflicts int64
+	var props, conflicts, reductions int64
 	for i := 0; i < b.N; i++ {
 		res, err := Solve(f, Options{})
 		if err != nil || res.Status != Sat {
@@ -120,8 +131,9 @@ func BenchmarkPropagationThroughput(b *testing.B) {
 		}
 		props += res.Stats.Propagations
 		conflicts += res.Stats.Conflicts
+		reductions += res.Stats.Reductions
 	}
-	reportSolverMetrics(b, props, conflicts)
+	reportSolverMetrics(b, props, conflicts, reductions)
 }
 
 // BenchmarkBinaryBCP measures watch-driven propagation through the inlined
@@ -154,7 +166,7 @@ func BenchmarkBinaryBCP(b *testing.B) {
 	if props < int64(b.N)*(n-2) {
 		b.Fatalf("chain did not propagate through BCP: %+v", s.Stats())
 	}
-	reportSolverMetrics(b, props, s.Stats().Conflicts)
+	reportSolverMetrics(b, props, s.Stats().Conflicts, s.Stats().Reductions)
 }
 
 // BenchmarkReduceCost isolates the clause-database reduction by running a
@@ -165,7 +177,7 @@ func BenchmarkReduceCost(b *testing.B) {
 	for _, pol := range []deletion.Policy{deletion.DefaultPolicy{}, deletion.FrequencyPolicy{}} {
 		b.Run(pol.Name(), func(b *testing.B) {
 			b.ReportAllocs()
-			var props, conflicts int64
+			var props, conflicts, reductions int64
 			for i := 0; i < b.N; i++ {
 				s, err := New(inst.F, Options{Policy: pol, ReduceFirst: 20, ReduceInc: 10})
 				if err != nil {
@@ -177,8 +189,9 @@ func BenchmarkReduceCost(b *testing.B) {
 				}
 				props += s.Stats().Propagations
 				conflicts += s.Stats().Conflicts
+				reductions += s.Stats().Reductions
 			}
-			reportSolverMetrics(b, props, conflicts)
+			reportSolverMetrics(b, props, conflicts, reductions)
 		})
 	}
 }
@@ -200,7 +213,7 @@ func BenchmarkIncrementalUnroll(b *testing.B) {
 	const width, steps = 7, 20
 	g := aiger.CounterAIG(width)
 	b.ReportAllocs()
-	var props, conflicts int64
+	var props, conflicts, reductions int64
 	for i := 0; i < b.N; i++ {
 		u, err := aiger.NewUnroller(g, width)
 		if err != nil {
@@ -232,8 +245,9 @@ func BenchmarkIncrementalUnroll(b *testing.B) {
 		}
 		props += s.Stats().Propagations
 		conflicts += s.Stats().Conflicts
+		reductions += s.Stats().Reductions
 	}
-	reportSolverMetrics(b, props, conflicts)
+	reportSolverMetrics(b, props, conflicts, reductions)
 }
 
 // BenchmarkIncrementalUnrollCold is the baseline the warm path is judged
@@ -243,7 +257,7 @@ func BenchmarkIncrementalUnrollCold(b *testing.B) {
 	const width, steps = 7, 20
 	g := aiger.CounterAIG(width)
 	b.ReportAllocs()
-	var props, conflicts int64
+	var props, conflicts, reductions int64
 	for i := 0; i < b.N; i++ {
 		u, err := aiger.NewUnroller(g, width)
 		if err != nil {
@@ -270,7 +284,30 @@ func BenchmarkIncrementalUnrollCold(b *testing.B) {
 			}
 			props += res.Stats.Propagations
 			conflicts += res.Stats.Conflicts
+			reductions += res.Stats.Reductions
 		}
 	}
-	reportSolverMetrics(b, props, conflicts)
+	reportSolverMetrics(b, props, conflicts, reductions)
+}
+
+// BenchmarkSessionSteps ages a solver through the long session script
+// (session_golden_test.go): per op, a fresh solver over the seeded base
+// runs all longSessionSteps of nsbench's session step (Pop, Push, 3
+// random clauses, a solve under 8 random assumptions). No benchmark above
+// grows a solver through hundreds of frames, and a warm served session
+// spends its time there.
+func BenchmarkSessionSteps(b *testing.B) {
+	b.ReportAllocs()
+	var props, conflicts, reductions int64
+	for i := 0; i < b.N; i++ {
+		ls := newLongSession(b)
+		for k := 0; k < longSessionSteps; k++ {
+			ls.step(b, k)
+		}
+		st := ls.s.Stats()
+		props += st.Propagations
+		conflicts += st.Conflicts
+		reductions += st.Reductions
+	}
+	reportSolverMetrics(b, props, conflicts, reductions)
 }

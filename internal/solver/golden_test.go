@@ -262,4 +262,35 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 			t.Errorf("%v allocs per warm assumption solve; want 0", allocs)
 		}
 	})
+
+	// A warm session pops and pushes a frame before each solve, and every
+	// Push adds an activation variable. Core extraction's per-literal
+	// assumption marks grow with the other per-literal arrays, amortized,
+	// so an UNSAT step after a Push does not reallocate them.
+	t.Run("frame-cores", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("race instrumentation turns off the compiler's append-of-make rewrite, so ensureVars allocates its growth on every Push")
+		}
+		const n = 60
+		f := cnf.New(n)
+		for i := 1; i < n; i++ {
+			f.MustAddClause(-cnf.Lit(i), cnf.Lit(i+1))
+		}
+		f.MustAddClause(-cnf.Lit(n-1), -cnf.Lit(n))
+		s, err := New(f, goldenOptions(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Push()
+		allocs := testing.AllocsPerRun(100, func() {
+			s.Pop()
+			s.Push()
+			if st, core := s.SolveUnderAssumptions([]cnf.Lit{1}); st != Unsat || len(core) != 1 {
+				t.Fatalf("frame step: %v, core %v", st, core)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%v allocs per Pop/Push UNSAT step; want 0 (amortized growth only)", allocs)
+		}
+	})
 }

@@ -43,7 +43,8 @@ func (s *Solver) ensureVars(n int) {
 	for len(s.watches) < 2*n {
 		s.watches = append(s.watches, nil)
 	}
-	s.assign = append(s.assign, make([]lbool, grow)...)
+	s.vals = append(s.vals, make([]lbool, 2*grow)...)
+	s.assumpMark = append(s.assumpMark, make([]bool, 2*grow)...)
 	s.level = append(s.level, make([]int32, grow)...)
 	s.activity = append(s.activity, make([]float64, grow)...)
 	s.propFreq = append(s.propFreq, make([]uint64, grow)...)
@@ -258,12 +259,12 @@ func (s *Solver) VarsAfter(push int, cs []cnf.Clause) int {
 // VarFootprint is Footprint's charge for n variables alone: what a solver
 // over n variables and no clauses reports.
 func VarFootprint(n int) int64 {
-	return int64(n)*100 + int64(2*n)*24
+	return int64(n)*101 + int64(2*n)*24
 }
 
 // Footprint estimates the solver's resident memory in bytes: the clause
-// arena, clause activities, watch lists, and roughly 100 bytes per
-// variable of assignment/heap/analysis state. Warm-session memory caps
+// arena, clause activities, watch lists, and roughly 101 bytes per
+// variable of value/heap/analysis state. Warm-session memory caps
 // compare this estimate against their budget; it deliberately overcounts
 // slightly rather than under.
 func (s *Solver) Footprint() int64 {
@@ -275,6 +276,6 @@ func (s *Solver) Footprint() int64 {
 	}
 	b += int64(cap(s.watches)) * 24
 	b += int64(cap(s.trail)+cap(s.assumeBuf)+cap(s.finalStack)) * 4
-	b += int64(s.numVars) * 100
+	b += int64(s.numVars) * 101
 	return b
 }

@@ -532,6 +532,7 @@ func TestIncrementalInvariants(t *testing.T) {
 	s.SolveUnderAssumptions(nil)
 	checkWatchInvariant(t, s)
 	checkArenaInvariant(t, s)
+	checkValueInvariant(t, s)
 }
 
 // TestSolveHonorsOpenFrames pins the one-shot Solve/SolveContext entry

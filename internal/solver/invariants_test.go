@@ -125,9 +125,39 @@ func checkArenaInvariant(t *testing.T, s *Solver) {
 		}
 	}
 	for v, r := range s.reason {
-		if r != crefUndef && s.assign[v] != lUndef && !starts[r] {
+		if r != crefUndef && s.vals[mkLit(v, false)] != lUndef && !starts[r] {
 			t.Fatalf("reason of assigned var %d references %d, not a live clause start", v, r)
 		}
+	}
+}
+
+// checkValueInvariant verifies the per-literal value array: it and the
+// assumption marks hold two entries per variable, each variable's two
+// literals hold complementary values (both lUndef when unassigned), every
+// trail literal is true, and exactly the trail's variables are assigned.
+func checkValueInvariant(t *testing.T, s *Solver) {
+	t.Helper()
+	if len(s.vals) != 2*s.numVars || len(s.assumpMark) != 2*s.numVars {
+		t.Fatalf("%d values and %d assumption marks for %d variables",
+			len(s.vals), len(s.assumpMark), s.numVars)
+	}
+	assigned := 0
+	for v := 0; v < s.numVars; v++ {
+		pos := mkLit(v, false)
+		if s.vals[pos] != -s.vals[pos.not()] {
+			t.Fatalf("var %d: values %d and %d are not complementary", v, s.vals[pos], s.vals[pos.not()])
+		}
+		if s.vals[pos] != lUndef {
+			assigned++
+		}
+	}
+	for _, l := range s.trail {
+		if s.vals[l] != lTrue {
+			t.Fatalf("trail literal %v has value %d", l, s.vals[l])
+		}
+	}
+	if assigned != len(s.trail) {
+		t.Fatalf("%d variables assigned, trail holds %d", assigned, len(s.trail))
 	}
 }
 
@@ -144,6 +174,7 @@ func TestWatchInvariantAfterSolve(t *testing.T) {
 		s.Solve()
 		checkWatchInvariant(t, s)
 		checkArenaInvariant(t, s)
+		checkValueInvariant(t, s)
 	}
 }
 
@@ -167,6 +198,7 @@ func TestArenaGCInvariants(t *testing.T) {
 		}
 		checkWatchInvariant(t, s)
 		checkArenaInvariant(t, s)
+		checkValueInvariant(t, s)
 	}
 }
 

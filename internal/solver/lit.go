@@ -78,14 +78,3 @@ const (
 	lTrue  lbool = 1
 	lFalse lbool = -1
 )
-
-// valueOf computes the lbool of literal l given the variable's assignment a.
-func valueOf(l lit, a lbool) lbool {
-	if a == lUndef {
-		return lUndef
-	}
-	if l.neg() {
-		return -a
-	}
-	return a
-}

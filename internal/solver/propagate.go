@@ -13,10 +13,16 @@ import "neuroselect/internal/faultpoint"
 // Watch lists never contain deleted clauses — the arena GC rewrites them
 // eagerly at reduce time — so no tombstone check is needed here.
 //
+// The loop holds the literal values, watch lists and arena in locals:
+// nothing it calls reallocates them (enqueue writes values in place, and
+// the arena grows only outside BCP). Each watcher's blocker value is read
+// once, and a long clause's header once.
+//
 // Every pollStride propagations it polls the solve's context, so a long
 // BCP chain cannot run unbounded past a stop signal; a raised stop cause
 // is left in s.budget and propagation unwinds as if it reached fixpoint.
 func (s *Solver) propagate() cref {
+	vals, watches, arena := s.vals, s.watches, s.arena
 	for s.qhead < len(s.trail) {
 		if s.stats.Propagations >= s.nextPoll {
 			s.nextPoll = s.stats.Propagations + pollStride
@@ -30,15 +36,17 @@ func (s *Solver) propagate() cref {
 		}
 		p := s.trail[s.qhead]
 		s.qhead++
+		falseLit := p.not()
 		// Clauses watching ¬p: p just became true, so their watched literal
 		// ¬p became false and they must be serviced.
-		ws := s.watches[p]
+		ws := watches[p]
 		kept := ws[:0]
 		conflict := crefUndef
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
 			// Fast path: the blocker literal already satisfies the clause.
-			if s.value(w.blocker) == lTrue {
+			bv := vals[w.blocker]
+			if bv == lTrue {
 				kept = append(kept, w)
 				continue
 			}
@@ -48,14 +56,14 @@ func (s *Solver) propagate() cref {
 				// it or is conflicting — no arena access either way.
 				c := cref(w.ref &^ watchBinary)
 				kept = append(kept, w)
-				if s.value(w.blocker) == lFalse {
+				if bv == lFalse {
 					conflict = c
 					// Leave the clause's literals in the [other, ¬p] order
 					// the generic path would have produced, so conflict
 					// analysis iterates identically.
 					base := s.litBase(c)
-					s.arena[base] = w.blocker
-					s.arena[base+1] = p.not()
+					arena[base] = w.blocker
+					arena[base+1] = falseLit
 					kept = append(kept, ws[i+1:]...)
 					break
 				}
@@ -63,23 +71,26 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			c := cref(w.ref)
-			cls := s.clauseLits(c)
-			falseLit := p.not()
+			h := uint32(arena[c])
+			base := c + 1 + cref(h&hdrLearned)
+			cls := arena[base : base+cref(h>>hdrSizeShift)]
 			// Ensure the false watched literal sits at cls[1].
 			if cls[0] == falseLit {
 				cls[0], cls[1] = cls[1], cls[0]
 			}
 			first := cls[0]
-			if first != w.blocker && s.value(first) == lTrue {
+			fv := vals[first]
+			if first != w.blocker && fv == lTrue {
 				kept = append(kept, watcher{w.ref, first})
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
 			for k := 2; k < len(cls); k++ {
-				if s.value(cls[k]) != lFalse {
+				if vals[cls[k]] != lFalse {
 					cls[1], cls[k] = cls[k], cls[1]
-					s.watches[cls[1].not()] = append(s.watches[cls[1].not()], watcher{w.ref, first})
+					nw := cls[1].not()
+					watches[nw] = append(watches[nw], watcher{w.ref, first})
 					found = true
 					break
 				}
@@ -89,7 +100,7 @@ func (s *Solver) propagate() cref {
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, watcher{w.ref, first})
-			if s.value(first) == lFalse {
+			if fv == lFalse {
 				conflict = c
 				// Copy the remaining watchers back and stop.
 				kept = append(kept, ws[i+1:]...)
@@ -97,7 +108,7 @@ func (s *Solver) propagate() cref {
 			}
 			s.enqueue(first, c)
 		}
-		s.watches[p] = kept
+		watches[p] = kept
 		if conflict != crefUndef {
 			s.qhead = len(s.trail)
 			return conflict

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -217,5 +218,105 @@ func TestResumeTrajectoryGolden(t *testing.T) {
 	}
 	if h := propFreqHash(words); h != wantHash {
 		t.Errorf("per-round stats hash %#x, golden %#x", h, wantHash)
+	}
+}
+
+// The long session runs the service benchmark's session step (nsbench's
+// session-steps workload) on one solver for longSessionSteps frames: pop
+// the previous frame, push a new one holding 3 random 3-literal clauses,
+// and solve under 8 random assumptions. The base is a seeded random 3-SAT
+// formula over longSessionVars variables at clause ratio 3.8, solved under
+// the options the server gives a session (dataset.SolveOptions: first
+// reduction at 100 conflicts, interval growth 50). Every Push adds an
+// activation variable, so the script grows the solver from 150 to 450
+// variables one frame at a time, as a warm served session does.
+const (
+	longSessionVars  = 150
+	longSessionSteps = 300
+)
+
+// longSession is the script's state: the solver, its random stream, and
+// the clause and assumption scratch every step redraws.
+type longSession struct {
+	s      *Solver
+	rng    *rand.Rand
+	clause cnf.Clause
+	assume []cnf.Lit
+}
+
+func newLongSession(tb testing.TB) *longSession {
+	tb.Helper()
+	base := gen.RandomKSAT(longSessionVars, longSessionVars*38/10, 3, 3)
+	s, err := New(base.F, Options{ReduceFirst: 100, ReduceInc: 50})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &longSession{s: s, rng: rand.New(rand.NewSource(4))}
+}
+
+// draw refills buf with k literals over distinct variables, each with a
+// random polarity.
+func (ls *longSession) draw(buf []cnf.Lit, k int) []cnf.Lit {
+	buf = buf[:0]
+	for len(buf) < k {
+		l := cnf.Lit(1 + ls.rng.Intn(longSessionVars))
+		if slices.Contains(buf, l) || slices.Contains(buf, -l) {
+			continue
+		}
+		if ls.rng.Intn(2) == 0 {
+			l = -l
+		}
+		buf = append(buf, l)
+	}
+	return buf
+}
+
+// step runs step k of the script and returns the solve's answer.
+func (ls *longSession) step(tb testing.TB, k int) (Status, []cnf.Lit) {
+	if k > 0 {
+		ls.s.Pop()
+	}
+	ls.s.Push()
+	for i := 0; i < 3; i++ {
+		ls.clause = ls.draw(ls.clause, 3)
+		if err := ls.s.AddClause(ls.clause); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ls.assume = ls.draw(ls.assume, 8)
+	return ls.s.SolveUnderAssumptions(ls.assume)
+}
+
+// TestLongSessionGolden pins the long session: the status and core of
+// every step (their counts and a hash over the sequence) and the final
+// cumulative stats. The session goldens above run five calls on a fresh
+// solver; this one covers hundreds of frames, so every per-variable and
+// per-literal array is grown by Push many times over mid-search.
+func TestLongSessionGolden(t *testing.T) {
+	ls := newLongSession(t)
+	var words []uint64
+	var sat, unsat int
+	for k := 0; k < longSessionSteps; k++ {
+		st, core := ls.step(t, k)
+		switch st {
+		case Sat:
+			sat++
+		case Unsat:
+			unsat++
+		}
+		words = append(words, uint64(st), uint64(len(core)))
+		for _, l := range core {
+			words = append(words, uint64(l))
+		}
+	}
+	const wantSat, wantUnsat = 100, 200
+	const wantHash = uint64(0x40408c318ed916c1)
+	wantStats := Stats{34126, 1066516, 25251, 70, 30, 25054, 21077, 0, 0, 0, 900, 47056, 449, 30, 260429, 833564}
+	if sat != wantSat || unsat != wantUnsat || ls.s.Stats() != wantStats {
+		t.Errorf("%d SAT, %d UNSAT steps ending %+v; golden %d SAT, %d UNSAT ending %+v",
+			sat, unsat, ls.s.Stats(), wantSat, wantUnsat, wantStats)
+	}
+	if h := propFreqHash(words); h != wantHash {
+		t.Errorf("per-step status and core hash %#x, golden %#x", h, wantHash)
 	}
 }

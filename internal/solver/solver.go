@@ -234,7 +234,11 @@ type Solver struct {
 
 	watches [][]watcher // indexed by lit
 
-	assign []lbool // by var
+	// vals holds every literal's truth value, indexed by literal, so BCP
+	// reads a value with one load and no branch on sign: an assigned
+	// variable's two literals hold lTrue and lFalse, an unassigned one's
+	// both hold lUndef.
+	vals   []lbool // by lit
 	level  []int32 // by var
 	reason []cref  // by var; crefUndef for decisions and unassigned vars
 
@@ -276,7 +280,7 @@ type Solver struct {
 	// allocation-free; a returned core is valid until the next solve or
 	// AddClause call on this solver.
 	assumeBuf  []lit
-	assumpMark []bool // indexed by lit
+	assumpMark []bool // indexed by lit; sized with vals (New, ensureVars)
 	finalStack []lit
 	seenClear  []int
 	coreBuf    []cnf.Lit
@@ -339,7 +343,8 @@ func New(f *cnf.Formula, opts Options) (*Solver, error) {
 		numVars:       n,
 		uvars:         n,
 		watches:       make([][]watcher, 2*n),
-		assign:        make([]lbool, n),
+		vals:          make([]lbool, 2*n),
+		assumpMark:    make([]bool, 2*n),
 		level:         make([]int32, n),
 		reason:        make([]cref, n),
 		activity:      make([]float64, n),
@@ -498,7 +503,7 @@ func (s *Solver) attach(c cref) {
 }
 
 // value returns the current truth value of a literal.
-func (s *Solver) value(l lit) lbool { return valueOf(l, s.assign[l.v()]) }
+func (s *Solver) value(l lit) lbool { return s.vals[l] }
 
 // decisionLevel returns the current decision level.
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
@@ -513,11 +518,8 @@ func (s *Solver) enqueue(l lit, from cref) bool {
 		return false
 	}
 	v := l.v()
-	if l.neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.not()] = lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -543,7 +545,8 @@ func (s *Solver) cancelUntil(lvl int) {
 		l := s.trail[i]
 		v := l.v()
 		s.phase[v] = !l.neg()
-		s.assign[v] = lUndef
+		s.vals[l] = lUndef
+		s.vals[l.not()] = lUndef
 		s.reason[v] = crefUndef
 		if !s.heap.contains(v) {
 			s.heap.push(v)
@@ -850,7 +853,7 @@ func (s *Solver) stop(cause error) (Status, []cnf.Lit) {
 func (s *Solver) pickBranchVar() int {
 	for !s.heap.empty() {
 		v := s.heap.pop()
-		if s.assign[v] == lUndef {
+		if s.vals[mkLit(v, false)] == lUndef {
 			return v
 		}
 	}
@@ -890,14 +893,14 @@ func (s *Solver) extractModel() {
 	if s.i2u == nil {
 		s.model = cnf.NewAssignment(s.numVars)
 		for v := 0; v < s.numVars; v++ {
-			s.model[v+1] = s.assign[v] == lTrue
+			s.model[v+1] = s.vals[mkLit(v, false)] == lTrue
 		}
 		return
 	}
 	s.model = cnf.NewAssignment(s.uvars)
 	for iv, u := range s.i2u {
 		if u >= 0 {
-			s.model[u+1] = s.assign[iv] == lTrue
+			s.model[u+1] = s.vals[mkLit(iv, false)] == lTrue
 		}
 	}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Benchmark trajectory gate: runs the solver and DRAT benchmark suites and
 # distills `go test -bench` output into machine-readable BENCH_solver.json
-# so successive PRs can diff ns/op, allocs/op, and solver throughput
+# so successive PRs can diff ns/op, allocs/op, the solver benchmarks' exact
+# search counters (props/op, conflicts/op, reductions/op) and throughput
 # (props/sec, conflicts/sec) per generator family instead of eyeballing
 # raw benchmark logs.
 #
@@ -29,7 +30,7 @@ go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
 awk -v benchtime="$BENCHTIME" '
 	function family(name) {
 		if (name ~ /^Portfolio/) return "portfolio"
-		if (name ~ /^Incremental/) return "incremental"
+		if (name ~ /^Incremental/ || name ~ /^SessionSteps/) return "incremental"
 		if (name ~ /Random3SAT/ || name ~ /ReduceCost/) return "random3sat"
 		if (name ~ /Pigeonhole/) return "pigeonhole"
 		if (name ~ /Miter/) return "miter"
