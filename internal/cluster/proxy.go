@@ -135,10 +135,11 @@ func (c *Coordinator) handleHashRouted(endpoint string) http.HandlerFunc {
 	}
 }
 
-// readBody buffers a request body up to MaxBodyBytes, answering 413 past
-// the cap (in the replicas' words) and 400 on any other read failure.
+// readBody buffers a request body up to MaxBodyBytes (server.ReadBody,
+// sized from the request's Content-Length), answering 413 past the cap
+// (in the replicas' words) and 400 on any other read failure.
 func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	body, err := server.ReadBody(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -376,13 +377,14 @@ func (c *Coordinator) forward(r *http.Request, b *backend, method, path string, 
 }
 
 // copyResponse relays a buffered (non-streaming) backend response:
-// headers, status, body. A response beyond MaxBodyBytes is refused with
+// headers, status, body, read through server.ReadBody sized from the
+// backend's Content-Length. A response beyond MaxBodyBytes is refused with
 // a 502 — relaying a truncated body under the backend's Content-Length
 // would leave the client hanging mid-read. Returns the body bytes so
 // creating endpoints can mine the resource id for the affinity maps.
 func (c *Coordinator) copyResponse(w http.ResponseWriter, resp *http.Response, b *backend) []byte {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes+1))
+	body, err := server.ReadBody(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes+1), resp.ContentLength)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "read backend response: "+err.Error())
 		return nil

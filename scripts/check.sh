@@ -11,6 +11,9 @@
 # differential fuzz of the coordinator's route key against the replica's
 # decode and hash, a 10-second fuzz of one warm-session step body
 # (FuzzSessionStep: 200/400/413 only, a rejected step changes nothing),
+# a 10-second differential fuzz of the sized body reader against io.ReadAll
+# (FuzzReadBodyMatchesReadAll: declared lengths exact, short, long, zero,
+# absent and 64 MiB),
 # a live metrics-endpoint smoke test,
 # a portfolio determinism smoke (php-9 under -portfolio -deterministic
 # must be byte-identical across runs and worker counts), a DRAT round
@@ -128,6 +131,9 @@ go test -run '^$' -fuzz '^FuzzRouteKeyAgreesWithReplica$' -fuzztime 10s ./intern
 
 echo "== session step fuzz smoke (10s)"
 go test -run '^$' -fuzz '^FuzzSessionStep$' -fuzztime 10s ./internal/server > /dev/null
+
+echo "== sized body reader differential fuzz smoke (10s)"
+go test -run '^$' -fuzz '^FuzzReadBodyMatchesReadAll$' -fuzztime 10s ./internal/server > /dev/null
 
 echo "== metrics endpoint smoke (satsolve -metrics-addr)"
 SMOKE_DIR="$(mktemp -d)"
